@@ -52,12 +52,6 @@ def _out_path(out_dir: str, rel: str) -> str:
     return os.path.join(out_dir, rel)
 
 
-def _json_dump(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(ident._json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _zeta_x(section: dict, family: SurplusFamily) -> np.ndarray:
     if "x" in section:
         return np.asarray(section["x"], dtype=float).ravel()
@@ -167,7 +161,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str, threads=None) -> int:
             path = _out_path(out_dir, f"{prefix}_cell{k:03d}.csv")
             _write_forward_map_csv(est, path)
             diag.append(dict(est.diagnostics, x_value=est.x_value.tolist()))
-        _json_dump(
+        measures.write_json(
             {"config": section, "seed": seed, "threads": threads, "cells": diag},
             _out_path(out_dir, f"{prefix}_diagnostics.json"),
         )
@@ -200,7 +194,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str, threads=None) -> int:
             )
         ident.write_potential_csv(pot, _out_path(out_dir, f"{prefix}_cell{k:03d}.csv"))
         diag.append(dict(pot.diagnostics, x_value=pot.x_value.tolist()))
-    _json_dump(
+    measures.write_json(
         {"config": section, "seed": seed, "threads": threads, "cells": diag},
         _out_path(out_dir, f"{prefix}_diagnostics.json"),
     )
@@ -218,8 +212,8 @@ def _write_forward_map_csv(est: ident.ForwardMapEstimate, path: str) -> None:
         writer.writerow(header)
         for i in range(est.eps_points.shape[0]):
             writer.writerow(
-                [repr(float(v)) for v in est.eps_points[i]]
-                + [repr(float(v)) for v in est.z_hat[i]]
+                [measures.format_float(v) for v in est.eps_points[i]]
+                + [measures.format_float(v) for v in est.z_hat[i]]
             )
 
 
@@ -261,7 +255,7 @@ def cmd_transport(config: dict, seed: int, out_dir: str, threads=None) -> int:
     gap = abs(plan.objective - duals.objective(mu.weights, nu.weights))
     ot.write_plan_csv(plan, _out_path(out_dir, outputs.get("plan", "plan.csv")))
     ot.write_duals_csv(duals, _out_path(out_dir, outputs.get("duals", "duals.csv")))
-    _json_dump(
+    measures.write_json(
         {
             "config": section,
             "seed": seed,
@@ -308,7 +302,7 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str, threads=None) -> int:
     conj.write_grid_function_csv(
         result, _out_path(out_dir, outputs.get("conjugate", "conjugate.csv"))
     )
-    _json_dump(
+    measures.write_json(
         {
             "config": section,
             "seed": seed,
@@ -440,7 +434,9 @@ def cmd_check(config: dict, seed: int, out_dir: str, threads=None) -> int:
         passed = passed and results["twist"]["passed"]
     results["passed"] = bool(passed)
     outputs = section.get("outputs", {})
-    _json_dump(results, _out_path(out_dir, outputs.get("report", "check_report.json")))
+    measures.write_json(
+        results, _out_path(out_dir, outputs.get("report", "check_report.json"))
+    )
     print(f"check: {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_VERIFY
 

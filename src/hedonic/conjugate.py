@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, from_samples
+from .measures import DiscreteMeasure, format_float, from_samples
 from .surplus import SurplusFamily
 
 __all__ = [
@@ -149,9 +149,6 @@ def eps_grid_from_gradients(
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """Header c_1..c_d,value."""
@@ -160,7 +157,9 @@ def write_grid_function_csv(gf: GridFunction, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(gf.n):
-            writer.writerow([_fmt(v) for v in gf.grid.points[i]] + [_fmt(gf.values[i])])
+            writer.writerow(
+                [format_float(v) for v in gf.grid.points[i]] + [format_float(gf.values[i])]
+            )
 
 
 def read_grid_function_csv(path) -> GridFunction:

@@ -11,13 +11,12 @@ identification pipelines for round-trip validation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measures import DistributionSpec, MarketDataset, from_samples
+from .measures import DistributionSpec, MarketDataset, from_samples, write_json
 from .ot import DualPair, TransportPlan, solve_exact
 from .surplus import StructuralSpec
 
@@ -379,6 +378,4 @@ def atomlessness_diagnostic(outcome: EquilibriumOutcome) -> dict:
 def write_equilibrium_report(report: EquilibriumReport, extra: dict, path) -> None:
     payload = dict(extra)
     payload["verification"] = report.to_dict()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

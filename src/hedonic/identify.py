@@ -22,7 +22,6 @@ are available without fixing the whole taste law.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -37,10 +36,12 @@ from .measures import (
     MarketDataset,
     empirical_cdf,
     empirical_cdf_quantile,
+    format_float,
     from_samples,
     partition_by_x,
     reference_lattice,
     sample_reference,
+    write_json,
 )
 from .ot import barycentric_projection, solve_exact, surplus_matrix
 from .surplus import SurplusFamily, TwistViolationError, check_twist
@@ -505,9 +506,6 @@ def averaged_partial_effects(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 def write_potential_csv(pot: IdentifiedPotential, path) -> None:
     """Header z_1..z_d,v,eps_1..eps_d,ubar_grad_1..ubar_grad_d."""
@@ -523,30 +521,12 @@ def write_potential_csv(pot: IdentifiedPotential, path) -> None:
         writer.writerow(header)
         for i in range(pot.n):
             writer.writerow(
-                [_fmt(v) for v in pot.z_points[i]]
-                + [_fmt(pot.v_values[i])]
-                + [_fmt(v) for v in pot.inverse_demand[i]]
-                + [_fmt(v) for v in pot.u_bar_grad[i]]
+                [format_float(v) for v in pot.z_points[i]]
+                + [format_float(pot.v_values[i])]
+                + [format_float(v) for v in pot.inverse_demand[i]]
+                + [format_float(v) for v in pot.u_bar_grad[i]]
             )
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_diagnostics_json(diagnostics, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(_json_ready(diagnostics), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(diagnostics, path)

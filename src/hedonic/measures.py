@@ -10,6 +10,7 @@ type x.  All containers are immutable after construction.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -43,9 +44,32 @@ class PriceConflictError(ValueError):
     """Duplicate quality rows carry incompatible prices."""
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     """Shortest round-trip decimal form; keeps CSV output byte-stable."""
     return repr(float(x))
+
+
+def _json_ready(obj):
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def write_json(payload, path) -> None:
+    """Sorted, indented JSON report with numpy scalars and arrays as plain values."""
+    with open(path, "w") as fh:
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -503,9 +527,9 @@ def write_dataset_csv(dataset: MarketDataset, path) -> None:
         writer.writerow(header)
         for i in range(dataset.n):
             row = (
-                [_fmt(v) for v in dataset.x[i]]
-                + [_fmt(v) for v in dataset.z[i]]
-                + [_fmt(dataset.p[i])]
+                [format_float(v) for v in dataset.x[i]]
+                + [format_float(v) for v in dataset.z[i]]
+                + [format_float(dataset.p[i])]
             )
             writer.writerow(row)
 
@@ -532,7 +556,10 @@ def write_measure_csv(measure: DiscreteMeasure, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(measure.n):
-            writer.writerow([_fmt(measure.weights[i])] + [_fmt(v) for v in measure.points[i]])
+            writer.writerow(
+                [format_float(measure.weights[i])]
+                + [format_float(v) for v in measure.points[i]]
+            )
 
 
 def read_measure_csv(path) -> DiscreteMeasure:

@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, format_float
 from .surplus import SurplusFamily
 
 __all__ = [
@@ -490,9 +490,6 @@ def check_cyclical_monotonicity(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 def write_plan_csv(plan: TransportPlan, path) -> None:
     """Support triplets i,j,mass."""
@@ -501,7 +498,7 @@ def write_plan_csv(plan: TransportPlan, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mass"])
         for a, b, m in zip(ii, jj, mass):
-            writer.writerow([int(a), int(b), _fmt(m)])
+            writer.writerow([int(a), int(b), format_float(m)])
 
 
 def read_plan_coupling(path, shape) -> np.ndarray:
@@ -522,9 +519,9 @@ def write_duals_csv(duals: DualPair, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["side", "idx", "value"])
         for i, val in enumerate(duals.w_source):
-            writer.writerow(["source", i, _fmt(val)])
+            writer.writerow(["source", i, format_float(val)])
         for j, val in enumerate(duals.v_target):
-            writer.writerow(["target", j, _fmt(val)])
+            writer.writerow(["target", j, format_float(val)])
 
 
 def read_duals_csv(path) -> DualPair:
