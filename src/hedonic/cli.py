@@ -99,7 +99,7 @@ def _run_simulation(resolved: dict) -> eq.EquilibriumOutcome:
     )
 
 
-def cmd_simulate(config: dict, seed: int, out_dir: str, threads=None) -> int:
+def cmd_simulate(config: dict, seed: int, out_dir: str) -> int:
     resolved = _resolve_simulate(config["simulate"], seed)
     outcome = _run_simulation(resolved)
     report = eq.verify_equilibrium(outcome)
@@ -108,7 +108,6 @@ def cmd_simulate(config: dict, seed: int, out_dir: str, threads=None) -> int:
     )
     extra = {
         "config": resolved,
-        "threads": threads,
         "n_pairs": outcome.n_pairs,
         "objective": outcome.matching.objective,
         "atomlessness": eq.atomlessness_diagnostic(outcome),
@@ -133,7 +132,7 @@ def cmd_simulate(config: dict, seed: int, out_dir: str, threads=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_identify(config: dict, seed: int, out_dir: str, threads=None) -> int:
+def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
     section = config["identify"]
     pipeline = section["pipeline"]
     if pipeline not in ("scalar", "brenier", "general", "simeq"):
@@ -162,7 +161,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str, threads=None) -> int:
             _write_forward_map_csv(est, path)
             diag.append(dict(est.diagnostics, x_value=est.x_value.tolist()))
         measures.write_json(
-            {"config": section, "seed": seed, "threads": threads, "cells": diag},
+            {"config": section, "seed": seed, "cells": diag},
             _out_path(out_dir, f"{prefix}_diagnostics.json"),
         )
         print(f"identify: wrote {len(maps)} forward-map cells")
@@ -195,7 +194,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str, threads=None) -> int:
         ident.write_potential_csv(pot, _out_path(out_dir, f"{prefix}_cell{k:03d}.csv"))
         diag.append(dict(pot.diagnostics, x_value=pot.x_value.tolist()))
     measures.write_json(
-        {"config": section, "seed": seed, "threads": threads, "cells": diag},
+        {"config": section, "seed": seed, "cells": diag},
         _out_path(out_dir, f"{prefix}_diagnostics.json"),
     )
     print(f"identify: wrote {len(slices)} cells via {pipeline}")
@@ -222,7 +221,7 @@ def _write_forward_map_csv(est: ident.ForwardMapEstimate, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_transport(config: dict, seed: int, out_dir: str, threads=None) -> int:
+def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
     section = config["transport"]
     mu = measures.read_measure_csv(section["source"])
     nu = measures.read_measure_csv(section["target"])
@@ -259,8 +258,7 @@ def cmd_transport(config: dict, seed: int, out_dir: str, threads=None) -> int:
         {
             "config": section,
             "seed": seed,
-            "threads": threads,
-            "objective": plan.objective,
+                "objective": plan.objective,
             "duality_gap": gap,
             **info,
         },
@@ -275,7 +273,7 @@ def cmd_transport(config: dict, seed: int, out_dir: str, threads=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_conjugate(config: dict, seed: int, out_dir: str, threads=None) -> int:
+def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
     section = config["conjugate"]
     gf = conj.read_grid_function_csv(section["grid_function"])
     family = SurplusFamily.from_config(section["zeta"])
@@ -306,8 +304,7 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str, threads=None) -> int:
         {
             "config": section,
             "seed": seed,
-            "threads": threads,
-            "n_eps": result.n,
+                "n_eps": result.n,
             "truncation_warnings": int(np.count_nonzero(result.boundary_hit)),
         },
         _out_path(out_dir, outputs.get("report", "conjugate_report.json")),
@@ -419,9 +416,9 @@ def _check_twist_section(section: dict) -> dict:
     }
 
 
-def cmd_check(config: dict, seed: int, out_dir: str, threads=None) -> int:
+def cmd_check(config: dict, seed: int, out_dir: str) -> int:
     section = config["check"]
-    results = {"seed": seed, "threads": threads}
+    results = {"seed": seed}
     passed = True
     if "equilibrium" in section:
         results["equilibrium"] = _check_equilibrium(section["equilibrium"], seed)
@@ -460,16 +457,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="advisory thread count, recorded in reports"
-    )
     args = parser.parse_args(argv)
 
     try:
         config = _load_config(args.config)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        return _COMMANDS[args.command](config, seed, args.out, args.threads)
+        return _COMMANDS[args.command](config, seed, args.out)
     except TwistViolationError as exc:
         print(f"{args.command}: twist check refused: {exc}", file=sys.stderr)
         return EXIT_TWIST
