@@ -158,7 +158,8 @@ def write_grid_function_csv(gf: GridFunction, path) -> None:
         writer.writerow(header)
         for i in range(gf.n):
             writer.writerow(
-                [format_float(v) for v in gf.grid.points[i]] + [format_float(gf.values[i])]
+                [format_float(v) for v in gf.grid.points[i]]
+                + [format_float(gf.values[i])]
             )
 
 

@@ -1,15 +1,28 @@
-"""Parametric surplus families with analytic gradients.
+"""Parametric surplus families on one sparse-polynomial core.
 
-The taste-quality interaction is one of four closed-form families so
-that gradients, cross Hessians, and the injectivity (twist) diagnostic
-are exact: bilinear z'eps, feature-map bilinear phi(z)'psi(x,eps),
-negative quadratic -1/2 (z-eps)'Q(z-eps), and sparse polynomials in
-(x, eps, z).  Scalar families for the base utility and producer cost
-reuse the same machinery over (x, z) and (y, z).
+Every family is a sparse polynomial P(w, u) in the non-quality inputs w
+and a shifted quality u = z - S w - c.  For the taste surplus zeta,
+w = (x, eps); for the scalar base utility and producer cost, w is the
+type a (the observable x or the producer type y).  The families are
+constructors of P and of the affine shift:
+
+- bilinear: P = sum_k eps_k u_k;
+- polynomial: P = the given terms in (x, eps, u) or (a, u);
+- bilinear-feature: P = sum_k phi_k(u) psi_k(x, eps), multiplied out;
+- neg-quadratic: P = -1/2 u'Qu with u = z - eps (taste surplus) or
+  u = z - M a - c0 (scalar family).
+
+The shift is zero for every kind but the negative quadratics.  Row
+methods evaluate P and its derivatives in u, so -1/2 u'Qu is exactly
+zero at its centre; the gradient and Hessian polynomials are built once,
+at construction, and the chain rule through the shift gives derivatives
+in z and eps.  The matrix methods expand the shift into monomials of
+(w, z) and take one matrix product of w-monomials and z-monomials.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,83 +43,177 @@ class TwistViolationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Sparse monomial helper
+# Sparse polynomial core
 # ---------------------------------------------------------------------------
 
 
+def _monomial_values(v: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Per-row monomial values: (n, D) points and (T, D) exponents -> (n, T)."""
+    out = np.ones((v.shape[0], exps.shape[0]))
+    for c in np.flatnonzero(exps.any(axis=0)):
+        out *= v[:, c, None] ** exps[:, c]
+    return out
+
+
 class _Monomials:
-    """Sparse polynomial over one or more variable blocks.
+    """Sparse polynomial map R^D -> R^K: exponents (T, D), coefficients (T, K)."""
 
-    Terms are rows of integer exponent arrays, one per block, with a
-    shared coefficient vector.  Evaluation broadcasts over rows of each
-    block, and per-block partial derivatives return new _Monomials.
-    """
+    def __init__(self, exps, coeffs):
+        self.exps = np.asarray(exps, dtype=int)
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def __init__(self, coeffs, blocks: dict):
-        self.coeffs = np.asarray(coeffs, dtype=float).ravel()
-        self.blocks = {
-            name: np.asarray(e, dtype=int).reshape(self.coeffs.shape[0], -1)
-            for name, e in blocks.items()
-        }
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return _monomial_values(v, self.exps) @ self.coeffs
 
-    def block_dim(self, name: str) -> int:
-        return self.blocks[name].shape[1]
+    def diff(self, col: int) -> "_Monomials":
+        keep = self.exps[:, col] > 0
+        exps = self.exps[keep]
+        exps[:, col] -= 1
+        return _Monomials(exps, self.coeffs[keep] * self.exps[keep, col, None])
 
-    def factors(self, name: str, pts: np.ndarray) -> np.ndarray:
-        """Per-term monomial values of one block: (n_terms, n_points)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        exps = self.blocks[name]
-        if exps.shape[1] == 0:
-            # zero-width block: the polynomial does not consume this input
-            return np.ones((exps.shape[0], max(pts.shape[0], 1)))
-        if pts.shape[1] != exps.shape[1]:
-            raise ValueError(
-                f"block {name!r} expects dim {exps.shape[1]}, got {pts.shape[1]}"
-            )
-        return np.prod(pts[None, :, :] ** exps[:, None, :], axis=2)
-
-    def eval_rows(self, **pts) -> np.ndarray:
-        """Row-aligned evaluation: all blocks share the same row count."""
-        prod = self.coeffs[:, None]
-        for name in self.blocks:
-            prod = prod * self.factors(name, pts[name])
-        return prod.sum(axis=0)
-
-    def diff(self, name: str, axis: int) -> "_Monomials":
-        exps = self.blocks[name]
-        keep = exps[:, axis] >= 1
-        coeffs = self.coeffs[keep] * exps[keep, axis]
-        blocks = {n: e[keep].copy() for n, e in self.blocks.items()}
-        blocks[name][:, axis] -= 1
-        if coeffs.shape[0] == 0:
-            coeffs = np.zeros(1)
-            blocks = {n: np.zeros((1, e.shape[1]), dtype=int) for n, e in self.blocks.items()}
-        return _Monomials(coeffs, blocks)
+    def __mul__(self, other: "_Monomials") -> "_Monomials":
+        exps = self.exps[:, None, :] + other.exps[None, :, :]
+        coeffs = self.coeffs[:, None, :] * other.coeffs[None, :, :]
+        return _Monomials(exps.reshape(-1, exps.shape[2]), coeffs.reshape(-1, 1))
 
 
-def _terms_to_monomials(terms: Sequence[dict], block_dims: dict) -> _Monomials:
-    coeffs = []
-    blocks = {name: [] for name in block_dims}
+def _merged(exps: np.ndarray, coeffs: np.ndarray) -> _Monomials:
+    """Like terms summed in first-occurrence order; all-zero terms dropped."""
+    if exps.shape[0] == 0:
+        return _Monomials(exps, coeffs)
+    uniq, first, inverse = np.unique(
+        exps, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    summed = np.zeros((order.shape[0], coeffs.shape[1]))
+    np.add.at(summed, rank[inverse.reshape(-1)], coeffs)
+    keep = np.any(summed != 0.0, axis=1)
+    return _Monomials(uniq[order][keep], summed[keep])
+
+
+def _sum(polys: Sequence[_Monomials]) -> _Monomials:
+    return _merged(
+        np.vstack([p.exps for p in polys]), np.vstack([p.coeffs for p in polys])
+    )
+
+
+def _stack(polys: Sequence[_Monomials]) -> _Monomials:
+    """One K-output polynomial from K single-output ones, sharing monomials."""
+    coeffs = np.zeros((sum(p.coeffs.shape[0] for p in polys), len(polys)))
+    row = 0
+    for k, p in enumerate(polys):
+        coeffs[row:row + p.coeffs.shape[0], k] = p.coeffs[:, 0]
+        row += p.coeffs.shape[0]
+    return _merged(np.vstack([p.exps for p in polys]), coeffs)
+
+
+def _parse_terms(terms: Sequence[dict], block_dims: dict):
+    """Validated config terms, and their exponents over the concatenated blocks."""
+    canonical, exps = [], []
     for t in terms:
-        coeffs.append(float(t["coeff"]))
+        term = {"coeff": float(t["coeff"])}
         for name, d in block_dims.items():
             e = np.asarray(t.get(name, [0] * d), dtype=int).ravel()
             if e.shape[0] != d or np.any(e < 0):
                 raise ValueError(f"term block {name!r} needs {d} nonnegative exponents")
-            blocks[name].append(e)
-    if not coeffs:
+            term[name] = e.tolist()
+        canonical.append(term)
+        exps.append(np.concatenate([term[name] for name in block_dims]).astype(int))
+    if not canonical:
         raise ValueError("polynomial needs at least one term")
-    return _Monomials(coeffs, {n: np.asarray(b) for n, b in blocks.items()})
+    coeffs = np.array([[t["coeff"]] for t in canonical])
+    return canonical, _merged(np.asarray(exps), coeffs)
 
 
-def _monomials_to_terms(mon: _Monomials) -> list[dict]:
-    out = []
-    for t in range(mon.coeffs.shape[0]):
-        term = {"coeff": float(mon.coeffs[t])}
-        for name, exps in mon.blocks.items():
-            term[name] = exps[t].tolist()
-        out.append(term)
-    return out
+def _padded(poly: _Monomials, before: int, after: int) -> _Monomials:
+    """poly with `before` leading and `after` trailing variables it ignores."""
+    return _Monomials(np.pad(poly.exps, ((0, 0), (before, after))), poly.coeffs)
+
+
+def _neg_quadratic_poly(q: np.ndarray, d_w: int) -> _Monomials:
+    """-1/2 u'Qu over (w, u) columns."""
+    d = q.shape[0]
+    eye = np.eye(d, dtype=int)
+    i, j = np.divmod(np.arange(d * d), d)
+    exps = np.hstack([np.zeros((d * d, d_w), dtype=int), eye[i] + eye[j]])
+    return _merged(exps, -0.5 * q.reshape(-1, 1))
+
+
+def _positive_definite(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ValueError("Q must be square")
+    if np.max(np.abs(q - q.T)) > 1e-12:
+        raise ValueError("Q must be symmetric")
+    if np.linalg.eigvalsh(q).min() <= 0:
+        raise ValueError("Q must be positive definite")
+    return q.copy()
+
+
+class _Core:
+    """P(w, u) at u = z - w @ shift.T - offset, with derivatives in w and z.
+
+    Gradient and Hessian polynomials and the shift-expanded form used by
+    the matrix evaluation are built once, here.
+    """
+
+    def __init__(self, poly: _Monomials, d_w: int, shift=None, offset=None):
+        self.d_w = d_w
+        self.d_z = d_z = poly.exps.shape[1] - d_w
+        self.shift = np.zeros((d_z, d_w)) if shift is None else shift
+        self.offset = np.zeros(d_z) if offset is None else offset
+        self.poly = poly
+        width = d_w + d_z
+        self.grad_poly = _stack([poly.diff(c) for c in range(width)])
+        self.hess_poly = _stack(
+            [poly.diff(a).diff(b) for a in range(width) for b in range(d_w, width)]
+        )
+        # u_k = z_k - shift[k] . w - offset[k] as a polynomial in (w, z)
+        eye = np.eye(width, dtype=int)
+        lin = []
+        for k in range(d_z):
+            coeffs = np.r_[1.0, -self.shift[k], -self.offset[k]]
+            exps = np.vstack([eye[d_w + k], eye[:d_w], np.zeros(width, dtype=int)])
+            keep = coeffs != 0.0
+            lin.append(_Monomials(exps[keep], coeffs[keep, None]))
+        expanded = []
+        for e, c in zip(poly.exps, poly.coeffs):
+            term = _Monomials(np.r_[e[:d_w], np.zeros(d_z, dtype=int)][None], c[None])
+            for k in range(d_z):
+                for _ in range(e[d_w + k]):
+                    term = term * lin[k]
+            expanded.append(term)
+        self.expanded = _sum(expanded) if expanded else poly
+
+    def _points(self, w, z):
+        return np.hstack([w, z - (w @ self.shift.T + self.offset)])
+
+    def value(self, w, z) -> np.ndarray:
+        return self.poly(self._points(w, z))[:, 0]
+
+    def grad(self, w, z):
+        """(d/dw, d/dz) of P(w, z - shift w - offset), each row-aligned."""
+        g = self.grad_poly(self._points(w, z))
+        g_z = g[:, self.d_w:]
+        return g[:, :self.d_w] - g_z @ self.shift, g_z
+
+    def hess(self, w, z):
+        """(d^2/dw dz, d^2/dz dz), shapes (n, d_w, d_z) and (n, d_z, d_z)."""
+        h = self.hess_poly(self._points(w, z)).reshape(w.shape[0], -1, self.d_z)
+        h_zz = h[:, self.d_w:]
+        return h[:, :self.d_w] - self.shift.T @ h_zz, h_zz
+
+    def matrix(self, w, z) -> np.ndarray:
+        """P at every (row of w, row of z) pair via one matrix product."""
+        e = self.expanded
+        rows = _monomial_values(w, e.exps[:, :self.d_w]) * e.coeffs[:, 0]
+        return rows @ _monomial_values(z, e.exps[:, self.d_w:]).T
+
+
+def _as_rows(v) -> np.ndarray:
+    return np.atleast_2d(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -116,39 +223,47 @@ def _monomials_to_terms(mon: _Monomials) -> list[dict]:
 
 @dataclass(frozen=True)
 class SurplusFamily:
-    """Known interaction between tastes and qualities.
+    """Known interaction zeta(x, eps, z) between tastes and qualities.
 
     kind is one of "bilinear", "bilinear-feature", "neg-quadratic",
-    "polynomial"; params hold the coefficient tensors of that kind.
+    "polynomial"; every kind evaluates through the same polynomial core.
     """
 
     kind: str
     d_x: int
     d_z: int
-    params: dict = field(default_factory=dict)
+    _core: _Core = field(repr=False, compare=False)
+    _config: dict = field(repr=False)
+
+    @staticmethod
+    def _build(config: dict, d_x, d_z: int, poly: _Monomials, shift=None):
+        d_x = int(d_x)
+        core = _Core(poly, d_x + d_z, shift)
+        return SurplusFamily(config["kind"], d_x, d_z, core, config)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def bilinear(dim: int, d_x: int = 0) -> "SurplusFamily":
-        return SurplusFamily("bilinear", d_x, int(dim))
+        d_z, w = int(dim), int(d_x) + int(dim)
+        eye = np.eye(w + d_z, dtype=int)
+        poly = _Monomials(eye[w - d_z:w] + eye[w:], np.ones((d_z, 1)))
+        config = {"kind": "bilinear", "dim": d_z, "d_x": d_x}
+        return SurplusFamily._build(config, d_x, d_z, poly)
 
     @staticmethod
     def neg_quadratic(q, d_x: int = 0) -> "SurplusFamily":
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("Q must be square")
-        if np.max(np.abs(q - q.T)) > 1e-12:
-            raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh(q).min() <= 0:
-            raise ValueError("Q must be positive definite")
-        q = q.copy()
-        q.setflags(write=False)
-        return SurplusFamily("neg-quadratic", d_x, q.shape[0], {"q": q})
+        q = _positive_definite(q)
+        d_z, w = q.shape[0], int(d_x) + q.shape[0]
+        # u = z - eps: the shift picks the eps block of w = (x, eps)
+        shift = np.eye(d_z, w, w - d_z)
+        config = {"kind": "neg-quadratic", "q": q.tolist(), "d_x": d_x}
+        return SurplusFamily._build(config, d_x, d_z, _neg_quadratic_poly(q, w), shift)
 
     @staticmethod
     def polynomial(terms: Sequence[dict], d_x: int, d_z: int) -> "SurplusFamily":
-        mon = _terms_to_monomials(terms, {"x": d_x, "eps": d_z, "z": d_z})
-        return SurplusFamily("polynomial", d_x, d_z, {"mon": mon})
+        canonical, poly = _parse_terms(terms, {"x": d_x, "eps": d_z, "z": d_z})
+        config = {"kind": "polynomial", "d_x": d_x, "d_z": d_z, "terms": canonical}
+        return SurplusFamily._build(config, d_x, int(d_z), poly)
 
     @staticmethod
     def bilinear_feature(
@@ -160,15 +275,26 @@ class SurplusFamily:
         """zeta = sum_k phi_k(z) psi_k(x, eps) with polynomial features."""
         if len(phi_terms) != len(psi_terms):
             raise ValueError("phi and psi must have the same feature count")
-        phi = [_terms_to_monomials(t, {"z": d_z}) for t in phi_terms]
-        psi = [_terms_to_monomials(t, {"x": d_x, "eps": d_z}) for t in psi_terms]
-        return SurplusFamily("bilinear-feature", d_x, d_z, {"phi": phi, "psi": psi})
+        phi = [_parse_terms(t, {"z": d_z}) for t in phi_terms]
+        psi = [_parse_terms(t, {"x": d_x, "eps": d_z}) for t in psi_terms]
+        w = int(d_x) + int(d_z)
+        products = [
+            _padded(psi_k, 0, d_z) * _padded(phi_k, w, 0)
+            for (_, phi_k), (_, psi_k) in zip(phi, psi)
+        ]
+        config = {
+            "kind": "bilinear-feature",
+            "d_x": d_x,
+            "d_z": d_z,
+            "phi": [t for t, _ in phi],
+            "psi": [t for t, _ in psi],
+        }
+        empty = _Monomials(np.zeros((0, w + d_z)), np.zeros((0, 1)))
+        return SurplusFamily._build(config, d_x, int(d_z), _sum(products or [empty]))
 
     # -- shape checks ---------------------------------------------------
     def _check(self, x, eps, z):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        eps = np.atleast_2d(np.asarray(eps, dtype=float))
-        z = np.atleast_2d(np.asarray(z, dtype=float))
+        x, eps, z = _as_rows(x), _as_rows(eps), _as_rows(z)
         if eps.shape[1] != self.d_z or z.shape[1] != self.d_z:
             raise ValueError(
                 f"eps/z must have dimension {self.d_z}, got {eps.shape[1]}/{z.shape[1]}"
@@ -177,24 +303,31 @@ class SurplusFamily:
             raise ValueError(f"x must have dimension {self.d_x}, got {x.shape[1]}")
         return x, eps, z
 
-    # -- row-aligned evaluation ------------------------------------------
-    def eval_rows(self, x, eps, z) -> np.ndarray:
+    def _w(self, x, eps) -> np.ndarray:
+        """Rows of w = (x, eps), x broadcast over the taste rows."""
+        n = max(x.shape[0], eps.shape[0])
+        x = np.broadcast_to(x[:, :self.d_x], (n, self.d_x))
+        return np.hstack([x, np.broadcast_to(eps, (n, self.d_z))])
+
+    def _rows(self, x, eps, z):
         x, eps, z = self._check(x, eps, z)
         n = max(x.shape[0], eps.shape[0], z.shape[0])
-        x, eps, z = (np.broadcast_to(a, (n, a.shape[1])) for a in (x, eps, z))
-        if self.kind == "bilinear":
-            return np.einsum("ij,ij->i", eps, z)
-        if self.kind == "neg-quadratic":
-            diff = z - eps
-            return -0.5 * np.einsum("ij,jk,ik->i", diff, self.params["q"], diff)
-        if self.kind == "polynomial":
-            return self.params["mon"].eval_rows(x=x, eps=eps, z=z)
-        if self.kind == "bilinear-feature":
-            total = np.zeros(n)
-            for phi_k, psi_k in zip(self.params["phi"], self.params["psi"]):
-                total += phi_k.eval_rows(z=z) * psi_k.eval_rows(x=x, eps=eps)
-            return total
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return self._w(x, np.broadcast_to(eps, (n, self.d_z))), np.broadcast_to(
+            z, (n, self.d_z)
+        )
+
+    def _matrix(self, x, eps, z) -> np.ndarray:
+        x, eps, z = self._check(x, eps, z)
+        return self._core.matrix(self._w(x, eps), z)
+
+    def _hessian_rows(self, x, eps, z):
+        """(d^2 zeta / d eps dz, d^2 zeta / dz dz) per row, from one evaluation."""
+        cross, h_zz = self._core.hess(*self._rows(x, eps, z))
+        return cross[:, self.d_x:], h_zz
+
+    # -- row-aligned evaluation ------------------------------------------
+    def eval_rows(self, x, eps, z) -> np.ndarray:
+        return self._core.value(*self._rows(x, eps, z))
 
     def eval(self, x, eps, z) -> float:
         return float(self.eval_rows(x, eps, z)[0])
@@ -202,113 +335,18 @@ class SurplusFamily:
     # -- pairwise evaluation (surplus matrices) ---------------------------
     def pairwise(self, x, eps_points: np.ndarray, z_points: np.ndarray) -> np.ndarray:
         """Matrix of zeta(x, eps_i, z_j) for a fixed observable type."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        eps = np.atleast_2d(np.asarray(eps_points, dtype=float))
-        z = np.atleast_2d(np.asarray(z_points, dtype=float))
-        self._check(x, eps[:1], z[:1])
-        if self.kind == "bilinear":
-            return eps @ z.T
-        if self.kind == "neg-quadratic":
-            q = self.params["q"]
-            cross = eps @ q @ z.T
-            e_sq = 0.5 * np.einsum("ij,jk,ik->i", eps, q, eps)
-            z_sq = 0.5 * np.einsum("ij,jk,ik->i", z, q, z)
-            return cross - e_sq[:, None] - z_sq[None, :]
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            fx = mon.factors("x", x)[:, 0]
-            fe = mon.factors("eps", eps)
-            fz = mon.factors("z", z)
-            return np.einsum("t,ti,tj->ij", mon.coeffs * fx, fe, fz)
-        if self.kind == "bilinear-feature":
-            n, m = eps.shape[0], z.shape[0]
-            psi_vals = np.column_stack(
-                [psi_k.eval_rows(x=np.broadcast_to(x, (n, x.shape[1])), eps=eps)
-                 for psi_k in self.params["psi"]]
-            )
-            phi_vals = np.column_stack(
-                [phi_k.eval_rows(z=z) for phi_k in self.params["phi"]]
-            )
-            return psi_vals @ phi_vals.T
-        raise ValueError(self.kind)
+        return self._matrix(x, eps_points, z_points)
 
     def pairwise_consumer_grid(self, x_rows, eps_rows, z_points) -> np.ndarray:
         """Matrix of zeta(x_i, eps_i, z_g) over consumers i and grid nodes g."""
-        x = np.atleast_2d(np.asarray(x_rows, dtype=float))
-        eps = np.atleast_2d(np.asarray(eps_rows, dtype=float))
-        z = np.atleast_2d(np.asarray(z_points, dtype=float))
-        self._check(x[:1], eps[:1], z[:1])
-        if self.kind == "bilinear":
-            return eps @ z.T
-        if self.kind == "neg-quadratic":
-            q = self.params["q"]
-            cross = eps @ q @ z.T
-            e_sq = 0.5 * np.einsum("ij,jk,ik->i", eps, q, eps)
-            z_sq = 0.5 * np.einsum("ij,jk,ik->i", z, q, z)
-            return cross - e_sq[:, None] - z_sq[None, :]
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            fxe = mon.factors("x", x) * mon.factors("eps", eps)
-            fz = mon.factors("z", z)
-            return np.einsum("t,ti,tg->ig", mon.coeffs, fxe, fz)
-        if self.kind == "bilinear-feature":
-            psi_vals = np.column_stack(
-                [psi_k.eval_rows(x=x, eps=eps) for psi_k in self.params["psi"]]
-            )
-            phi_vals = np.column_stack(
-                [phi_k.eval_rows(z=z) for phi_k in self.params["phi"]]
-            )
-            return psi_vals @ phi_vals.T
-        raise ValueError(self.kind)
+        return self._matrix(x_rows, eps_rows, z_points)
 
-    # -- gradients ---------------------------------------------------------
+    # -- derivatives -------------------------------------------------------
     def grad_z_rows(self, x, eps, z) -> np.ndarray:
-        x, eps, z = self._check(x, eps, z)
-        n = max(x.shape[0], eps.shape[0], z.shape[0])
-        x, eps, z = (np.broadcast_to(a, (n, a.shape[1])) for a in (x, eps, z))
-        if self.kind == "bilinear":
-            return eps.copy()
-        if self.kind == "neg-quadratic":
-            return (eps - z) @ self.params["q"].T
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            return np.column_stack(
-                [mon.diff("z", k).eval_rows(x=x, eps=eps, z=z) for k in range(self.d_z)]
-            )
-        if self.kind == "bilinear-feature":
-            out = np.zeros((n, self.d_z))
-            for phi_k, psi_k in zip(self.params["phi"], self.params["psi"]):
-                psi_vals = psi_k.eval_rows(x=x, eps=eps)
-                grad_phi = np.column_stack(
-                    [phi_k.diff("z", a).eval_rows(z=z) for a in range(self.d_z)]
-                )
-                out += psi_vals[:, None] * grad_phi
-            return out
-        raise ValueError(self.kind)
+        return self._core.grad(*self._rows(x, eps, z))[1]
 
     def grad_eps_rows(self, x, eps, z) -> np.ndarray:
-        x, eps, z = self._check(x, eps, z)
-        n = max(x.shape[0], eps.shape[0], z.shape[0])
-        x, eps, z = (np.broadcast_to(a, (n, a.shape[1])) for a in (x, eps, z))
-        if self.kind == "bilinear":
-            return z.copy()
-        if self.kind == "neg-quadratic":
-            return (z - eps) @ self.params["q"].T
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            return np.column_stack(
-                [mon.diff("eps", k).eval_rows(x=x, eps=eps, z=z) for k in range(self.d_z)]
-            )
-        if self.kind == "bilinear-feature":
-            out = np.zeros((n, self.d_z))
-            for phi_k, psi_k in zip(self.params["phi"], self.params["psi"]):
-                phi_vals = phi_k.eval_rows(z=z)
-                grad_psi = np.column_stack(
-                    [psi_k.diff("eps", a).eval_rows(x=x, eps=eps) for a in range(self.d_z)]
-                )
-                out += phi_vals[:, None] * grad_psi
-            return out
-        raise ValueError(self.kind)
+        return self._core.grad(*self._rows(x, eps, z))[0][:, self.d_x:]
 
     def grad_z(self, x, eps, z) -> np.ndarray:
         return self.grad_z_rows(x, eps, z)[0]
@@ -316,57 +354,21 @@ class SurplusFamily:
     def grad_eps(self, x, eps, z) -> np.ndarray:
         return self.grad_eps_rows(x, eps, z)[0]
 
+    def cross_hessian_rows(self, x, eps, z) -> np.ndarray:
+        """d^2 zeta / d eps_a d z_b per row, shape (n, d_z, d_z)."""
+        return self._hessian_rows(x, eps, z)[0]
+
+    def hess_zz_rows(self, x, eps, z) -> np.ndarray:
+        """d^2 zeta / d z_a d z_b per row, shape (n, d_z, d_z)."""
+        return self._hessian_rows(x, eps, z)[1]
+
     def cross_hessian(self, x, eps, z) -> np.ndarray:
         """Mixed second derivatives d^2 zeta / d eps_a d z_b, a d_z x d_z matrix."""
-        x, eps, z = self._check(x, eps, z)
-        d = self.d_z
-        if self.kind == "bilinear":
-            return np.eye(d)
-        if self.kind == "neg-quadratic":
-            return self.params["q"].copy()
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            out = np.empty((d, d))
-            for a in range(d):
-                d_eps = mon.diff("eps", a)
-                for b in range(d):
-                    out[a, b] = d_eps.diff("z", b).eval_rows(x=x, eps=eps, z=z)[0]
-            return out
-        if self.kind == "bilinear-feature":
-            out = np.zeros((d, d))
-            for phi_k, psi_k in zip(self.params["phi"], self.params["psi"]):
-                grad_phi = np.array(
-                    [phi_k.diff("z", b).eval_rows(z=z)[0] for b in range(d)]
-                )
-                grad_psi = np.array(
-                    [psi_k.diff("eps", a).eval_rows(x=x, eps=eps)[0] for a in range(d)]
-                )
-                out += np.outer(grad_psi, grad_phi)
-            return out
-        raise ValueError(self.kind)
+        return self._hessian_rows(x, eps, z)[0][0]
 
     # -- config round trip -------------------------------------------------
     def to_config(self) -> dict:
-        if self.kind == "bilinear":
-            return {"kind": "bilinear", "dim": self.d_z, "d_x": self.d_x}
-        if self.kind == "neg-quadratic":
-            return {"kind": "neg-quadratic", "q": self.params["q"].tolist(), "d_x": self.d_x}
-        if self.kind == "polynomial":
-            return {
-                "kind": "polynomial",
-                "d_x": self.d_x,
-                "d_z": self.d_z,
-                "terms": _monomials_to_terms(self.params["mon"]),
-            }
-        if self.kind == "bilinear-feature":
-            return {
-                "kind": "bilinear-feature",
-                "d_x": self.d_x,
-                "d_z": self.d_z,
-                "phi": [_monomials_to_terms(m) for m in self.params["phi"]],
-                "psi": [_monomials_to_terms(m) for m in self.params["psi"]],
-            }
-        raise ValueError(self.kind)
+        return copy.deepcopy(self._config)
 
     @staticmethod
     def from_config(cfg: dict) -> "SurplusFamily":
@@ -398,7 +400,8 @@ class ScalarFamily:
     kind: str
     d_a: int
     d_z: int
-    params: dict = field(default_factory=dict)
+    _core: _Core = field(repr=False, compare=False)
+    _config: dict = field(repr=False)
 
     @staticmethod
     def zero(d_a: int, d_z: int) -> "ScalarFamily":
@@ -406,18 +409,16 @@ class ScalarFamily:
 
     @staticmethod
     def polynomial(terms: Sequence[dict], d_a: int, d_z: int) -> "ScalarFamily":
-        mon = _terms_to_monomials(terms, {"a": d_a, "z": d_z})
-        return ScalarFamily("polynomial", d_a, d_z, {"mon": mon})
+        canonical, poly = _parse_terms(terms, {"a": d_a, "z": d_z})
+        config = {"kind": "polynomial", "d_a": d_a, "d_z": d_z, "terms": canonical}
+        core = _Core(poly, int(d_a))
+        return ScalarFamily("polynomial", int(d_a), int(d_z), core, config)
 
     @staticmethod
     def neg_quadratic(q, center_matrix=None, center_offset=None, d_a: int = 0) -> "ScalarFamily":
         """-1/2 (z - c(a))' Q (z - c(a)) with c(a) = M a + c0."""
-        q = np.asarray(q, dtype=float)
+        q = _positive_definite(q)
         d_z = q.shape[0]
-        if q.ndim != 2 or q.shape[1] != d_z or np.max(np.abs(q - q.T)) > 1e-12:
-            raise ValueError("Q must be square symmetric")
-        if np.linalg.eigvalsh(q).min() <= 0:
-            raise ValueError("Q must be positive definite")
         m = (
             np.zeros((d_z, d_a))
             if center_matrix is None
@@ -430,83 +431,47 @@ class ScalarFamily:
         )
         if c0.shape[0] != d_z:
             raise ValueError("center offset must have quality dimension")
-        return ScalarFamily(
-            "neg-quadratic", d_a, d_z, {"q": q.copy(), "m": m, "c0": c0}
-        )
+        config = {
+            "kind": "neg-quadratic",
+            "d_a": d_a,
+            "q": q.tolist(),
+            "center_matrix": m.tolist(),
+            "center_offset": c0.tolist(),
+        }
+        core = _Core(_neg_quadratic_poly(q, int(d_a)), int(d_a), m, c0)
+        return ScalarFamily("neg-quadratic", int(d_a), d_z, core, config)
 
-    def _rows(self, a, z):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        n = max(a.shape[0], z.shape[0])
-        a = np.broadcast_to(a, (n, a.shape[1]))
-        z = np.broadcast_to(z, (n, z.shape[1]))
+    def _check(self, a, z):
+        a, z = _as_rows(a), _as_rows(z)
         if self.d_a and a.shape[1] != self.d_a:
             raise ValueError(f"first block must have dimension {self.d_a}")
         if z.shape[1] != self.d_z:
             raise ValueError(f"z must have dimension {self.d_z}")
-        return a, z
+        return a[:, :self.d_a], z
+
+    def _rows(self, a, z):
+        a, z = self._check(a, z)
+        n = max(a.shape[0], z.shape[0])
+        return np.broadcast_to(a, (n, self.d_a)), np.broadcast_to(z, (n, self.d_z))
 
     def eval_rows(self, a, z) -> np.ndarray:
-        a, z = self._rows(a, z)
-        if self.kind == "polynomial":
-            return self.params["mon"].eval_rows(a=a, z=z)
-        if self.kind == "neg-quadratic":
-            center = a @ self.params["m"].T + self.params["c0"]
-            diff = z - center
-            return -0.5 * np.einsum("ij,jk,ik->i", diff, self.params["q"], diff)
-        raise ValueError(self.kind)
+        return self._core.value(*self._rows(a, z))
 
     def eval(self, a, z) -> float:
         return float(self.eval_rows(a, z)[0])
 
     def pairwise_grid(self, a_rows, z_points) -> np.ndarray:
         """Matrix of f(a_i, z_g) over type rows i and grid nodes g."""
-        a = np.atleast_2d(np.asarray(a_rows, dtype=float))
-        z = np.atleast_2d(np.asarray(z_points, dtype=float))
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            fa = mon.factors("a", a)
-            fz = mon.factors("z", z)
-            return np.einsum("t,ti,tg->ig", mon.coeffs, fa, fz)
-        if self.kind == "neg-quadratic":
-            q = self.params["q"]
-            centers = a @ self.params["m"].T + self.params["c0"]
-            cross = centers @ q @ z.T
-            c_sq = 0.5 * np.einsum("ij,jk,ik->i", centers, q, centers)
-            z_sq = 0.5 * np.einsum("ij,jk,ik->i", z, q, z)
-            return cross - c_sq[:, None] - z_sq[None, :]
-        raise ValueError(self.kind)
+        return self._core.matrix(*self._check(a_rows, z_points))
 
     def grad_z_rows(self, a, z) -> np.ndarray:
-        a, z = self._rows(a, z)
-        if self.kind == "polynomial":
-            mon = self.params["mon"]
-            return np.column_stack(
-                [mon.diff("z", k).eval_rows(a=a, z=z) for k in range(self.d_z)]
-            )
-        if self.kind == "neg-quadratic":
-            center = a @ self.params["m"].T + self.params["c0"]
-            return (center - z) @ self.params["q"].T
-        raise ValueError(self.kind)
+        return self._core.grad(*self._rows(a, z))[1]
 
     def grad_z(self, a, z) -> np.ndarray:
         return self.grad_z_rows(a, z)[0]
 
     def to_config(self) -> dict:
-        if self.kind == "polynomial":
-            return {
-                "kind": "polynomial",
-                "d_a": self.d_a,
-                "d_z": self.d_z,
-                "terms": _monomials_to_terms(self.params["mon"]),
-            }
-        return {
-            "kind": "neg-quadratic",
-            "d_a": self.d_a,
-            "q": self.params["q"].tolist(),
-            "center_matrix": self.params["m"].tolist(),
-            "center_offset": self.params["c0"].tolist(),
-        }
+        return copy.deepcopy(self._config)
 
     @staticmethod
     def from_config(cfg: dict) -> "ScalarFamily":
@@ -575,18 +540,24 @@ class TwistReport:
         return msg
 
 
-def _quality_hessian_norm(f: SurplusFamily, x, eps, z, h: float = 1e-5) -> float:
-    """Spectral norm of d^2 zeta / dz dz by central differences of grad_z."""
-    d = f.d_z
-    hess = np.empty((d, d))
-    z = np.asarray(z, dtype=float).ravel()
-    for b in range(d):
-        dz = np.zeros(d)
-        dz[b] = h
-        g_hi = f.grad_z(x, eps, z + dz)
-        g_lo = f.grad_z(x, eps, z - dz)
-        hess[:, b] = (g_hi - g_lo) / (2 * h)
-    return float(np.linalg.norm(hess, 2))
+def _twist_witness(eps_pts, z_pts, grads, tol) -> Optional[tuple]:
+    """First grid z at which two distinct tastes share a quality gradient.
+
+    grads[k, i] is grad_z zeta(x, eps_i, z_k); at each z the closest pair
+    of gradients is the candidate, ties broken to the lowest pair index.
+    """
+    n_e = eps_pts.shape[0]
+    if n_e < 2:
+        return None
+    lower = np.tril_indices(n_e)
+    for z, g in zip(z_pts, grads):
+        dist = np.linalg.norm(g[:, None, :] - g[None, :, :], axis=2)
+        dist[lower] = np.inf
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        distinct = not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=tol)
+        if dist[i, j] <= tol and distinct:
+            return eps_pts[i].copy(), eps_pts[j].copy(), z.copy()
+    return None
 
 
 def check_twist(
@@ -599,55 +570,37 @@ def check_twist(
 ) -> TwistReport:
     """Sampled injectivity diagnostic for eps -> grad_z zeta(x, eps, z).
 
-    Scans all grid pairs for (a) the smallest singular value of the
-    cross Hessian and (b) distinct taste points with coinciding quality
-    gradients at some grid z (an explicit injectivity witness).  A
-    sampled check, not a proof.
+    Scans all grid pairs for distinct taste points with coinciding
+    quality gradients at some grid z (an explicit injectivity witness),
+    and a subsample of at most about 25 x 25 pairs for the smallest
+    singular value of the cross Hessian and the largest spectral norm of
+    the quality Hessian.  A sampled check, not a proof.
     """
     eps_pts = eps_grid.points if hasattr(eps_grid, "points") else eps_grid
     z_pts = z_grid.points if hasattr(z_grid, "points") else z_grid
-    eps_pts = np.atleast_2d(np.asarray(eps_pts, dtype=float))
-    z_pts = np.atleast_2d(np.asarray(z_pts, dtype=float))
-    if eps_pts.shape[0] == 0 or z_pts.shape[0] == 0:
+    eps_pts = _as_rows(eps_pts)
+    z_pts = _as_rows(z_pts)
+    n_e, n_z = eps_pts.shape[0], z_pts.shape[0]
+    if n_e == 0 or n_z == 0:
         raise ValueError("twist check needs non-empty grids")
 
-    min_sv = np.inf
-    max_inv = 0.0
-    max_hzz = 0.0
-    witness = None
-    n_e = eps_pts.shape[0]
-    for z in z_pts:
-        grads = f.grad_z_rows(x, eps_pts, np.tile(z, (n_e, 1)))
-        if witness is None and n_e > 1:
-            diff = grads[:, None, :] - grads[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            dist[np.tril_indices(n_e)] = np.inf
-            flat = np.argmin(dist)
-            i, j = np.unravel_index(flat, dist.shape)
-            if dist[i, j] <= witness_tol and not np.allclose(
-                eps_pts[i], eps_pts[j], rtol=0.0, atol=witness_tol
-            ):
-                witness = (eps_pts[i].copy(), eps_pts[j].copy(), z.copy())
-    # singular values and curvature bounds on a subsample of pairs
-    stride_e = max(1, n_e // 25)
-    stride_z = max(1, z_pts.shape[0] // 25)
-    for eps in eps_pts[::stride_e]:
-        for z in z_pts[::stride_z]:
-            cross = f.cross_hessian(x, eps, z)
-            sv = np.linalg.svd(cross, compute_uv=False)
-            min_sv = min(min_sv, float(sv[-1]))
-            if sv[-1] > 0:
-                max_inv = max(max_inv, 1.0 / float(sv[-1]))
-            else:
-                max_inv = np.inf
-            max_hzz = max(max_hzz, _quality_hessian_norm(f, x, eps, z))
+    grads = f.grad_z_rows(x, np.tile(eps_pts, (n_z, 1)), np.repeat(z_pts, n_e, axis=0))
+    witness = _twist_witness(eps_pts, z_pts, grads.reshape(n_z, n_e, -1), witness_tol)
 
-    passed = (witness is None) and (min_sv > threshold)
+    sub_e = eps_pts[:: max(1, n_e // 25)]
+    sub_z = z_pts[:: max(1, n_z // 25)]
+    cross, h_zz = f._hessian_rows(
+        x, np.repeat(sub_e, sub_z.shape[0], axis=0), np.tile(sub_z, (sub_e.shape[0], 1))
+    )
+    min_sv = float(np.linalg.svd(cross, compute_uv=False)[:, -1].min())
+    max_inv = 1.0 / min_sv if min_sv > 0 else np.inf
+    max_hzz = float(np.linalg.norm(h_zz, 2, axis=(1, 2)).max())
+
     return TwistReport(
-        passed=passed,
-        min_singular_value=float(min_sv),
+        passed=(witness is None) and (min_sv > threshold),
+        min_singular_value=min_sv,
         witness=witness,
         inverse_cross_bound=float(max_inv),
-        quality_hessian_bound=float(max_hzz),
+        quality_hessian_bound=max_hzz,
         threshold=threshold,
     )

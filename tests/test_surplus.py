@@ -1,7 +1,11 @@
 """Surplus family evaluation, analytic gradients, and the twist check."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedonic.surplus import ScalarFamily, StructuralSpec, SurplusFamily, check_twist
 
@@ -237,3 +241,199 @@ def test_invalid_neg_quadratic_rejected():
         SurplusFamily.neg_quadratic([[1.0, 0.0], [0.1, 1.0]])  # asymmetric
     with pytest.raises(ValueError):
         SurplusFamily.neg_quadratic([[0.0, 0.0], [0.0, 1.0]])  # singular
+
+
+# ---------------------------------------------------------------------------
+# property tests of the polynomial core
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+COEFFS = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+def _exponents(draw, dim):
+    return draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+
+
+def _terms(draw, block_dims, max_terms=4):
+    return [
+        {"coeff": draw(COEFFS), **{b: _exponents(draw, d) for b, d in block_dims.items()}}
+        for _ in range(draw(st.integers(1, max_terms)))
+    ]
+
+
+def _spd(draw, d):
+    a = np.array(draw(st.lists(COEFFS, min_size=d * d, max_size=d * d))).reshape(d, d)
+    b = a @ a.T
+    return 0.5 * (b + b.T) + 0.5 * np.eye(d)
+
+
+@st.composite
+def surplus_families(draw):
+    d_x = draw(st.sampled_from([0, 1]))
+    d_z = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["polynomial", "neg-quadratic", "bilinear-feature"]))
+    if kind == "polynomial":
+        return SurplusFamily.polynomial(_terms(draw, {"x": d_x, "eps": d_z, "z": d_z}), d_x, d_z)
+    if kind == "neg-quadratic":
+        return SurplusFamily.neg_quadratic(_spd(draw, d_z), d_x=d_x)
+    n_feat = draw(st.integers(1, 3))
+    phi = [_terms(draw, {"z": d_z}, 2) for _ in range(n_feat)]
+    psi = [_terms(draw, {"x": d_x, "eps": d_z}, 2) for _ in range(n_feat)]
+    return SurplusFamily.bilinear_feature(phi, psi, d_x, d_z)
+
+
+@st.composite
+def scalar_families(draw):
+    d_a = draw(st.sampled_from([0, 1]))
+    d_z = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        return ScalarFamily.polynomial(_terms(draw, {"a": d_a, "z": d_z}), d_a, d_z)
+    m = np.array(draw(st.lists(COEFFS, min_size=d_z * d_a, max_size=d_z * d_a)))
+    c0 = draw(st.lists(COEFFS, min_size=d_z, max_size=d_z))
+    return ScalarFamily.neg_quadratic(_spd(draw, d_z), m.reshape(d_z, d_a), c0, d_a)
+
+
+def _entrywise_rel(a, b):
+    return np.max(np.abs(a - b) / (1.0 + np.abs(b)))
+
+
+@PROPERTY
+@given(surplus_families(), st.integers(0, 2**32 - 1))
+def test_matrix_methods_match_eval_rows(f, seed):
+    rng = np.random.default_rng(seed)
+    n, m = 4, 5
+    x = rng.uniform(-1, 1, size=(n, f.d_x))
+    eps = rng.uniform(-1, 1, size=(n, f.d_z))
+    z = rng.uniform(-1, 1, size=(m, f.d_z))
+    ii, jj = np.divmod(np.arange(n * m), m)
+    rows = f.eval_rows(x[ii], eps[ii], z[jj]).reshape(n, m)
+    assert _entrywise_rel(f.pairwise_consumer_grid(x, eps, z), rows) <= 1e-12
+    fixed = f.eval_rows(x[0], eps[ii], z[jj]).reshape(n, m)
+    assert _entrywise_rel(f.pairwise(x[0], eps, z), fixed) <= 1e-12
+
+
+@PROPERTY
+@given(scalar_families(), st.integers(0, 2**32 - 1))
+def test_scalar_pairwise_grid_matches_eval_rows(g, seed):
+    rng = np.random.default_rng(seed)
+    n, m = 4, 5
+    a = rng.uniform(-1, 1, size=(n, g.d_a))
+    z = rng.uniform(-1, 1, size=(m, g.d_z))
+    ii, jj = np.divmod(np.arange(n * m), m)
+    rows = g.eval_rows(a[ii], z[jj]).reshape(n, m)
+    assert _entrywise_rel(g.pairwise_grid(a, z), rows) <= 1e-12
+
+
+def _central_rows(fun, v, h=1e-5):
+    """d fun / d v_k per row by central differences: (n, ...) -> (n, ..., d)."""
+    cols = []
+    for k in range(v.shape[1]):
+        dv = np.zeros_like(v)
+        dv[:, k] = h
+        cols.append((fun(v + dv) - fun(v - dv)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _worst_rel(a, b):
+    n = a.shape[0]
+    a, b = a.reshape(n, -1), b.reshape(n, -1)
+    return np.max(np.linalg.norm(a - b, axis=1) / (1.0 + np.linalg.norm(b, axis=1)))
+
+
+@PROPERTY
+@given(surplus_families(), st.integers(0, 2**32 - 1))
+def test_derivatives_match_central_differences(f, seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    x = rng.uniform(-1, 1, size=(n, f.d_x))
+    eps = rng.uniform(-1, 1, size=(n, f.d_z))
+    z = rng.uniform(-1, 1, size=(n, f.d_z))
+    fd_z = _central_rows(lambda v: f.eval_rows(x, eps, v), z)
+    fd_eps = _central_rows(lambda v: f.eval_rows(x, v, z), eps)
+    fd_cross = _central_rows(lambda v: f.grad_eps_rows(x, eps, v), z)
+    fd_zz = _central_rows(lambda v: f.grad_z_rows(x, eps, v), z)
+    assert _worst_rel(f.grad_z_rows(x, eps, z), fd_z) <= 1e-6
+    assert _worst_rel(f.grad_eps_rows(x, eps, z), fd_eps) <= 1e-6
+    assert _worst_rel(f.cross_hessian_rows(x, eps, z), fd_cross) <= 1e-6
+    assert _worst_rel(f.hess_zz_rows(x, eps, z), fd_zz) <= 1e-6
+
+
+@PROPERTY
+@given(scalar_families(), st.integers(0, 2**32 - 1))
+def test_scalar_grad_z_matches_central_differences(g, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, size=(6, g.d_a))
+    z = rng.uniform(-1, 1, size=(6, g.d_z))
+    fd = _central_rows(lambda v: g.eval_rows(a, v), z)
+    assert _worst_rel(g.grad_z_rows(a, z), fd) <= 1e-6
+
+
+@PROPERTY
+@given(st.one_of(surplus_families(), scalar_families()))
+def test_config_round_trip_is_byte_identical(f):
+    cfg = json.dumps(f.to_config(), sort_keys=True)
+    back = type(f).from_config(json.loads(cfg))
+    assert json.dumps(back.to_config(), sort_keys=True) == cfg
+
+
+# ---------------------------------------------------------------------------
+# batched twist check against the per-pair scan
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_twist(f, x, eps_pts, z_pts, threshold=1e-8, witness_tol=1e-9, h=1e-5):
+    """Reference twist scan: one (eps, z) pair at a time, with the quality
+    Hessian norm taken from central differences of grad_z."""
+    min_sv, max_inv, max_hzz, witness = np.inf, 0.0, 0.0, None
+    n_e = eps_pts.shape[0]
+    for z in z_pts:
+        grads = f.grad_z_rows(x, eps_pts, np.tile(z, (n_e, 1)))
+        if witness is None and n_e > 1:
+            dist = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=2)
+            dist[np.tril_indices(n_e)] = np.inf
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            if dist[i, j] <= witness_tol and not np.allclose(
+                eps_pts[i], eps_pts[j], rtol=0.0, atol=witness_tol
+            ):
+                witness = (eps_pts[i].copy(), eps_pts[j].copy(), z.copy())
+    for eps in eps_pts[:: max(1, n_e // 25)]:
+        for z in z_pts[:: max(1, z_pts.shape[0] // 25)]:
+            sv = np.linalg.svd(f.cross_hessian(x, eps, z), compute_uv=False)
+            min_sv = min(min_sv, float(sv[-1]))
+            max_inv = max(max_inv, 1.0 / float(sv[-1])) if sv[-1] > 0 else np.inf
+            hess = np.empty((f.d_z, f.d_z))
+            for b in range(f.d_z):
+                dz = np.zeros(f.d_z)
+                dz[b] = h
+                hess[:, b] = (f.grad_z(x, eps, z + dz) - f.grad_z(x, eps, z - dz)) / (2 * h)
+            max_hzz = max(max_hzz, float(np.linalg.norm(hess, 2)))
+    passed = witness is None and min_sv > threshold
+    return passed, witness, min_sv, max_inv, max_hzz
+
+
+def _twist_parity_cases():
+    rng = np.random.default_rng(23)
+    cases = [
+        (f.kind, f, np.array([0.3]), rng.uniform(-1, 1, (60, 2)), rng.uniform(-1, 1, (52, 2)))
+        for f in _families_for_property_tests()
+    ]
+    even = SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1)
+    cases.append(("even-surplus", even, NO_X, np.array([[-0.5], [0.2], [0.5]]),
+                  np.array([[0.0], [1.0]])))
+    return cases
+
+
+@pytest.mark.parametrize("name,f,x,eps_pts,z_pts", _twist_parity_cases(),
+                         ids=[c[0] for c in _twist_parity_cases()])
+def test_batched_twist_matches_per_pair_scan(name, f, x, eps_pts, z_pts):
+    passed, witness, min_sv, max_inv, max_hzz = _per_pair_twist(f, x, eps_pts, z_pts)
+    rep = check_twist(f, x, eps_pts, z_pts)
+    assert rep.passed == passed
+    assert (rep.witness is None) == (witness is None)
+    if witness is not None:
+        for got, want in zip(rep.witness, witness):
+            assert np.array_equal(got, want)
+    assert abs(rep.min_singular_value - min_sv) <= 1e-12
+    assert abs(rep.inverse_cross_bound - max_inv) <= 1e-12
+    assert abs(rep.quality_hessian_bound - max_hzz) <= 1e-6 * abs(max_hzz)
