@@ -149,7 +149,6 @@ def eps_grid_from_gradients(
     return np.column_stack([m.ravel() for m in mesh])
 
 
-
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """Header c_1..c_d,value."""
     header = [f"c_{k+1}" for k in range(gf.grid.dim)] + ["value"]

@@ -506,7 +506,6 @@ def averaged_partial_effects(
 # ---------------------------------------------------------------------------
 
 
-
 def write_potential_csv(pot: IdentifiedPotential, path) -> None:
     """Header z_1..z_d,v,eps_1..eps_d,ubar_grad_1..ubar_grad_d."""
     d = pot.z_points.shape[1]

@@ -490,7 +490,6 @@ def check_cyclical_monotonicity(
 # ---------------------------------------------------------------------------
 
 
-
 def write_plan_csv(plan: TransportPlan, path) -> None:
     """Support triplets i,j,mass."""
     ii, jj, mass = plan.support()

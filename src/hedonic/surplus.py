@@ -47,6 +47,34 @@ class TwistViolationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# A polynomial is a dict {exponent tuple: coefficient} over D variables.
+
+
+def _diff(p: dict, col: int) -> dict:
+    """d p / d v_col."""
+    return {
+        e[:col] + (e[col] - 1,) + e[col + 1:]: c * e[col]
+        for e, c in p.items()
+        if e[col]
+    }
+
+
+def _add(polys) -> dict:
+    out = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out.get(e, 0.0) + c
+    return out
+
+
+def _mul(p: dict, q: dict) -> dict:
+    return _add(
+        {tuple(a + b for a, b in zip(e1, e2)): c1 * c2}
+        for e1, c1 in p.items()
+        for e2, c2 in q.items()
+    )
+
+
 def _monomial_values(v: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """Per-row monomial values: (n, D) points and (T, D) exponents -> (n, T)."""
     out = np.ones((v.shape[0], exps.shape[0]))
@@ -56,62 +84,29 @@ def _monomial_values(v: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 class _Monomials:
-    """Sparse polynomial map R^D -> R^K: exponents (T, D), coefficients (T, K)."""
+    """K polynomials over D variables in array form for evaluation: the
+    exponents (T, D) of their nonzero monomials and coefficients (T, K)."""
 
-    def __init__(self, exps, coeffs):
-        self.exps = np.asarray(exps, dtype=int)
-        self.coeffs = np.asarray(coeffs, dtype=float)
+    def __init__(self, polys: Sequence[dict], width: int):
+        index = {}
+        for p in polys:
+            for e, c in p.items():
+                if c != 0.0:
+                    index.setdefault(e, len(index))
+        self.exps = np.array(list(index), dtype=int).reshape(len(index), width)
+        self.coeffs = np.zeros((len(index), len(polys)))
+        for k, p in enumerate(polys):
+            for e, c in p.items():
+                if c != 0.0:
+                    self.coeffs[index[e], k] = c
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return _monomial_values(v, self.exps) @ self.coeffs
 
-    def diff(self, col: int) -> "_Monomials":
-        keep = self.exps[:, col] > 0
-        exps = self.exps[keep]
-        exps[:, col] -= 1
-        return _Monomials(exps, self.coeffs[keep] * self.exps[keep, col, None])
-
-    def __mul__(self, other: "_Monomials") -> "_Monomials":
-        exps = self.exps[:, None, :] + other.exps[None, :, :]
-        coeffs = self.coeffs[:, None, :] * other.coeffs[None, :, :]
-        return _Monomials(exps.reshape(-1, exps.shape[2]), coeffs.reshape(-1, 1))
-
-
-def _merged(exps: np.ndarray, coeffs: np.ndarray) -> _Monomials:
-    """Like terms summed in first-occurrence order; all-zero terms dropped."""
-    if exps.shape[0] == 0:
-        return _Monomials(exps, coeffs)
-    uniq, first, inverse = np.unique(
-        exps, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    summed = np.zeros((order.shape[0], coeffs.shape[1]))
-    np.add.at(summed, rank[inverse.reshape(-1)], coeffs)
-    keep = np.any(summed != 0.0, axis=1)
-    return _Monomials(uniq[order][keep], summed[keep])
-
-
-def _sum(polys: Sequence[_Monomials]) -> _Monomials:
-    return _merged(
-        np.vstack([p.exps for p in polys]), np.vstack([p.coeffs for p in polys])
-    )
-
-
-def _stack(polys: Sequence[_Monomials]) -> _Monomials:
-    """One K-output polynomial from K single-output ones, sharing monomials."""
-    coeffs = np.zeros((sum(p.coeffs.shape[0] for p in polys), len(polys)))
-    row = 0
-    for k, p in enumerate(polys):
-        coeffs[row:row + p.coeffs.shape[0], k] = p.coeffs[:, 0]
-        row += p.coeffs.shape[0]
-    return _merged(np.vstack([p.exps for p in polys]), coeffs)
-
 
 def _parse_terms(terms: Sequence[dict], block_dims: dict):
-    """Validated config terms, and their exponents over the concatenated blocks."""
-    canonical, exps = [], []
+    """Validated config terms, and their polynomial over the concatenated blocks."""
+    canonical, poly = [], {}
     for t in terms:
         term = {"coeff": float(t["coeff"])}
         for name, d in block_dims.items():
@@ -120,25 +115,29 @@ def _parse_terms(terms: Sequence[dict], block_dims: dict):
                 raise ValueError(f"term block {name!r} needs {d} nonnegative exponents")
             term[name] = e.tolist()
         canonical.append(term)
-        exps.append(np.concatenate([term[name] for name in block_dims]).astype(int))
+        key = tuple(k for name in block_dims for k in term[name])
+        poly[key] = poly.get(key, 0.0) + term["coeff"]
     if not canonical:
         raise ValueError("polynomial needs at least one term")
-    coeffs = np.array([[t["coeff"]] for t in canonical])
-    return canonical, _merged(np.asarray(exps), coeffs)
+    return canonical, poly
 
 
-def _padded(poly: _Monomials, before: int, after: int) -> _Monomials:
-    """poly with `before` leading and `after` trailing variables it ignores."""
-    return _Monomials(np.pad(poly.exps, ((0, 0), (before, after))), poly.coeffs)
+def _unit(width: int, *cols: int) -> tuple:
+    """Exponent tuple of the monomial prod_c v_c."""
+    e = [0] * width
+    for c in cols:
+        e[c] += 1
+    return tuple(e)
 
 
-def _neg_quadratic_poly(q: np.ndarray, d_w: int) -> _Monomials:
+def _neg_quadratic_poly(q: np.ndarray, d_w: int) -> dict:
     """-1/2 u'Qu over (w, u) columns."""
     d = q.shape[0]
-    eye = np.eye(d, dtype=int)
-    i, j = np.divmod(np.arange(d * d), d)
-    exps = np.hstack([np.zeros((d * d, d_w), dtype=int), eye[i] + eye[j]])
-    return _merged(exps, -0.5 * q.reshape(-1, 1))
+    return _add(
+        {_unit(d_w + d, d_w + i, d_w + j): -0.5 * float(q[i, j])}
+        for i in range(d)
+        for j in range(d)
+    )
 
 
 def _positive_definite(q) -> np.ndarray:
@@ -159,33 +158,31 @@ class _Core:
     the matrix evaluation are built once, here.
     """
 
-    def __init__(self, poly: _Monomials, d_w: int, shift=None, offset=None):
-        self.d_w = d_w
-        self.d_z = d_z = poly.exps.shape[1] - d_w
+    def __init__(self, poly: dict, d_w: int, d_z: int, shift=None, offset=None):
+        self.d_w, self.d_z = d_w, d_z
         self.shift = np.zeros((d_z, d_w)) if shift is None else shift
         self.offset = np.zeros(d_z) if offset is None else offset
-        self.poly = poly
         width = d_w + d_z
-        self.grad_poly = _stack([poly.diff(c) for c in range(width)])
-        self.hess_poly = _stack(
-            [poly.diff(a).diff(b) for a in range(width) for b in range(d_w, width)]
+        first = [_diff(poly, c) for c in range(width)]
+        self.poly = _Monomials([poly], width)
+        self.grad_poly = _Monomials(first, width)
+        self.hess_poly = _Monomials(
+            [_diff(g, b) for g in first for b in range(d_w, width)], width
         )
         # u_k = z_k - shift[k] . w - offset[k] as a polynomial in (w, z)
-        eye = np.eye(width, dtype=int)
         lin = []
         for k in range(d_z):
-            coeffs = np.r_[1.0, -self.shift[k], -self.offset[k]]
-            exps = np.vstack([eye[d_w + k], eye[:d_w], np.zeros(width, dtype=int)])
-            keep = coeffs != 0.0
-            lin.append(_Monomials(exps[keep], coeffs[keep, None]))
+            terms = {_unit(width, d_w + k): 1.0, _unit(width): -self.offset[k]}
+            terms.update({_unit(width, j): -self.shift[k, j] for j in range(d_w)})
+            lin.append({e: float(c) for e, c in terms.items() if c != 0.0})
         expanded = []
-        for e, c in zip(poly.exps, poly.coeffs):
-            term = _Monomials(np.r_[e[:d_w], np.zeros(d_z, dtype=int)][None], c[None])
+        for e, c in poly.items():
+            term = {e[:d_w] + (0,) * d_z: c}
             for k in range(d_z):
                 for _ in range(e[d_w + k]):
-                    term = term * lin[k]
+                    term = _mul(term, lin[k])
             expanded.append(term)
-        self.expanded = _sum(expanded) if expanded else poly
+        self.expanded = _Monomials([_add(expanded)], width)
 
     def _points(self, w, z):
         return np.hstack([w, z - (w @ self.shift.T + self.offset)])
@@ -236,17 +233,16 @@ class SurplusFamily:
     _config: dict = field(repr=False)
 
     @staticmethod
-    def _build(config: dict, d_x, d_z: int, poly: _Monomials, shift=None):
-        d_x = int(d_x)
-        core = _Core(poly, d_x + d_z, shift)
+    def _build(config: dict, d_x, d_z, poly: dict, shift=None) -> "SurplusFamily":
+        d_x, d_z = int(d_x), int(d_z)
+        core = _Core(poly, d_x + d_z, d_z, shift)
         return SurplusFamily(config["kind"], d_x, d_z, core, config)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def bilinear(dim: int, d_x: int = 0) -> "SurplusFamily":
         d_z, w = int(dim), int(d_x) + int(dim)
-        eye = np.eye(w + d_z, dtype=int)
-        poly = _Monomials(eye[w - d_z:w] + eye[w:], np.ones((d_z, 1)))
+        poly = {_unit(w + d_z, w - d_z + k, w + k): 1.0 for k in range(d_z)}
         config = {"kind": "bilinear", "dim": d_z, "d_x": d_x}
         return SurplusFamily._build(config, d_x, d_z, poly)
 
@@ -263,7 +259,7 @@ class SurplusFamily:
     def polynomial(terms: Sequence[dict], d_x: int, d_z: int) -> "SurplusFamily":
         canonical, poly = _parse_terms(terms, {"x": d_x, "eps": d_z, "z": d_z})
         config = {"kind": "polynomial", "d_x": d_x, "d_z": d_z, "terms": canonical}
-        return SurplusFamily._build(config, d_x, int(d_z), poly)
+        return SurplusFamily._build(config, d_x, d_z, poly)
 
     @staticmethod
     def bilinear_feature(
@@ -277,11 +273,13 @@ class SurplusFamily:
             raise ValueError("phi and psi must have the same feature count")
         phi = [_parse_terms(t, {"z": d_z}) for t in phi_terms]
         psi = [_parse_terms(t, {"x": d_x, "eps": d_z}) for t in psi_terms]
-        w = int(d_x) + int(d_z)
-        products = [
-            _padded(psi_k, 0, d_z) * _padded(phi_k, w, 0)
+        # psi_k over (x, eps) times phi_k over u: exponent tuples concatenate
+        poly = _add(
+            {e_psi + e_phi: c_psi * c_phi}
             for (_, phi_k), (_, psi_k) in zip(phi, psi)
-        ]
+            for e_psi, c_psi in psi_k.items()
+            for e_phi, c_phi in phi_k.items()
+        )
         config = {
             "kind": "bilinear-feature",
             "d_x": d_x,
@@ -289,8 +287,7 @@ class SurplusFamily:
             "phi": [t for t, _ in phi],
             "psi": [t for t, _ in psi],
         }
-        empty = _Monomials(np.zeros((0, w + d_z)), np.zeros((0, 1)))
-        return SurplusFamily._build(config, d_x, int(d_z), _sum(products or [empty]))
+        return SurplusFamily._build(config, d_x, d_z, poly)
 
     # -- shape checks ---------------------------------------------------
     def _check(self, x, eps, z):
@@ -312,9 +309,8 @@ class SurplusFamily:
     def _rows(self, x, eps, z):
         x, eps, z = self._check(x, eps, z)
         n = max(x.shape[0], eps.shape[0], z.shape[0])
-        return self._w(x, np.broadcast_to(eps, (n, self.d_z))), np.broadcast_to(
-            z, (n, self.d_z)
-        )
+        eps, z = np.broadcast_to(eps, (n, self.d_z)), np.broadcast_to(z, (n, self.d_z))
+        return self._w(x, eps), z
 
     def _matrix(self, x, eps, z) -> np.ndarray:
         x, eps, z = self._check(x, eps, z)
@@ -411,7 +407,7 @@ class ScalarFamily:
     def polynomial(terms: Sequence[dict], d_a: int, d_z: int) -> "ScalarFamily":
         canonical, poly = _parse_terms(terms, {"a": d_a, "z": d_z})
         config = {"kind": "polynomial", "d_a": d_a, "d_z": d_z, "terms": canonical}
-        core = _Core(poly, int(d_a))
+        core = _Core(poly, int(d_a), int(d_z))
         return ScalarFamily("polynomial", int(d_a), int(d_z), core, config)
 
     @staticmethod
@@ -438,7 +434,7 @@ class ScalarFamily:
             "center_matrix": m.tolist(),
             "center_offset": c0.tolist(),
         }
-        core = _Core(_neg_quadratic_poly(q, int(d_a)), int(d_a), m, c0)
+        core = _Core(_neg_quadratic_poly(q, int(d_a)), int(d_a), d_z, m, c0)
         return ScalarFamily("neg-quadratic", int(d_a), d_z, core, config)
 
     def _check(self, a, z):
