@@ -258,7 +258,7 @@ def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
         {
             "config": section,
             "seed": seed,
-                "objective": plan.objective,
+            "objective": plan.objective,
             "duality_gap": gap,
             **info,
         },
@@ -304,7 +304,7 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
         {
             "config": section,
             "seed": seed,
-                "n_eps": result.n,
+            "n_eps": result.n,
             "truncation_warnings": int(np.count_nonzero(result.boundary_hit)),
         },
         _out_path(out_dir, outputs.get("report", "conjugate_report.json")),

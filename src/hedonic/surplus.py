@@ -568,9 +568,9 @@ def check_twist(
 
     Scans all grid pairs for distinct taste points with coinciding
     quality gradients at some grid z (an explicit injectivity witness),
-    and a subsample of at most about 25 x 25 pairs for the smallest
-    singular value of the cross Hessian and the largest spectral norm of
-    the quality Hessian.  A sampled check, not a proof.
+    and the pairs of every max(1, n // 25)-th point of each grid for the
+    smallest singular value of the cross Hessian and the largest spectral
+    norm of the quality Hessian.  A sampled check, not a proof.
     """
     eps_pts = eps_grid.points if hasattr(eps_grid, "points") else eps_grid
     z_pts = z_grid.points if hasattr(z_grid, "points") else z_grid

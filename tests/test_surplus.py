@@ -415,18 +415,18 @@ def _per_pair_twist(f, x, eps_pts, z_pts, threshold=1e-8, witness_tol=1e-9, h=1e
 def _twist_parity_cases():
     rng = np.random.default_rng(23)
     cases = [
-        (f.kind, f, np.array([0.3]), rng.uniform(-1, 1, (60, 2)), rng.uniform(-1, 1, (52, 2)))
+        pytest.param(f, np.array([0.3]), rng.uniform(-1, 1, (60, 2)),
+                     rng.uniform(-1, 1, (52, 2)), id=f.kind)
         for f in _families_for_property_tests()
     ]
     even = SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1)
-    cases.append(("even-surplus", even, NO_X, np.array([[-0.5], [0.2], [0.5]]),
-                  np.array([[0.0], [1.0]])))
+    cases.append(pytest.param(even, NO_X, np.array([[-0.5], [0.2], [0.5]]),
+                              np.array([[0.0], [1.0]]), id="even-surplus"))
     return cases
 
 
-@pytest.mark.parametrize("name,f,x,eps_pts,z_pts", _twist_parity_cases(),
-                         ids=[c[0] for c in _twist_parity_cases()])
-def test_batched_twist_matches_per_pair_scan(name, f, x, eps_pts, z_pts):
+@pytest.mark.parametrize("f,x,eps_pts,z_pts", _twist_parity_cases())
+def test_batched_twist_matches_per_pair_scan(f, x, eps_pts, z_pts):
     passed, witness, min_sv, max_inv, max_hzz = _per_pair_twist(f, x, eps_pts, z_pts)
     rep = check_twist(f, x, eps_pts, z_pts)
     assert rep.passed == passed
