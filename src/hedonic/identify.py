@@ -181,13 +181,14 @@ def _scalar_cross_sign(
     f: SurplusFamily, x, eps_values: np.ndarray, z_values: np.ndarray
 ) -> float:
     """+1 / -1 for a sign-definite scalar cross derivative; raises otherwise."""
-    eps_grid = np.linspace(eps_values.min(), eps_values.max(), 9)[:, None]
-    z_grid = np.linspace(z_values.min(), z_values.max(), 9)[:, None]
-    signs = []
-    for e in eps_grid:
-        for z in z_grid:
-            signs.append(float(f.cross_hessian(x, e, z)[0, 0]))
-    signs = np.asarray(signs)
+    eps_grid, z_grid = np.meshgrid(
+        np.linspace(eps_values.min(), eps_values.max(), 9),
+        np.linspace(z_values.min(), z_values.max(), 9),
+        indexing="ij",
+    )
+    signs = f.cross_hessian_rows(
+        x, eps_grid.reshape(-1, 1), z_grid.reshape(-1, 1)
+    )[:, 0, 0]
     if np.all(signs > 1e-12):
         return 1.0
     if np.all(signs < -1e-12):

@@ -214,16 +214,29 @@ def _merge_duplicate_z(z_rows: np.ndarray, p_rows: np.ndarray):
     uniq, inverse = np.unique(z_rows, axis=0, return_inverse=True)
     n = z_rows.shape[0]
     weights = np.bincount(inverse, minlength=uniq.shape[0]).astype(float) / n
-    prices = np.empty(uniq.shape[0])
-    for k in range(uniq.shape[0]):
-        cell_prices = p_rows[inverse == k]
-        if cell_prices.max() - cell_prices.min() > PRICE_MERGE_TOL:
-            raise PriceConflictError(
-                f"quality {uniq[k]} observed with conflicting prices "
-                f"{cell_prices.min()} and {cell_prices.max()}"
-            )
-        prices[k] = cell_prices[0]
-    return uniq, weights, prices
+    order, starts = _group_order(inverse)
+    sorted_p = p_rows[order]
+    p_min = np.minimum.reduceat(sorted_p, starts)
+    p_max = np.maximum.reduceat(sorted_p, starts)
+    conflicts = np.nonzero(p_max - p_min > PRICE_MERGE_TOL)[0]
+    if conflicts.size:
+        k = conflicts[0]
+        raise PriceConflictError(
+            f"quality {uniq[k]} observed with conflicting prices "
+            f"{p_min[k]} and {p_max[k]}"
+        )
+    return uniq, weights, sorted_p[starts]
+
+
+def _group_order(inverse: np.ndarray):
+    """Rows sorted by group label, stable within a group, and group starts.
+
+    Labels are the dense 0..k-1 codes from np.unique, so every group is
+    non-empty and group g occupies order[starts[g]:starts[g + 1]].
+    """
+    order = np.argsort(inverse, kind="stable")
+    starts = np.flatnonzero(np.diff(inverse[order], prepend=-1))
+    return order, starts
 
 
 def partition_by_x(
@@ -260,9 +273,9 @@ def partition_by_x(
         raise ValueError(f"unknown partition scheme {scheme!r}")
 
     uniq_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    order, starts = _group_order(inverse)
     slices = []
-    for k in range(uniq_keys.shape[0]):
-        rows = np.nonzero(inverse == k)[0]
+    for k, rows in enumerate(np.split(order, starts[1:])):
         z_u, w_u, p_u = _merge_duplicate_z(dataset.z[rows], dataset.p[rows])
         x_value = uniq_keys[k] if reps is None else reps[rows[0]]
         slices.append(

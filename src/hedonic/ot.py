@@ -2,12 +2,20 @@
 
 `solve_exact` maximizes total surplus over couplings with fixed
 marginals and returns both the optimal plan and a feasible,
-complementary-slack dual pair.  Uniform instances whose sizes divide
-dispatch to a linear-assignment routine (after target replication when
-sizes differ); everything else goes through an LP.  Dual potentials for
-assignment-based plans are rebuilt from the plan support by a
-longest-chain propagation, which yields machine-precision feasibility
-and slackness; LP duals are polished by a double surplus-transform.
+complementary-slack dual pair.  It takes one of three paths:
+
+1. a size-1 side: the only coupling is the outer product of the weights;
+2. replicated assignment: with N = max(n, m), when N * weights is
+   integral on both sides, each point is repeated that many times and
+   one N x N linear assignment is solved (square uniform instances are
+   the special case of one copy per point);
+3. everything else: the transportation LP, solved by HiGHS's interior
+   point method with crossover to a basic optimal solution.
+
+Dual potentials for the first two paths are rebuilt from the plan
+support by a longest-chain propagation, which yields machine-precision
+feasibility and slackness; LP duals are polished by a double
+surplus-transform.
 
 `solve_entropic` is the fast approximate path: log-domain scaling
 iterations with an epsilon-halving schedule.
@@ -45,8 +53,8 @@ __all__ = [
 
 # Mass below this is treated as numerically zero when a plan is sparsified.
 SPARSITY_THRESHOLD = 1e-12
-# Replicated assignment instances are capped at this side length.
-_MAX_ASSIGNMENT_SIZE = 4096
+# Largest distance of N * weight from an integer that still replicates.
+_REPLICATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,68 +168,54 @@ def _duals_from_support(
     surplus: np.ndarray,
     ii: np.ndarray,
     jj: np.ndarray,
-    nu: np.ndarray,
     ref: int,
 ):
     """Rebuild dual potentials from an optimal plan's support.
 
     Propagates v over targets through chains of support pairs:
     v_k >= v_j + S(i, k) - S(i, j) for every support pair (i, j) and
-    every target k.  On an optimal (cyclically monotone) plan the
-    longest-chain values are finite and the resulting pair is feasible
-    with equality on the support, both to machine precision.
+    every target k, starting from 0 at `ref` when it carries mass and at
+    the first support target otherwise.  On an optimal (cyclically
+    monotone) plan the longest-chain values are finite and the resulting
+    pair is feasible with equality on the support, both to machine
+    precision.
     """
     m = surplus.shape[1]
     v = np.full(m, -np.inf)
-    v[ref] = 0.0
+    v[ref if np.any(jj == ref) else jj[0]] = 0.0
     rows = surplus[ii, :]  # (n_support, m)
     for _ in range(m + 1):
-        base = v[jj] - surplus[ii, jj]
-        finite = np.isfinite(base)
-        if not np.any(finite):
-            break
-        cand = (base[finite, None] + rows[finite]).max(axis=0)
-        new_v = np.maximum(v, cand)
+        cand = (v[jj] - surplus[ii, jj])[:, None] + rows
+        new_v = np.maximum(v, cand.max(axis=0))
         if np.array_equal(new_v, v):
             break
         v = new_v
-    # Targets with zero mass may be unreachable through the support.
-    unreachable = ~np.isfinite(v)
-    if np.any(unreachable & (nu > 0)):
-        raise RuntimeError("support chains failed to reach a positive-mass target")
-    pos = np.isfinite(v)
-    w = (surplus[:, pos] - v[pos][None, :]).max(axis=1)
-    if np.any(unreachable):
-        v[unreachable] = (surplus[:, unreachable] - w[:, None]).max(axis=0)
+    w = (surplus - v[None, :]).max(axis=1)
     return w, v
 
 
-def _solve_assignment(surplus: np.ndarray):
-    """Square assignment: maximize the trace over permutations."""
-    row, col = linear_sum_assignment(-surplus)
-    return row, col
+def _replication_counts(weights: np.ndarray, size: int):
+    """Integer copies size * weights, or None when they are not integral."""
+    scaled = weights * size
+    counts = np.rint(scaled)
+    if np.abs(scaled - counts).max() > _REPLICATION_TOL or counts.sum() != size:
+        return None
+    return counts.astype(int)
 
 
-def _exact_uniform(mu_w, nu_w, surplus):
-    """Uniform weights with divisible sizes via replicated assignment."""
+def _exact_replicated(mu_w, surplus, mu_copies, nu_copies):
+    """One square assignment over points repeated by their copy counts.
+
+    Each copy of source i carries mass mu_i / copies_i, so a square
+    instance with one copy per point puts exactly mu_i on its match.
+    """
     n, m = surplus.shape
-    if n == m:
-        row, col = _solve_assignment(surplus)
-        coupling = np.zeros((n, m))
-        coupling[row, col] = mu_w
-        return coupling
-    if n > m:
-        q = n // m
-        rep = np.repeat(np.arange(m), q)
-        row, col = _solve_assignment(surplus[:, rep])
-        coupling = np.zeros((n, m))
-        coupling[row, rep[col]] = 1.0 / n
-        return coupling
-    q = m // n
-    rep = np.repeat(np.arange(n), q)
-    row, col = _solve_assignment(surplus[rep, :])
-    coupling = np.zeros((n, m))
-    np.add.at(coupling, (rep[row], col), 1.0 / m)
+    rows = np.repeat(np.arange(n), mu_copies)
+    cols = np.repeat(np.arange(m), nu_copies)
+    row, col = linear_sum_assignment(-surplus[np.ix_(rows, cols)])
+    src = rows[row]
+    coupling = np.zeros(surplus.shape)
+    np.add.at(coupling, (src, cols[col]), mu_w[src] / mu_copies[src])
     return coupling
 
 
@@ -236,14 +230,15 @@ def _exact_lp(mu_w, nu_w, surplus):
     col_idx = np.concatenate([np.arange(n * m), np.arange(n * m)])
     a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n * m))
     b_eq = np.concatenate([mu_w, nu_w])
-    # Dual simplex keeps the solution basic: entries off the optimal basis
-    # are exact zeros, so the support is clean for slackness checks.
+    # Interior point, then HiGHS's default crossover to an optimal basis:
+    # entries off the basis are exact zeros (at most n + m - 1 nonzeros),
+    # so the support is clean for slackness checks.
     res = linprog(
         c=-surplus.ravel(),
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(0, None),
-        method="highs-ds",
+        method="highs-ipm",
         options={
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
@@ -274,24 +269,20 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     mu_w, nu_w = mu.weights, nu.weights
     ref = _lexicographic_ref(nu.points)
 
-    uniform = (
-        np.allclose(mu_w, 1.0 / n, rtol=0.0, atol=1e-12)
-        and np.allclose(nu_w, 1.0 / m, rtol=0.0, atol=1e-12)
-    )
-    divisible = (max(n, m) % min(n, m) == 0) and max(n, m) <= _MAX_ASSIGNMENT_SIZE
+    size = max(n, m)
+    mu_copies = _replication_counts(mu_w, size)
+    nu_copies = _replication_counts(nu_w, size)
     w = v = None
-    if m == 1:
-        coupling = mu_w[:, None].copy()
-    elif n == 1:
-        coupling = nu_w[None, :].copy()
-    elif uniform and divisible:
-        coupling = _exact_uniform(mu_w, nu_w, surplus)
+    if min(n, m) == 1:
+        coupling = np.outer(mu_w, nu_w)
+    elif mu_copies is not None and nu_copies is not None:
+        coupling = _exact_replicated(mu_w, surplus, mu_copies, nu_copies)
     else:
         coupling, w, v = _exact_lp(mu_w, nu_w, surplus)
 
-    ii, jj = np.nonzero(coupling > 0)
     if w is None:
-        w, v = _duals_from_support(surplus, ii, jj, nu_w, ref)
+        ii, jj = np.nonzero(coupling > 0)
+        w, v = _duals_from_support(surplus, ii, jj, ref)
     else:
         # Polish LP duals: the double transform restores exact feasibility
         # and can only move the dual objective toward the optimum.
@@ -513,7 +504,8 @@ def read_plan_coupling(path, shape) -> np.ndarray:
 
 
 def write_duals_csv(duals: DualPair, path) -> None:
-    """Vectors as rows side,idx,value with side in {source,target}."""
+    """Vectors as rows side,idx,value with side in {source,target}, then
+    one row pin,idx,0 naming the target where v is pinned to 0."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["side", "idx", "value"])
@@ -521,18 +513,25 @@ def write_duals_csv(duals: DualPair, path) -> None:
             writer.writerow(["source", i, format_float(val)])
         for j, val in enumerate(duals.v_target):
             writer.writerow(["target", j, format_float(val)])
+        writer.writerow(["pin", duals.normalization, 0])
 
 
 def read_duals_csv(path) -> DualPair:
+    """Inverse of write_duals_csv; a file without its pin row is rejected."""
     w, v = [], []
+    pin = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
             if not row:
                 continue
+            if row[0] == "pin":
+                pin = int(row[1])
+                continue
             (w if row[0] == "source" else v).append((int(row[1]), float(row[2])))
+    if pin is None:
+        raise ValueError(f"duals file {path} has no pin row")
     w_arr = np.array([val for _, val in sorted(w)])
     v_arr = np.array([val for _, val in sorted(v)])
-    ref = int(np.argmin(np.abs(v_arr))) if v_arr.size else 0
-    return DualPair(w_arr, v_arr, ref)
+    return DualPair(w_arr, v_arr, pin)

@@ -7,6 +7,7 @@ import pytest
 
 from hedonic.equilibrium import build_z_grid, simulate_market
 from hedonic.identify import (
+    _scalar_cross_sign,
     averaged_partial_effects,
     brenier_identify,
     general_identify,
@@ -27,6 +28,7 @@ from hedonic.surplus import ScalarFamily, StructuralSpec, SurplusFamily, TwistVi
 
 UNIT_1D = DistributionSpec.uniform([0.0], [1.0])
 BILINEAR_1D = SurplusFamily.bilinear(1)
+NO_X = np.zeros(0)
 
 
 def make_slice(z, p, x_value=(0.0,)):
@@ -205,6 +207,44 @@ def test_general_supermodular_one_dim_is_comonotone():
     assert matching is not None
     # ranks align: the matched taste ranks follow the quality ranks
     assert np.array_equal(eps_sorted_idx, z_sorted_idx)
+
+
+def _cross_sign_by_points(f, x, eps_values, z_values):
+    """Reference: one cross_hessian call per point of the 9 x 9 grid."""
+    signs = np.array([
+        f.cross_hessian(x, [e], [z])[0, 0]
+        for e in np.linspace(eps_values.min(), eps_values.max(), 9)
+        for z in np.linspace(z_values.min(), z_values.max(), 9)
+    ])
+    if np.all(signs > 1e-12):
+        return 1.0
+    if np.all(signs < -1e-12):
+        return -1.0
+    return None
+
+
+@pytest.mark.parametrize(
+    "f,x",
+    [
+        (SurplusFamily.bilinear(1), NO_X),
+        (SurplusFamily.neg_quadratic([[2.0]]), NO_X),
+        (SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1), NO_X),
+        (SurplusFamily.polynomial([{"coeff": -1.0, "eps": [1], "z": [2]}], 0, 1), NO_X),
+        (SurplusFamily.polynomial(
+            [{"coeff": 1.0, "x": [1], "eps": [1], "z": [1]}], 1, 1), np.array([-0.5])),
+    ],
+    ids=["bilinear", "neg-quadratic", "eps2-z", "minus-eps-z2", "x-eps-z"],
+)
+@pytest.mark.parametrize("lo", [-1.0, 0.0, 0.5])
+def test_scalar_cross_sign_matches_pointwise_scan(f, x, lo):
+    eps_values = np.linspace(lo, 1.0, 7)
+    z_values = np.linspace(lo, 2.0, 5)
+    expected = _cross_sign_by_points(f, x, eps_values, z_values)
+    if expected is None:
+        with pytest.raises(TwistViolationError):
+            _scalar_cross_sign(f, x, eps_values, z_values)
+    else:
+        assert _scalar_cross_sign(f, x, eps_values, z_values) == expected
 
 
 def test_general_refuses_non_injective_surplus():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedonic.measures import (
+    PRICE_MERGE_TOL,
     DiscreteMeasure,
     DistributionSpec,
     MarketDataset,
@@ -152,6 +155,77 @@ def test_conflicting_duplicate_prices_rejected():
     p = np.array([5.0, 5.1])
     with pytest.raises(PriceConflictError):
         partition_by_x(MarketDataset(x, z, p), "exact")
+
+
+def _partition_by_scanning_groups(dataset, keys, reps):
+    """Reference: one `inverse == k` scan per x-cell and per quality."""
+    uniq_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    out = []
+    for k in range(uniq_keys.shape[0]):
+        rows = np.nonzero(inverse == k)[0]
+        z_rows, p_rows = dataset.z[rows], dataset.p[rows]
+        uniq, inv = np.unique(z_rows, axis=0, return_inverse=True)
+        weights = np.bincount(inv, minlength=uniq.shape[0]).astype(float) / rows.size
+        prices = np.empty(uniq.shape[0])
+        for g in range(uniq.shape[0]):
+            cell = p_rows[inv == g]
+            if cell.max() - cell.min() > PRICE_MERGE_TOL:
+                raise PriceConflictError(
+                    f"quality {uniq[g]} observed with conflicting prices "
+                    f"{cell.min()} and {cell.max()}"
+                )
+            prices[g] = cell[0]
+        x_value = uniq_keys[k] if reps is None else reps[rows[0]]
+        out.append((x_value, uniq, weights, prices, rows))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["exact", "bins"]),
+    st.sampled_from(["agree", "jitter", "conflict"]),
+)
+def test_partition_matches_per_group_scan(n, seed, scheme, prices):
+    # x and z on small integer grids, so cells and duplicate qualities repeat;
+    # duplicate prices agree, differ within PRICE_MERGE_TOL, or conflict
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(n, 2)).astype(float)
+    z = rng.integers(0, 3, size=(n, 2)).astype(float)
+    p = z @ [1.0, 2.0] + x[:, 0]
+    if prices == "jitter":
+        p = p + rng.uniform(0, 0.5 * PRICE_MERGE_TOL, n)
+    elif prices == "conflict":
+        p = p + rng.uniform(0, 1e-6, n)
+    ds = MarketDataset(x, z, p)
+    widths = [0.7, 1.3] if scheme == "bins" else None
+    if scheme == "bins":
+        lo = x.min(axis=0)
+        n_cells = np.maximum(1, np.ceil((x.max(axis=0) - lo) / widths - 1e-12)).astype(int)
+        idx = np.minimum(np.floor((x - lo) / widths).astype(int), n_cells - 1)
+        keys, reps = idx.astype(float), lo + (idx + 0.5) * np.asarray(widths)
+    else:
+        keys, reps = x, None
+    try:
+        expected = _partition_by_scanning_groups(ds, keys, reps)
+    except PriceConflictError as err:
+        with pytest.raises(PriceConflictError) as got:
+            partition_by_x(ds, scheme, widths)
+        assert str(got.value) == str(err)
+        return
+    slices = partition_by_x(ds, scheme, widths)
+    assert len(slices) == len(expected)
+    for sl, (x_value, z_u, w_u, p_u, rows) in zip(slices, expected):
+        for got_arr, want in (
+            (sl.x_value, x_value),
+            (sl.z_measure.points, z_u),
+            (sl.z_measure.weights, w_u / w_u.sum()),
+            (sl.prices, p_u),
+            (sl.row_ids, rows),
+        ):
+            assert got_arr.dtype == want.dtype and got_arr.shape == want.shape
+            assert got_arr.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

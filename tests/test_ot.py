@@ -4,11 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedonic.measures import from_samples
 from hedonic.ot import (
     DualPair,
     TransportPlan,
+    _exact_lp,
+    _replication_counts,
     barycentric_projection,
     check_cyclical_monotonicity,
     read_duals_csv,
@@ -29,6 +33,17 @@ def brute_force_assignment_value(surplus):
     n = surplus.shape[0]
     perms = np.array(list(itertools.permutations(range(n))))
     values = surplus[np.arange(n)[None, :], perms].sum(axis=1) / n
+    return values.max()
+
+
+def brute_force_replicated_value(surplus, mu_copies, nu_copies):
+    """Oracle: repeat points by integer copies summing to K, then scan all
+    K! matchings of the copies; each matched pair carries mass 1/K."""
+    rows = np.repeat(np.arange(surplus.shape[0]), mu_copies)
+    cols = np.repeat(np.arange(surplus.shape[1]), nu_copies)
+    k = rows.shape[0]
+    perms = np.array(list(itertools.permutations(range(k))))
+    values = surplus[rows[None, :], cols[perms]].sum(axis=1) / k
     return values.max()
 
 
@@ -321,3 +336,150 @@ def test_plan_and_duals_csv_round_trip(tmp_path):
     back = read_duals_csv(duals_path)
     assert np.array_equal(back.w_source, duals.w_source)
     assert np.array_equal(back.v_target, duals.v_target)
+
+
+def test_duals_csv_keeps_a_pin_that_is_not_the_smallest_value(tmp_path):
+    # v = 0 at targets 1 and 2; only the file can say the pin is 2
+    duals = DualPair([0.5, -0.25], [1.0, 0.0, 0.0], normalization=2)
+    path = tmp_path / "duals.csv"
+    write_duals_csv(duals, path)
+    back = read_duals_csv(path)
+    assert back.normalization == 2
+    assert np.array_equal(back.v_target, duals.v_target)
+
+
+def test_duals_csv_without_pin_row_rejected(tmp_path):
+    path = tmp_path / "duals.csv"
+    path.write_text("side,idx,value\nsource,0,1.0\ntarget,0,0.0\n")
+    with pytest.raises(ValueError, match="pin"):
+        read_duals_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# solve_exact properties: every dispatch path against independent oracles
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def copy_counts(draw, k, size):
+    """`size` nonnegative integers summing to k (zeros allowed)."""
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=size - 1, max_size=size - 1)))
+    return np.diff([0, *cuts, k])
+
+
+@st.composite
+def surplus_instances(draw, n, m):
+    """Points on a 3x3 integer grid (duplicates likely) and a surplus that is
+    an integer matrix (ties), bilinear in the points, or continuous."""
+    mu_pts = np.array(draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n)))
+    nu_pts = np.array(draw(st.lists(st.integers(0, 2), min_size=2 * m, max_size=2 * m)))
+    mu_pts, nu_pts = mu_pts.reshape(n, 2).astype(float), nu_pts.reshape(m, 2).astype(float)
+    kind = draw(st.sampled_from(["integer", "bilinear", "normal"]))
+    if kind == "integer":
+        s = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m)))
+        s = s.reshape(n, m).astype(float)
+    elif kind == "bilinear":
+        s = mu_pts @ nu_pts.T
+    else:
+        s = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, m))
+    return mu_pts, nu_pts, s
+
+
+@st.composite
+def rational_instances(draw, max_copies=7):
+    """Weights are integer copies / K with K <= max_copies, so a K! scan is
+    an oracle; K need not equal max(n, m), so every path is reached."""
+    k = draw(st.integers(1, max_copies))
+    n = draw(st.integers(1, max_copies))
+    m = draw(st.integers(1, max_copies))
+    mu_copies = draw(copy_counts(k, n))
+    nu_copies = draw(copy_counts(k, m))
+    mu_pts, nu_pts, s = draw(surplus_instances(n, m))
+    mu = from_samples(mu_pts, mu_copies / k)
+    nu = from_samples(nu_pts, nu_copies / k)
+    return mu, nu, s, mu_copies, nu_copies
+
+
+def assert_optimal_duals(mu, nu, s, plan, duals):
+    assert plan.marginal_error(mu.weights, nu.weights) <= 1e-9
+    assert duals.feasibility_margin(s) >= -1e-9
+    assert duals.slackness_error(plan, s) <= 1e-9
+    assert abs(plan.objective - duals.objective(mu.weights, nu.weights)) <= 1e-9
+    assert duals.v_target[duals.normalization] == 0.0
+
+
+@PROPERTY
+@given(rational_instances())
+def test_solve_exact_matches_replicated_brute_force(instance):
+    mu, nu, s, mu_copies, nu_copies = instance
+    plan, duals = solve_exact(mu, nu, s)
+    oracle = brute_force_replicated_value(s, mu_copies, nu_copies)
+    assert abs(plan.objective - oracle) <= 1e-9
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(1, 3), st.data())
+def test_size_one_side_couples_by_the_product_of_weights(k, side, data):
+    # one side is a single point (side 1: source, 2: target, 3: both)
+    n = 1 if side in (1, 3) else data.draw(st.integers(2, k + 1))
+    m = 1 if side in (2, 3) else data.draw(st.integers(2, k + 1))
+    mu_pts, nu_pts, s = data.draw(surplus_instances(n, m))
+    mu = from_samples(mu_pts, data.draw(copy_counts(k, n)) / k)
+    nu = from_samples(nu_pts, data.draw(copy_counts(k, m)) / k)
+    plan, duals = solve_exact(mu, nu, s)
+    assert np.array_equal(plan.coupling, np.outer(mu.weights, nu.weights))
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+@st.composite
+def replicable_instances(draw):
+    """N = max(n, m) copies in total on both sides, n, m >= 2."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(2, 9))
+    size = max(n, m)
+    mu_pts, nu_pts, s = draw(surplus_instances(n, m))
+    mu = from_samples(mu_pts, draw(copy_counts(size, n)) / size)
+    nu = from_samples(nu_pts, draw(copy_counts(size, m)) / size)
+    return mu, nu, s
+
+
+@PROPERTY
+@given(replicable_instances())
+def test_lp_and_replicated_assignment_agree(instance):
+    mu, nu, s = instance
+    size = max(s.shape)
+    assert _replication_counts(mu.weights, size) is not None
+    assert _replication_counts(nu.weights, size) is not None
+    plan, duals = solve_exact(mu, nu, s)
+    coupling, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    assert abs(float(np.sum(coupling * s)) - plan.objective) <= 1e-12
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+@st.composite
+def irrational_instances(draw):
+    """Positive random weights: no N makes them integral, so the LP runs."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(2, 12))
+    mu_pts, nu_pts, s = draw(surplus_instances(n, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = from_samples(mu_pts, rng.random(n) + 0.05)
+    nu = from_samples(nu_pts, rng.random(m) + 0.05)
+    return mu, nu, s
+
+
+@PROPERTY
+@given(irrational_instances())
+def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
+    mu, nu, s = instance
+    n, m = s.shape
+    assert _replication_counts(mu.weights, max(n, m)) is None
+    coupling, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    # crossover ran: a basic solution has at most n + m - 1 nonzeros
+    assert np.count_nonzero(coupling) <= n + m - 1
+    plan, duals = solve_exact(mu, nu, s)
+    assert np.array_equal(plan.coupling, coupling)
+    assert_optimal_duals(mu, nu, s, plan, duals)
