@@ -10,13 +10,12 @@ transform is the bilinear special case.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, format_float, from_samples
+from .measures import DiscreteMeasure, from_samples, read_float_table, write_float_table
 from .surplus import SurplusFamily
 
 __all__ = [
@@ -67,7 +66,7 @@ def _as_points(grid) -> np.ndarray:
     return pts
 
 
-def _bounding_box_mask(points: np.ndarray) -> np.ndarray:
+def bounding_box_mask(points: np.ndarray) -> np.ndarray:
     """True where a point has any coordinate on the grid's bounding box."""
     lo = points.min(axis=0)
     hi = points.max(axis=0)
@@ -89,7 +88,7 @@ def zeta_conjugate(
     gains = s - v.values[None, :]
     arg = np.argmax(gains, axis=1)  # first max -> lowest index
     vals = np.take_along_axis(gains, arg[:, None], axis=1)[:, 0]
-    boundary = _bounding_box_mask(z_pts)[arg]
+    boundary = bounding_box_mask(z_pts)[arg]
     return GridFunction(from_samples(eps_pts), vals, arg, boundary)
 
 
@@ -106,7 +105,7 @@ def double_conjugate(
     gains = s - conj.values[:, None]
     arg = np.argmax(gains, axis=0)
     vals = np.take_along_axis(gains, arg[None, :], axis=0)[0]
-    boundary = _bounding_box_mask(eps_pts)[arg]
+    boundary = bounding_box_mask(eps_pts)[arg]
     return GridFunction(v.grid, vals, arg, boundary)
 
 
@@ -152,24 +151,11 @@ def eps_grid_from_gradients(
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """Header c_1..c_d,value."""
     header = [f"c_{k+1}" for k in range(gf.grid.dim)] + ["value"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(gf.n):
-            writer.writerow(
-                [format_float(v) for v in gf.grid.points[i]]
-                + [format_float(gf.values[i])]
-            )
+    write_float_table(path, header, gf.grid.points, gf.values)
 
 
 def read_grid_function_csv(path) -> GridFunction:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
+    header, arr = read_float_table(path, "grid-function")
     if not header or header[-1] != "value":
         raise ValueError(f"unrecognized grid-function header {header}")
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty grid-function file")
     return GridFunction(from_samples(arr[:, :-1]), arr[:, -1])

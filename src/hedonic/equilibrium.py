@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .conjugate import bounding_box_mask
 from .measures import DistributionSpec, MarketDataset, from_samples, write_json
 from .ot import DualPair, TransportPlan, solve_exact
 from .surplus import StructuralSpec
@@ -31,8 +32,6 @@ __all__ = [
     "atomlessness_diagnostic",
     "write_equilibrium_report",
 ]
-
-_CHUNK_ELEMENTS = 6_000_000  # cap on consumers x producers x grid temp size
 
 
 class GridBoundaryError(RuntimeError):
@@ -51,12 +50,6 @@ def build_z_grid(lo, hi, resolution) -> np.ndarray:
     axes = [np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
-
-
-def _grid_boundary_mask(grid: np.ndarray) -> np.ndarray:
-    lo = grid.min(axis=0)
-    hi = grid.max(axis=0)
-    return ((grid == lo[None, :]) | (grid == hi[None, :])).any(axis=1)
 
 
 def joint_surplus(spec: StructuralSpec, x_tilde, y_tilde, z_grid):
@@ -78,7 +71,7 @@ def joint_surplus(spec: StructuralSpec, x_tilde, y_tilde, z_grid):
     if not np.all(np.isfinite(gains)):
         raise ValueError("joint surplus is not finite on the grid")
     arg = int(np.argmax(gains))
-    interior = not bool(_grid_boundary_mask(grid)[arg])
+    interior = not bool(bounding_box_mask(grid)[arg])
     return float(gains[arg]), grid[arg].copy(), interior
 
 
@@ -93,9 +86,6 @@ class EquilibriumOutcome:
     matching: TransportPlan
     duals: DualPair
     surplus: np.ndarray
-    pair_source: np.ndarray
-    pair_target: np.ndarray
-    pair_mass: np.ndarray
     traded_z: np.ndarray
     prices: np.ndarray
     boundary_fraction: float
@@ -107,6 +97,16 @@ class EquilibriumOutcome:
     @property
     def indirect_w(self) -> np.ndarray:
         return self.duals.v_target
+
+    @property
+    def pair_source(self) -> np.ndarray:
+        """Consumer index of each matched pair (the plan's support rows)."""
+        return self.matching.support()[0]
+
+    @property
+    def pair_target(self) -> np.ndarray:
+        """Producer index of each matched pair (the plan's support columns)."""
+        return self.matching.support()[1]
 
     @property
     def n_pairs(self) -> int:
@@ -132,19 +132,12 @@ class EquilibriumOutcome:
 
 
 def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray):
-    """Max-plus product: S_ij = max_g (gain[i, g] - cost[j, g]) with argmax."""
-    n, g = consumer_gain.shape
-    m = producer_cost.shape[0]
-    s = np.empty((n, m))
-    arg = np.empty((n, m), dtype=np.int32)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, m * g))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = consumer_gain[start:stop, None, :] - producer_cost[None, :, :]
-        a = np.argmax(diff, axis=2)
-        arg[start:stop] = a
-        s[start:stop] = np.take_along_axis(diff, a[:, :, None], axis=2)[:, :, 0]
-    return s, arg
+    """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), one consumer
+    row at a time so the temporary stays producers x grid."""
+    s = np.empty((consumer_gain.shape[0], producer_cost.shape[0]))
+    for i, gain in enumerate(consumer_gain):
+        s[i] = (gain - producer_cost).max(axis=1)
+    return s
 
 
 def simulate_market(
@@ -181,7 +174,7 @@ def simulate_market(
     producer_cost = spec.cost.pairwise_grid(y, grid)
     if not (np.all(np.isfinite(consumer_gain)) and np.all(np.isfinite(producer_cost))):
         raise ValueError("surplus is not finite on the quality grid")
-    surplus, argmax = _pairwise_max_surplus(consumer_gain, producer_cost)
+    surplus = _pairwise_max_surplus(consumer_gain, producer_cost)
 
     mu = from_samples(np.column_stack([x, eps]))
     nu = from_samples(y)
@@ -190,9 +183,10 @@ def simulate_market(
     shift = duals.v_target[0]
     duals = DualPair(duals.w_source + shift, duals.v_target - shift, 0)
 
+    # the quality argmax is only needed on the matched pairs
     ii, jj, mass = plan.support()
-    pair_arg = argmax[ii, jj]
-    boundary_mask = _grid_boundary_mask(grid)
+    pair_arg = np.argmax(consumer_gain[ii] - producer_cost[jj], axis=1)
+    boundary_mask = bounding_box_mask(grid)
     boundary_fraction = float(mass[boundary_mask[pair_arg]].sum() / mass.sum())
     if boundary_fraction > boundary_threshold:
         raise GridBoundaryError(
@@ -211,9 +205,6 @@ def simulate_market(
         matching=plan,
         duals=duals,
         surplus=surplus,
-        pair_source=ii,
-        pair_target=jj,
-        pair_mass=mass,
         traded_z=traded_z,
         prices=prices,
         boundary_fraction=boundary_fraction,
@@ -254,6 +245,8 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
     w = outcome.indirect_w
     n = v.shape[0]
     m = w.shape[0]
+    src, tgt, _ = outcome.matching.support()
+    n_pairs = src.shape[0]
 
     margin = v[:, None] + w[None, :] - outcome.surplus
     stability_min = float(margin.min())
@@ -264,28 +257,22 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
             f"margin {stability_min:.3e}"
         )
 
-    sup_dev = float(
-        np.abs(margin[outcome.pair_source, outcome.pair_target]).max()
-    ) if outcome.n_pairs else 0.0
+    sup_dev = float(np.abs(margin[src, tgt]).max()) if n_pairs else 0.0
     if sup_dev > tol:
         failures.append(f"support pairs miss surplus equality by {sup_dev:.3e}")
 
     # both sides of the split must reproduce the price
     u_at_pairs = (
-        outcome.spec.u_bar.eval_rows(
-            outcome.consumer_x[outcome.pair_source], outcome.traded_z
-        )
+        outcome.spec.u_bar.eval_rows(outcome.consumer_x[src], outcome.traded_z)
         + outcome.spec.zeta.eval_rows(
-            outcome.consumer_x[outcome.pair_source],
-            outcome.consumer_eps[outcome.pair_source],
-            outcome.traded_z,
+            outcome.consumer_x[src], outcome.consumer_eps[src], outcome.traded_z
         )
     )
-    consumer_price = u_at_pairs - v[outcome.pair_source]
+    consumer_price = u_at_pairs - v[src]
     cost_at_pairs = outcome.spec.cost.eval_rows(
-        outcome.producer_y[outcome.pair_target], outcome.traded_z
+        outcome.producer_y[tgt], outcome.traded_z
     )
-    producer_price = cost_at_pairs + w[outcome.pair_target]
+    producer_price = cost_at_pairs + w[tgt]
     split_dev = float(
         max(
             np.abs(consumer_price - outcome.prices).max(),
@@ -304,27 +291,27 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
     # deviations to other traded qualities at their posted prices
     consumer_dev = -np.inf
     producer_dev = -np.inf
-    if outcome.n_pairs > 1:
+    if n_pairs > 1:
         u_all = outcome.consumer_utilities_at(outcome.traded_z)  # (n, K)
         net_all = u_all - outcome.prices[None, :]
-        own_net = net_all[outcome.pair_source, np.arange(outcome.n_pairs)]
-        gain = net_all[outcome.pair_source].max(axis=1) - own_net
+        own_net = net_all[src, np.arange(n_pairs)]
+        gain = net_all[src].max(axis=1) - own_net
         consumer_dev = float(gain.max())
         if consumer_dev > tol:
             t = int(np.argmax(gain))
             failures.append(
-                f"consumer {int(outcome.pair_source[t])} gains "
+                f"consumer {int(src[t])} gains "
                 f"{consumer_dev:.3e} by switching traded quality"
             )
         c_all = outcome.producer_costs_at(outcome.traded_z)  # (m, K)
         profit_all = outcome.prices[None, :] - c_all
-        own_profit = profit_all[outcome.pair_target, np.arange(outcome.n_pairs)]
-        gain_p = profit_all[outcome.pair_target].max(axis=1) - own_profit
+        own_profit = profit_all[tgt, np.arange(n_pairs)]
+        gain_p = profit_all[tgt].max(axis=1) - own_profit
         producer_dev = float(gain_p.max())
         if producer_dev > tol:
             t = int(np.argmax(gain_p))
             failures.append(
-                f"producer {int(outcome.pair_target[t])} gains "
+                f"producer {int(tgt[t])} gains "
                 f"{gain_p.max():.3e} by switching traded quality"
             )
 

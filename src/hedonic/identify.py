@@ -21,7 +21,6 @@ are available without fixing the whole taste law.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -36,14 +35,14 @@ from .measures import (
     MarketDataset,
     empirical_cdf,
     empirical_cdf_quantile,
-    format_float,
     from_samples,
     partition_by_x,
     reference_lattice,
     sample_reference,
+    write_float_table,
     write_json,
 )
-from .ot import barycentric_projection, solve_exact, surplus_matrix
+from .ot import TransportPlan, barycentric_projection, solve_exact, surplus_matrix
 from .surplus import SurplusFamily, TwistViolationError, check_twist
 
 __all__ = [
@@ -131,15 +130,17 @@ def local_price_gradients(z_points: np.ndarray, prices: np.ndarray, k: int):
     return grads, valid
 
 
-def _matching_from_plan(coupling: np.ndarray) -> Optional[np.ndarray]:
-    """Source index per target when the plan is a permutation-like pure
-    matching (exactly one support entry per row and column); else None."""
-    support = coupling > 0
-    if support.shape[0] != support.shape[1]:
+def _matching_from_plan(plan: TransportPlan) -> Optional[np.ndarray]:
+    """Source index per target when the plan is a pure matching (n = m and
+    every row and column appears exactly once); else None."""
+    n = plan.shape[0]
+    if plan.shape[1] != n or plan.rows.size != n:
         return None
-    if np.any(support.sum(axis=0) != 1) or np.any(support.sum(axis=1) != 1):
+    if np.unique(plan.rows).size != n or np.unique(plan.cols).size != n:
         return None
-    return np.argmax(support, axis=0)
+    matching = np.empty(n, dtype=int)
+    matching[plan.cols] = plan.rows
+    return matching
 
 
 def _foc_edge_residuals(
@@ -346,7 +347,7 @@ def _identify_via_transport(
     v_grid = GridFunction(slice_.z_measure, duals.v_target)
     zconv_ok, zconv_dev = is_zeta_convex(v_grid, f, x, ref.points, tol=1e-7)
     conj = zeta_conjugate(v_grid, f, x, ref.points)
-    matching = _matching_from_plan(plan.coupling)
+    matching = _matching_from_plan(plan)
     diagnostics = {
         "pipeline": pipeline,
         "n_ref": int(ref.n),
@@ -451,10 +452,11 @@ def simultaneous_equations_identify(
         s = surplus_matrix(ref, slice_.z_measure, f, slice_.x_value)
         plan, duals = solve_exact(ref, slice_.z_measure, s)
         # forward barycentric projection: mean outcome per reference point
-        row_mass = plan.coupling.sum(axis=1)
-        if np.any(row_mass <= 0):
+        z_hat, matched = barycentric_projection(
+            plan.transpose(), slice_.z_measure.points
+        )
+        if not np.all(matched):
             raise RuntimeError("optimal plan left a reference point unmatched")
-        z_hat = (plan.coupling @ slice_.z_measure.points) / row_mass[:, None]
         diagnostics = {
             "pipeline": "simeq",
             "n_ref": int(ref.n),
@@ -516,16 +518,9 @@ def write_potential_csv(pot: IdentifiedPotential, path) -> None:
         + [f"eps_{k+1}" for k in range(d)]
         + [f"ubar_grad_{k+1}" for k in range(d)]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(pot.n):
-            writer.writerow(
-                [format_float(v) for v in pot.z_points[i]]
-                + [format_float(pot.v_values[i])]
-                + [format_float(v) for v in pot.inverse_demand[i]]
-                + [format_float(v) for v in pot.u_bar_grad[i]]
-            )
+    write_float_table(
+        path, header, pot.z_points, pot.v_values, pot.inverse_demand, pot.u_bar_grad
+    )
 
 
 def write_diagnostics_json(diagnostics, path) -> None:

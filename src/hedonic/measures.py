@@ -528,6 +528,29 @@ def empirical_cdf(values, weights, at) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def write_float_table(path, header, *columns) -> None:
+    """CSV with one header row, then one row of `format_float` values per
+    row of the column blocks (1-D or 2-D arrays, placed left to right)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(columns):
+            writer.writerow([format_float(v) for v in row])
+
+
+def read_float_table(path, kind: str):
+    """(header, rows) of a CSV of floats under one header row; a file
+    without data rows is rejected as an empty `kind` file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [[float(c) for c in row] for row in reader if row]
+    arr = np.asarray(rows, dtype=float)
+    if arr.size == 0:
+        raise ValueError(f"empty {kind} file")
+    return header, arr
+
+
 def write_dataset_csv(dataset: MarketDataset, path) -> None:
     """Header x_1..x_dx,z_1..z_dz,p; one observation per row."""
     header = (
@@ -535,54 +558,26 @@ def write_dataset_csv(dataset: MarketDataset, path) -> None:
         + [f"z_{k+1}" for k in range(dataset.d_z)]
         + ["p"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = (
-                [format_float(v) for v in dataset.x[i]]
-                + [format_float(v) for v in dataset.z[i]]
-                + [format_float(dataset.p[i])]
-            )
-            writer.writerow(row)
+    write_float_table(path, header, dataset.x, dataset.z, dataset.p)
 
 
 def read_dataset_csv(path) -> MarketDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
+    header, arr = read_float_table(path, "dataset")
     d_x = sum(1 for h in header if h.startswith("x_"))
     d_z = sum(1 for h in header if h.startswith("z_"))
     if d_x + d_z + 1 != len(header) or header[-1] != "p":
         raise ValueError(f"unrecognized dataset header {header}")
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty dataset file")
     return MarketDataset(arr[:, :d_x], arr[:, d_x : d_x + d_z], arr[:, -1])
 
 
 def write_measure_csv(measure: DiscreteMeasure, path) -> None:
     """Header w,c_1..c_d."""
     header = ["w"] + [f"c_{k+1}" for k in range(measure.dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(measure.n):
-            writer.writerow(
-                [format_float(measure.weights[i])]
-                + [format_float(v) for v in measure.points[i]]
-            )
+    write_float_table(path, header, measure.weights, measure.points)
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
+    header, arr = read_float_table(path, "measure")
     if not header or header[0] != "w":
         raise ValueError(f"unrecognized measure header {header}")
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty measure file")
     return DiscreteMeasure(arr[:, 1:], arr[:, 0])

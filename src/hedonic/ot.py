@@ -46,7 +46,7 @@ __all__ = [
     "barycentric_projection",
     "check_cyclical_monotonicity",
     "write_plan_csv",
-    "read_plan_coupling",
+    "read_plan_csv",
     "write_duals_csv",
     "read_duals_csv",
 ]
@@ -59,44 +59,78 @@ _REPLICATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Feasible coupling between two discrete measures and its surplus."""
+    """Coupling between two discrete measures, stored as its support.
 
-    coupling: np.ndarray
+    `rows`, `cols` and `mass` list the entries with positive mass in
+    row-major order; every other entry of the `shape` coupling is zero.
+    Construction sorts the entries and drops zero-mass ones; indices out
+    of range, repeated (i, j) pairs and negative or non-finite masses
+    raise ValueError.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    shape: tuple
     objective: float
 
     def __post_init__(self):
-        c = np.array(self.coupling, dtype=float, copy=True)
+        n, m = (int(k) for k in self.shape)
+        rows = np.array(self.rows, dtype=np.intp).ravel()
+        cols = np.array(self.cols, dtype=np.intp).ravel()
+        mass = np.array(self.mass, dtype=float).ravel()
+        if not rows.shape == cols.shape == mass.shape:
+            raise ValueError("rows, cols and mass must have one entry each")
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= m)):
+            raise ValueError(f"plan index out of range for shape ({n}, {m})")
+        if not np.all(np.isfinite(mass)) or np.any(mass < 0):
+            raise ValueError("plan mass must be finite and nonnegative")
+        keys = rows * m + cols
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("plan repeats an (i, j) entry")
+        order = order[mass[order] > 0]
+        for name, arr in (("rows", rows), ("cols", cols), ("mass", mass)):
+            arr = arr[order]
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "shape", (n, m))
+        object.__setattr__(self, "objective", float(self.objective))
+
+    @classmethod
+    def from_dense(cls, coupling, objective: float) -> "TransportPlan":
+        """Plan holding every positive entry of a dense coupling matrix."""
+        c = np.asarray(coupling, dtype=float)
         if c.ndim != 2:
             raise ValueError("coupling must be a matrix")
         if np.any(c < -1e-15):
             raise ValueError("coupling must be nonnegative")
-        c[c < 0] = 0.0
-        c.setflags(write=False)
-        object.__setattr__(self, "coupling", c)
-        object.__setattr__(self, "objective", float(self.objective))
+        rows, cols = np.nonzero(c > 0)
+        return cls(rows, cols, c[rows, cols], c.shape, objective)
 
-    @property
-    def shape(self):
-        return self.coupling.shape
+    def support(self):
+        """Indices (i, j) and masses of entries above SPARSITY_THRESHOLD."""
+        keep = self.mass > SPARSITY_THRESHOLD
+        return self.rows[keep], self.cols[keep], self.mass[keep]
 
-    def support(self, threshold: float = SPARSITY_THRESHOLD):
-        """Indices (i, j) and masses of entries above threshold."""
-        ii, jj = np.nonzero(self.coupling > threshold)
-        return ii, jj, self.coupling[ii, jj]
+    def transpose(self) -> "TransportPlan":
+        """The same coupling with source and target swapped."""
+        return TransportPlan(
+            self.cols, self.rows, self.mass, self.shape[::-1], self.objective
+        )
+
+    def marginals(self):
+        """Row and column sums of the coupling."""
+        n, m = self.shape
+        return (
+            np.bincount(self.rows, self.mass, minlength=n),
+            np.bincount(self.cols, self.mass, minlength=m),
+        )
 
     def marginal_error(self, mu: np.ndarray, nu: np.ndarray) -> float:
         """L-infinity violation of the marginal constraints."""
-        row = np.abs(self.coupling.sum(axis=1) - mu).max()
-        col = np.abs(self.coupling.sum(axis=0) - nu).max()
-        return float(max(row, col))
-
-    def validate(self, mu, nu, surplus, tol: float = 1e-9) -> None:
-        if self.marginal_error(np.asarray(mu), np.asarray(nu)) > tol:
-            raise ValueError("coupling marginals violate the measure weights")
-        if abs(float(np.sum(self.coupling * surplus)) - self.objective) > max(
-            tol, tol * abs(self.objective)
-        ):
-            raise ValueError("stored objective disagrees with the coupling")
+        row, col = self.marginals()
+        return float(max(np.abs(row - mu).max(), np.abs(col - nu).max()))
 
 
 @dataclass(frozen=True)
@@ -206,17 +240,19 @@ def _replication_counts(weights: np.ndarray, size: int):
 def _exact_replicated(mu_w, surplus, mu_copies, nu_copies):
     """One square assignment over points repeated by their copy counts.
 
-    Each copy of source i carries mass mu_i / copies_i, so a square
-    instance with one copy per point puts exactly mu_i on its match.
+    Returns the plan's support triplets.  Each copy of source i carries
+    mass mu_i / copies_i, so a square instance with one copy per point
+    puts exactly mu_i on its match.
     """
     n, m = surplus.shape
     rows = np.repeat(np.arange(n), mu_copies)
     cols = np.repeat(np.arange(m), nu_copies)
     row, col = linear_sum_assignment(-surplus[np.ix_(rows, cols)])
     src = rows[row]
-    coupling = np.zeros(surplus.shape)
-    np.add.at(coupling, (src, cols[col]), mu_w[src] / mu_copies[src])
-    return coupling
+    # copies matched to the same (i, j) are summed in assignment order
+    keys, inverse = np.unique(src * m + cols[col], return_inverse=True)
+    mass = np.bincount(inverse, mu_w[src] / mu_copies[src])
+    return keys // m, keys % m, mass
 
 
 def _exact_lp(mu_w, nu_w, surplus):
@@ -247,9 +283,10 @@ def _exact_lp(mu_w, nu_w, surplus):
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     coupling = np.maximum(res.x.reshape(n, m), 0.0)
+    plan = TransportPlan.from_dense(coupling, float(np.sum(coupling * surplus)))
     w = -res.eqlin.marginals[:n]
     v = -res.eqlin.marginals[n:]
-    return coupling, w, v
+    return plan, w, v
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
@@ -274,26 +311,25 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     nu_copies = _replication_counts(nu_w, size)
     w = v = None
     if min(n, m) == 1:
-        coupling = np.outer(mu_w, nu_w)
+        rows, cols = np.divmod(np.arange(n * m), m)
+        triplets = rows, cols, mu_w[rows] * nu_w[cols]
     elif mu_copies is not None and nu_copies is not None:
-        coupling = _exact_replicated(mu_w, surplus, mu_copies, nu_copies)
+        triplets = _exact_replicated(mu_w, surplus, mu_copies, nu_copies)
     else:
-        coupling, w, v = _exact_lp(mu_w, nu_w, surplus)
+        plan, w, v = _exact_lp(mu_w, nu_w, surplus)
 
     if w is None:
-        ii, jj = np.nonzero(coupling > 0)
-        w, v = _duals_from_support(surplus, ii, jj, ref)
+        rows, cols, mass = triplets
+        objective = float(np.sum(mass * surplus[rows, cols]))
+        plan = TransportPlan(rows, cols, mass, (n, m), objective)
+        w, v = _duals_from_support(surplus, plan.rows, plan.cols, ref)
     else:
         # Polish LP duals: the double transform restores exact feasibility
         # and can only move the dual objective toward the optimum.
         w = (surplus - v[None, :]).max(axis=1)
         v = (surplus - w[:, None]).max(axis=0)
     w, v = _pin(w, v, ref)
-
-    objective = float(np.sum(coupling * surplus))
-    plan = TransportPlan(coupling, objective)
-    duals = DualPair(w, v, ref)
-    return plan, duals
+    return plan, DualPair(w, v, ref)
 
 
 def solve_entropic(
@@ -375,7 +411,7 @@ def solve_entropic(
     w, v = _pin(w, v, ref)
     objective = float(np.sum(plan * surplus))
     return EntropicResult(
-        plan=TransportPlan(plan, objective),
+        plan=TransportPlan.from_dense(plan, objective),
         duals=DualPair(w, v, ref),
         iterations=iterations,
         converged=converged,
@@ -415,12 +451,16 @@ def barycentric_projection(plan: TransportPlan, source_points: np.ndarray):
     flagged out.
     """
     pts = np.atleast_2d(np.asarray(source_points, dtype=float))
-    if pts.shape[0] != plan.coupling.shape[0]:
+    if pts.shape[0] != plan.shape[0]:
         raise ValueError("source points must align with plan rows")
-    col_mass = plan.coupling.sum(axis=0)
+    _, col_mass = plan.marginals()
     valid = col_mass > 0
-    proj = np.full((plan.coupling.shape[1], pts.shape[1]), np.nan)
-    proj[valid] = (plan.coupling.T[valid] @ pts) / col_mass[valid, None]
+    weighted = plan.mass[:, None] * pts[plan.rows]
+    col_sums = np.column_stack(
+        [np.bincount(plan.cols, w, minlength=plan.shape[1]) for w in weighted.T]
+    )
+    proj = np.full((plan.shape[1], pts.shape[1]), np.nan)
+    proj[valid] = col_sums[valid] / col_mass[valid, None]
     return proj, valid
 
 
@@ -491,16 +531,19 @@ def write_plan_csv(plan: TransportPlan, path) -> None:
             writer.writerow([int(a), int(b), format_float(m)])
 
 
-def read_plan_coupling(path, shape) -> np.ndarray:
-    """Rebuild the dense coupling matrix from a support-triplet file."""
-    coupling = np.zeros(shape)
+def read_plan_csv(path, shape) -> TransportPlan:
+    """Plan of `shape` from a support-triplet file written by write_plan_csv.
+
+    Indices must lie in range(n) x range(m) and each (i, j) may appear
+    once; zero-mass rows are dropped.  The file carries no objective, so
+    the plan's objective is NaN.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                coupling[int(row[0]), int(row[1])] = float(row[2])
-    return coupling
+        next(reader, None)
+        triplets = [(int(i), int(j), float(w)) for i, j, w in filter(None, reader)]
+    rows, cols, mass = np.array(triplets, dtype=float).reshape(-1, 3).T
+    return TransportPlan(rows, cols, mass, shape, float("nan"))
 
 
 def write_duals_csv(duals: DualPair, path) -> None:

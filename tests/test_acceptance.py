@@ -411,7 +411,7 @@ def test_criterion_8_monotonicity():
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     coupling = np.eye(8) / 8
     coupling[[2, 5]] = coupling[[5, 2]]
-    bad = TransportPlan(coupling, float(np.sum(coupling * s)))
+    bad = TransportPlan.from_dense(coupling, float(np.sum(coupling * s)))
     bad_rep = check_cyclical_monotonicity(bad, s, k=2, trials=1000, seed=99)
     ok = worst_pairwise >= -1e-9 and cycle_violations == 0 and bad_rep.violations > 0
     _gate(8, "Brenier & cyclical monotonicity", ok,

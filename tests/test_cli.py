@@ -217,9 +217,11 @@ def test_transport_exact_fixture_and_entropic_mode(tmp_path):
         name="config2.json",
     )
     assert main(["transport", "--config", cfg2, "--out", str(tmp_path)]) == 0
-    from hedonic.ot import read_plan_coupling
+    from hedonic.ot import read_plan_csv
 
-    coupling = read_plan_coupling(tmp_path / "plan_e.csv", (2, 2))
+    plan = read_plan_csv(tmp_path / "plan_e.csv", (2, 2))
+    coupling = np.zeros(plan.shape)
+    coupling[plan.rows, plan.cols] = plan.mass
     assert np.abs(coupling - 0.25).max() <= 1e-3  # near-product at high epsilon
 
 
@@ -269,6 +271,33 @@ def test_check_flags_broken_plan_marginals(tmp_path):
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "check_report.json").read_text())
     assert not report["plan"]["feasible"]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["0,0,0.5\n-1,1,0.5\n", "0,0,0.5\n5,0,0.5\n", "0,0,0.25\n0,0,0.5\n1,1,0.5\n"],
+    ids=["negative-index", "index-out-of-range", "repeated-entry"],
+)
+def test_check_rejects_bad_plan_indices(tmp_path, entries):
+    mu = from_samples(np.array([[0.0], [1.0]]))
+    nu = from_samples(np.array([[0.0], [1.0]]))
+    write_measure_csv(mu, tmp_path / "mu.csv")
+    write_measure_csv(nu, tmp_path / "nu.csv")
+    (tmp_path / "plan.csv").write_text("i,j,mass\n" + entries)
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 0,
+            "check": {
+                "plan": {
+                    "plan": str(tmp_path / "plan.csv"),
+                    "source": str(tmp_path / "mu.csv"),
+                    "target": str(tmp_path / "nu.csv"),
+                },
+            },
+        },
+    )
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
 def test_conjugate_command(tmp_path):

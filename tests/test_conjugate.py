@@ -1,7 +1,13 @@
 """Conjugation identities on grids and the zeta-convexity check."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hedonic.conjugate import (
     GridFunction,
@@ -220,3 +226,17 @@ def test_grid_function_csv_round_trip(tmp_path):
     back = read_grid_function_csv(path)
     assert np.array_equal(back.grid.points, gf.grid.points)
     assert np.array_equal(back.values, gf.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_grid_function_csv_round_trip_is_bit_exact(n, d, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    points = data.draw(hnp.arrays(np.float64, (n, d), elements=finite))
+    gf = GridFunction(from_samples(points), data.draw(hnp.arrays(np.float64, n, elements=finite)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gf.csv")
+        write_grid_function_csv(gf, path)
+        back = read_grid_function_csv(path)
+    assert back.grid.points.tobytes() == gf.grid.points.tobytes()
+    assert back.values.tobytes() == gf.values.tobytes()

@@ -7,6 +7,7 @@ import pytest
 
 from hedonic.equilibrium import (
     GridBoundaryError,
+    _pairwise_max_surplus,
     atomlessness_diagnostic,
     build_z_grid,
     joint_surplus,
@@ -89,6 +90,15 @@ def test_joint_surplus_tie_breaks_to_lowest_index():
 # ---------------------------------------------------------------------------
 # simulate_market
 # ---------------------------------------------------------------------------
+
+
+def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
+    rng = np.random.default_rng(12)
+    # integer values make ties and equal maxima common
+    gain = rng.integers(-3, 4, size=(7, 40)).astype(float)
+    cost = rng.integers(-3, 4, size=(5, 40)).astype(float)
+    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
+    assert np.array_equal(_pairwise_max_surplus(gain, cost), dense)
 
 
 def test_tinbergen_market_matches_analytic_quality():

@@ -1,9 +1,13 @@
 """Measures, partitioning, reference sampling, and quantile tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hedonic.measures import (
     PRICE_MERGE_TOL,
@@ -16,6 +20,7 @@ from hedonic.measures import (
     from_samples,
     partition_by_x,
     read_dataset_csv,
+    read_float_table,
     read_measure_csv,
     reference_lattice,
     sample_reference,
@@ -348,3 +353,50 @@ def test_measure_csv_round_trip(tmp_path):
     back = read_measure_csv(path)
     assert np.array_equal(back.points, m.points)
     assert np.allclose(back.weights, m.weights, atol=1e-15)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def finite_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=FINITE)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@ROUND_TRIP
+@given(st.integers(1, 6), st.integers(0, 2), st.integers(1, 3), st.data())
+def test_dataset_csv_round_trip_is_bit_exact(n, d_x, d_z, data):
+    ds = MarketDataset(
+        data.draw(finite_arrays((n, d_x))),
+        data.draw(finite_arrays((n, d_z))),
+        data.draw(finite_arrays(n)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path)
+    assert_same_bits(back.x, ds.x)
+    assert_same_bits(back.z, ds.z)
+    assert_same_bits(back.p, ds.p)
+
+
+@ROUND_TRIP
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_measure_csv_round_trip_is_bit_exact(n, d, data):
+    weights = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e6)))
+    assume(weights.sum() > 0)
+    m = DiscreteMeasure(data.draw(finite_arrays((n, d))), weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        write_measure_csv(m, path)
+        _, table = read_float_table(path, "measure")
+        back = read_measure_csv(path)
+    # the file holds the weights bit for bit; reading renormalizes them,
+    # exactly as constructing a measure from those weights does
+    assert_same_bits(table[:, 0], m.weights)
+    assert_same_bits(back.points, m.points)
+    assert_same_bits(back.weights, DiscreteMeasure(m.points, m.weights).weights)

@@ -1,14 +1,18 @@
 """Exact and entropic transport solver tests against independent oracles."""
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hedonic.measures import from_samples
 from hedonic.ot import (
+    SPARSITY_THRESHOLD,
     DualPair,
     TransportPlan,
     _exact_lp,
@@ -16,7 +20,7 @@ from hedonic.ot import (
     barycentric_projection,
     check_cyclical_monotonicity,
     read_duals_csv,
-    read_plan_coupling,
+    read_plan_csv,
     solve_entropic,
     solve_exact,
     surplus_matrix,
@@ -45,6 +49,13 @@ def brute_force_replicated_value(surplus, mu_copies, nu_copies):
     perms = np.array(list(itertools.permutations(range(k))))
     values = surplus[rows[None, :], cols[perms]].sum(axis=1) / k
     return values.max()
+
+
+def dense(plan):
+    """The plan's coupling as a dense matrix."""
+    coupling = np.zeros(plan.shape)
+    coupling[plan.rows, plan.cols] = plan.mass
+    return coupling
 
 
 def random_instance(rng, n, m, uniform=False):
@@ -97,7 +108,7 @@ def test_two_by_two_identity_matching():
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     plan, duals = solve_exact(mu, nu, s)
     assert abs(plan.objective - 0.5) <= 1e-12
-    assert np.allclose(plan.coupling, np.eye(2) / 2)
+    assert np.allclose(dense(plan), np.eye(2) / 2)
     assert duals.v_target[duals.normalization] == 0.0
 
 
@@ -107,7 +118,7 @@ def test_single_target_forced_plan():
     nu = from_samples(np.array([[1.5]]))
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     plan, duals = solve_exact(mu, nu, s)
-    assert np.allclose(plan.coupling[:, 0], mu.weights)
+    assert np.allclose(dense(plan)[:, 0], mu.weights)
     assert abs(plan.objective - mu.weights @ s[:, 0]) <= 1e-12
     assert duals.feasibility_margin(s) >= -1e-9
 
@@ -153,7 +164,7 @@ def test_sorted_bilinear_one_dim_is_comonotone():
         mu, nu = from_samples(eps[:, None]), from_samples(z[:, None])
         s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
         plan, _ = solve_exact(mu, nu, s)
-        assert np.allclose(plan.coupling, np.eye(12) / 12)
+        assert np.allclose(dense(plan), np.eye(12) / 12)
 
 
 def test_bilinear_support_pair_monotonicity():
@@ -178,7 +189,7 @@ def test_entropic_large_epsilon_gives_product_measure():
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     res = solve_entropic(mu, nu, s, epsilon=500.0, tol=1e-12)
     product = np.outer(mu.weights, nu.weights)
-    assert np.abs(res.plan.coupling - product).max() <= 1e-3
+    assert np.abs(dense(res.plan) - product).max() <= 1e-3
 
 
 def test_entropic_small_epsilon_matches_exact_plan():
@@ -188,7 +199,7 @@ def test_entropic_small_epsilon_matches_exact_plan():
     exact_plan, _ = solve_exact(mu, nu, s)
     res = solve_entropic(mu, nu, s, epsilon=1e-3, tol=1e-10)
     assert res.converged
-    assert np.abs(res.plan.coupling - exact_plan.coupling).max() <= 1e-2
+    assert np.abs(dense(res.plan) - dense(exact_plan)).max() <= 1e-2
 
 
 def test_entropic_point_mass_converges_in_one_iteration():
@@ -197,7 +208,7 @@ def test_entropic_point_mass_converges_in_one_iteration():
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     res = solve_entropic(mu, nu, s, epsilon=1.0, tol=1e-12)
     assert res.converged and res.iterations == 1
-    assert np.allclose(res.plan.coupling, [[1.0]])
+    assert np.allclose(dense(res.plan), [[1.0]])
 
 
 def test_entropic_entropy_gap_bound():
@@ -243,7 +254,7 @@ def test_projection_passes_through_permutation_plans():
     perm = rng.permutation(8)
     coupling = np.zeros((8, 8))
     coupling[np.arange(8), perm] = 1 / 8
-    plan = TransportPlan(coupling, 0.0)
+    plan = TransportPlan.from_dense(coupling, 0.0)
     proj, valid = barycentric_projection(plan, pts)
     assert np.all(valid)
     assert np.allclose(proj[perm], pts)
@@ -251,7 +262,7 @@ def test_projection_passes_through_permutation_plans():
 
 def test_projection_averages_split_mass():
     coupling = np.array([[0.5], [0.5]])
-    plan = TransportPlan(coupling, 0.0)
+    plan = TransportPlan.from_dense(coupling, 0.0)
     proj, valid = barycentric_projection(plan, np.array([[0.0], [2.0]]))
     assert valid[0] and proj[0, 0] == 1.0
 
@@ -261,7 +272,7 @@ def test_projection_matches_dense_oracle():
     coupling = rng.random((6, 4))
     coupling /= coupling.sum()
     pts = rng.normal(size=(6, 3))
-    plan = TransportPlan(coupling, 0.0)
+    plan = TransportPlan.from_dense(coupling, 0.0)
     proj, valid = barycentric_projection(plan, pts)
     col = coupling.sum(axis=0)
     oracle = (coupling.T @ pts) / col[:, None]
@@ -270,7 +281,7 @@ def test_projection_matches_dense_oracle():
 
 def test_projection_flags_zero_mass_columns():
     coupling = np.array([[1.0, 0.0]])
-    plan = TransportPlan(coupling, 0.0)
+    plan = TransportPlan.from_dense(coupling, 0.0)
     proj, valid = barycentric_projection(plan, np.array([[3.0]]))
     assert valid[0] and not valid[1]
     assert np.isnan(proj[1, 0])
@@ -298,7 +309,7 @@ def test_swapped_pair_is_detected():
     s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
     coupling = np.eye(4) / 4
     coupling[[0, 1]] = coupling[[1, 0]]  # swap two assignments
-    plan = TransportPlan(coupling, float(np.sum(coupling * s)))
+    plan = TransportPlan.from_dense(coupling, float(np.sum(coupling * s)))
     rep = check_cyclical_monotonicity(plan, s, k=2, trials=2000, seed=2)
     assert rep.violations > 0
     # hand-computed 2-cycle: S(0,1)+S(1,0) - S(0,0) - S(1,1)
@@ -308,13 +319,13 @@ def test_swapped_pair_is_detected():
 
 
 def test_single_support_pair_not_applicable():
-    plan = TransportPlan(np.array([[1.0]]), 0.0)
+    plan = TransportPlan.from_dense(np.array([[1.0]]), 0.0)
     rep = check_cyclical_monotonicity(plan, np.zeros((1, 1)), k=2)
     assert not rep.applicable
 
 
 def test_cycle_length_below_two_rejected():
-    plan = TransportPlan(np.eye(2) / 2, 0.0)
+    plan = TransportPlan.from_dense(np.eye(2) / 2, 0.0)
     with pytest.raises(ValueError):
         check_cyclical_monotonicity(plan, np.zeros((2, 2)), k=1)
 
@@ -331,11 +342,57 @@ def test_plan_and_duals_csv_round_trip(tmp_path):
     plan_path, duals_path = tmp_path / "plan.csv", tmp_path / "duals.csv"
     write_plan_csv(plan, plan_path)
     write_duals_csv(duals, duals_path)
-    coupling = read_plan_coupling(plan_path, plan.shape)
-    assert np.array_equal(coupling, plan.coupling)
+    back = read_plan_csv(plan_path, plan.shape)
+    assert np.array_equal(back.rows, plan.rows)
+    assert np.array_equal(back.cols, plan.cols)
+    assert np.array_equal(back.mass, plan.mass)
     back = read_duals_csv(duals_path)
     assert np.array_equal(back.w_source, duals.w_source)
     assert np.array_equal(back.v_target, duals.v_target)
+
+
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@ROUND_TRIP
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_duals_csv_round_trip_is_bit_exact(n, m, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    duals = DualPair(
+        data.draw(hnp.arrays(np.float64, n, elements=finite)),
+        data.draw(hnp.arrays(np.float64, m, elements=finite)),
+        data.draw(st.integers(0, m - 1)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "duals.csv")
+        write_duals_csv(duals, path)
+        back = read_duals_csv(path)
+    assert back.w_source.tobytes() == duals.w_source.tobytes()
+    assert back.v_target.tobytes() == duals.v_target.tobytes()
+    assert back.normalization == duals.normalization
+
+
+@ROUND_TRIP
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_plan_csv_round_trip_keeps_the_support_triplets(n, m, data):
+    # distinct cells in any order, masses from 0 (dropped) up to huge
+    keys = data.draw(st.lists(st.integers(0, n * m - 1), unique=True, max_size=n * m))
+    masses = data.draw(
+        st.lists(st.floats(0.0, allow_infinity=False), min_size=len(keys), max_size=len(keys))
+    )
+    plan = TransportPlan(
+        [k // m for k in keys], [k % m for k in keys], masses, (n, m), 0.0
+    )
+    assert np.all(plan.mass > 0) and plan.mass.size == sum(w > 0 for w in masses)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.csv")
+        write_plan_csv(plan, path)
+        back = read_plan_csv(path, (n, m))
+    kept = sorted((k, w) for k, w in zip(keys, masses) if w > SPARSITY_THRESHOLD)
+    assert back.shape == (n, m)
+    assert back.rows.tolist() == [k // m for k, _ in kept]
+    assert back.cols.tolist() == [k % m for k, _ in kept]
+    assert back.mass.tobytes() == np.array([w for _, w in kept], dtype=float).tobytes()
 
 
 def test_duals_csv_keeps_a_pin_that_is_not_the_smallest_value(tmp_path):
@@ -430,7 +487,7 @@ def test_size_one_side_couples_by_the_product_of_weights(k, side, data):
     mu = from_samples(mu_pts, data.draw(copy_counts(k, n)) / k)
     nu = from_samples(nu_pts, data.draw(copy_counts(k, m)) / k)
     plan, duals = solve_exact(mu, nu, s)
-    assert np.array_equal(plan.coupling, np.outer(mu.weights, nu.weights))
+    assert np.array_equal(dense(plan), np.outer(mu.weights, nu.weights))
     assert_optimal_duals(mu, nu, s, plan, duals)
 
 
@@ -454,8 +511,8 @@ def test_lp_and_replicated_assignment_agree(instance):
     assert _replication_counts(mu.weights, size) is not None
     assert _replication_counts(nu.weights, size) is not None
     plan, duals = solve_exact(mu, nu, s)
-    coupling, _, _ = _exact_lp(mu.weights, nu.weights, s)
-    assert abs(float(np.sum(coupling * s)) - plan.objective) <= 1e-12
+    lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    assert abs(lp_plan.objective - plan.objective) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
 
 
@@ -477,9 +534,9 @@ def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     mu, nu, s = instance
     n, m = s.shape
     assert _replication_counts(mu.weights, max(n, m)) is None
-    coupling, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
     # crossover ran: a basic solution has at most n + m - 1 nonzeros
-    assert np.count_nonzero(coupling) <= n + m - 1
+    assert lp_plan.mass.size <= n + m - 1
     plan, duals = solve_exact(mu, nu, s)
-    assert np.array_equal(plan.coupling, coupling)
+    assert np.array_equal(dense(plan), dense(lp_plan))
     assert_optimal_duals(mu, nu, s, plan, duals)
