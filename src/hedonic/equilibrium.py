@@ -33,6 +33,10 @@ __all__ = [
     "write_equilibrium_report",
 ]
 
+# Cells per producer block of the max-plus product: 2^15 doubles (256 KB)
+# keep the difference buffer in cache.
+_MAXPLUS_BLOCK_CELLS = 32768
+
 
 class GridBoundaryError(RuntimeError):
     """Too many matched pairs maximize on the quality grid's boundary."""
@@ -133,10 +137,17 @@ class EquilibriumOutcome:
 
 def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray):
     """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), one consumer
-    row at a time so the temporary stays producers x grid."""
-    s = np.empty((consumer_gain.shape[0], producer_cost.shape[0]))
+    row and one block of producers at a time, so the only temporary is a
+    reused buffer of about _MAXPLUS_BLOCK_CELLS cells."""
+    m, g = producer_cost.shape
+    s = np.empty((consumer_gain.shape[0], m))
+    block = max(1, _MAXPLUS_BLOCK_CELLS // g)
+    buf = np.empty((min(block, m), g))
     for i, gain in enumerate(consumer_gain):
-        s[i] = (gain - producer_cost).max(axis=1)
+        for j0 in range(0, m, block):
+            j1 = min(j0 + block, m)
+            diff = np.subtract(gain, producer_cost[j0:j1], out=buf[: j1 - j0])
+            diff.max(axis=1, out=s[i, j0:j1])
     return s
 
 

@@ -42,7 +42,13 @@ from .measures import (
     write_float_table,
     write_json,
 )
-from .ot import TransportPlan, barycentric_projection, solve_exact, surplus_matrix
+from .ot import (
+    TransportPlan,
+    barycentric_projection,
+    exact_solver_path,
+    solve_exact,
+    surplus_matrix,
+)
 from .surplus import SurplusFamily, TwistViolationError, check_twist
 
 __all__ = [
@@ -97,6 +103,20 @@ def _reference_measure(
     if mode == "lattice":
         return reference_lattice(eps_spec, n_ref)
     raise ValueError(f"unknown reference mode {mode!r}")
+
+
+def _solver_diagnostics(
+    eps_spec: DistributionSpec,
+    n_ref: int,
+    mode: str,
+    ref: DiscreteMeasure,
+    nu: DiscreteMeasure,
+) -> dict:
+    """The exact solver's path and, for a lattice reference, its per-axis counts."""
+    out = {"solver_path": exact_solver_path(ref.weights, nu.weights)}
+    if mode == "lattice":
+        out["reference_shape"] = list(eps_spec.lattice_shape(n_ref))
+    return out
 
 
 def default_neighbor_count(d_z: int) -> int:
@@ -371,6 +391,9 @@ def _identify_via_transport(
         },
     }
     diagnostics.update(
+        _solver_diagnostics(eps_spec, n_ref, reference_mode, ref, slice_.z_measure)
+    )
+    diagnostics.update(
         _foc_edge_residuals(f, x, slice_.z_measure.points, inverse_demand, duals.v_target)
     )
     return IdentifiedPotential(
@@ -466,6 +489,9 @@ def simultaneous_equations_identify(
                 abs(plan.objective - duals.objective(ref.weights, slice_.z_measure.weights))
             ),
         }
+        diagnostics.update(
+            _solver_diagnostics(eps_spec, n_ref, reference_mode, ref, slice_.z_measure)
+        )
         out.append(
             ForwardMapEstimate(
                 x_value=slice_.x_value,

@@ -427,20 +427,35 @@ class DistributionSpec:
         cols = [self._axis_ppf(k, u[:, k]) for k in range(d)]
         return np.column_stack(cols)
 
-    def lattice(self, n: int) -> np.ndarray:
-        """Deterministic quantile lattice with about n points.
+    def lattice_shape(self, n: int) -> tuple:
+        """Per-axis node counts of `lattice(n)`.
 
-        Uses k = round(n^(1/d)) nodes per axis at the (i+0.5)/k
-        quantiles, so the actual size is k^d.
+        Exactly n points when n has a balanced factorization: counts
+        k_1 <= ... <= k_d with product n and k_d <= 2 k_1, the one with
+        the smallest k_d / k_1 (so d = 1 and perfect powers give n^(1/d)
+        per axis).  Otherwise k = round(n^(1/d)) on every axis, k^d points.
+        A point spec has a single node.
         """
         if n < 1:
             raise ValueError("need n >= 1 lattice points")
         d = self.dim
         if self.kind == "point":
+            return (1,) * d
+        balanced = [k for k in _ordered_factorizations(n, d, 1) if k[-1] <= 2 * k[0]]
+        if balanced:
+            return min(balanced, key=lambda k: (k[-1] / k[0], k))
+        return (max(1, int(round(n ** (1.0 / d)))),) * d
+
+    def lattice(self, n: int) -> np.ndarray:
+        """Deterministic quantile lattice of `lattice_shape(n)` nodes.
+
+        Axis a holds its (i+0.5)/k_a quantiles; with uniform weights an
+        n-point lattice makes n * weights integral for exact transport.
+        """
+        shape = self.lattice_shape(n)
+        if self.kind == "point":
             return np.tile(self.params["value"], (1, 1))
-        k = max(1, int(round(n ** (1.0 / d))))
-        q = (np.arange(k) + 0.5) / k
-        axes = [self._axis_ppf(a, q) for a in range(d)]
+        axes = [self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
@@ -465,6 +480,20 @@ class DistributionSpec:
         raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+def _ordered_factorizations(n: int, d: int, lo: int):
+    """Every nondecreasing d-tuple of integers >= lo whose product is n."""
+    if d == 1:
+        if n >= lo:
+            yield (n,)
+        return
+    k = lo
+    while k**d <= n:
+        if n % k == 0:
+            for rest in _ordered_factorizations(n // k, d - 1, k):
+                yield (k,) + rest
+        k += 1
+
+
 def sample_reference(spec: DistributionSpec, n: int, seed: int) -> DiscreteMeasure:
     """Discretize a reference distribution by n seeded draws, uniform weights."""
     rng = np.random.default_rng(seed)
@@ -472,7 +501,8 @@ def sample_reference(spec: DistributionSpec, n: int, seed: int) -> DiscreteMeasu
 
 
 def reference_lattice(spec: DistributionSpec, n: int) -> DiscreteMeasure:
-    """Deterministic lattice discretization (about n points, uniform weights)."""
+    """Deterministic lattice discretization (`spec.lattice_shape(n)` nodes,
+    uniform weights)."""
     return from_samples(spec.lattice(n))
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "MonotonicityReport",
     "surplus_matrix",
     "solve_exact",
+    "exact_solver_path",
     "solve_entropic",
     "barycentric_projection",
     "check_cyclical_monotonicity",
@@ -289,6 +290,21 @@ def _exact_lp(mu_w, nu_w, surplus):
     return plan, w, v
 
 
+def exact_solver_path(mu_weights: np.ndarray, nu_weights: np.ndarray) -> str:
+    """The path `solve_exact` takes for these marginals: "size-1",
+    "replicated" or "lp" (see the module docstring)."""
+    n, m = len(mu_weights), len(nu_weights)
+    if min(n, m) == 1:
+        return "size-1"
+    size = max(n, m)
+    if (
+        _replication_counts(mu_weights, size) is not None
+        and _replication_counts(nu_weights, size) is not None
+    ):
+        return "replicated"
+    return "lp"
+
+
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     """Exact Kantorovich solve: optimal plan plus dual potentials.
 
@@ -306,15 +322,16 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     mu_w, nu_w = mu.weights, nu.weights
     ref = _lexicographic_ref(nu.points)
 
-    size = max(n, m)
-    mu_copies = _replication_counts(mu_w, size)
-    nu_copies = _replication_counts(nu_w, size)
+    path = exact_solver_path(mu_w, nu_w)
     w = v = None
-    if min(n, m) == 1:
+    if path == "size-1":
         rows, cols = np.divmod(np.arange(n * m), m)
         triplets = rows, cols, mu_w[rows] * nu_w[cols]
-    elif mu_copies is not None and nu_copies is not None:
-        triplets = _exact_replicated(mu_w, surplus, mu_copies, nu_copies)
+    elif path == "replicated":
+        size = max(n, m)
+        triplets = _exact_replicated(
+            mu_w, surplus, _replication_counts(mu_w, size), _replication_counts(nu_w, size)
+        )
     else:
         plan, w, v = _exact_lp(mu_w, nu_w, surplus)
 
@@ -560,21 +577,33 @@ def write_duals_csv(duals: DualPair, path) -> None:
 
 
 def read_duals_csv(path) -> DualPair:
-    """Inverse of write_duals_csv; a file without its pin row is rejected."""
-    w, v = [], []
-    pin = None
+    """Inverse of write_duals_csv.
+
+    Raises ValueError unless every row is side,idx,value with side
+    source, target or pin, source and target each list the indices
+    0..len-1 exactly once, and one pin row names a target index.
+    """
+    rows = {"source": [], "target": [], "pin": []}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            if row[0] == "pin":
-                pin = int(row[1])
-                continue
-            (w if row[0] == "source" else v).append((int(row[1]), float(row[2])))
-    if pin is None:
-        raise ValueError(f"duals file {path} has no pin row")
-    w_arr = np.array([val for _, val in sorted(w)])
-    v_arr = np.array([val for _, val in sorted(v)])
-    return DualPair(w_arr, v_arr, pin)
+        next(reader, None)
+        for row in filter(None, reader):
+            if row[0] not in rows or len(row) != 3:
+                raise ValueError(f"duals file {path} has a malformed row {row!r}")
+            rows[row[0]].append((int(row[1]), float(row[2])))
+    if len(rows["pin"]) != 1:
+        raise ValueError(f"duals file {path} needs exactly one pin row")
+
+    def values(side):
+        pairs = sorted(rows[side])
+        if [i for i, _ in pairs] != list(range(len(pairs))):
+            raise ValueError(
+                f"duals file {path}: {side} indices are not 0..{len(pairs) - 1} once each"
+            )
+        return np.array([val for _, val in pairs])
+
+    w, v = values("source"), values("target")
+    pin = rows["pin"][0][0]
+    if not 0 <= pin < v.size:
+        raise ValueError(f"duals file {path}: pin {pin} is not a target index")
+    return DualPair(w, v, pin)

@@ -300,6 +300,37 @@ def test_check_rejects_bad_plan_indices(tmp_path, entries):
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "targets, code",
+    [("target,0,0\ntarget,1,0\n", 0), ("target,0,0\ntarget,0,0\n", 1)],
+    ids=["well-formed", "repeated-target"],
+)
+def test_check_rejects_a_malformed_duals_file(tmp_path, targets, code):
+    pts = from_samples(np.array([[0.0], [1.0]]))
+    write_measure_csv(pts, tmp_path / "mu.csv")
+    write_measure_csv(pts, tmp_path / "nu.csv")
+    (tmp_path / "plan.csv").write_text("i,j,mass\n0,0,0.5\n1,1,0.5\n")
+    (tmp_path / "duals.csv").write_text(
+        "side,idx,value\nsource,0,0\nsource,1,1\n" + targets + "pin,0,0\n"
+    )
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 0,
+            "check": {
+                "plan": {
+                    "plan": str(tmp_path / "plan.csv"),
+                    "source": str(tmp_path / "mu.csv"),
+                    "target": str(tmp_path / "nu.csv"),
+                    "zeta": {"kind": "bilinear", "dim": 1},
+                    "duals": str(tmp_path / "duals.csv"),
+                },
+            },
+        },
+    )
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == code
+
+
 def test_conjugate_command(tmp_path):
     from hedonic.conjugate import GridFunction, write_grid_function_csv
     from hedonic.measures import from_samples as fs

@@ -1,10 +1,14 @@
 """Market construction, verification, and diagnostics tests."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hedonic import equilibrium
 from hedonic.equilibrium import (
     GridBoundaryError,
     _pairwise_max_surplus,
@@ -99,6 +103,40 @@ def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
     cost = rng.integers(-3, 4, size=(5, 40)).astype(float)
     dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
     assert np.array_equal(_pairwise_max_surplus(gain, cost), dense)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 7, 1, 3, True, 0)  # n = 1, G = 1, 3-row blocks leave a remainder
+@example(2, 7, 2, 6, True, 1)  # 3-row blocks, 7 producers
+@example(3, 5, 12, 5, False, 2)  # G above the block: one producer per block
+def test_blocked_max_plus_equals_the_dense_max_bitwise(n, m, g, block_cells, ints, seed):
+    rng = np.random.default_rng(seed)
+    if ints:  # tied integer values
+        gain = rng.integers(-3, 4, size=(n, g)).astype(float)
+        cost = rng.integers(-3, 4, size=(m, g)).astype(float)
+    else:
+        gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
+    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+        got = _pairwise_max_surplus(gain, cost)
+    assert got.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("m, g", [(70, 1000), (3, 32768 + 5)])
+def test_blocked_max_plus_at_the_module_block_size(m, g):
+    # 32 producers per block with a remainder of 6; a grid above the block
+    rng = np.random.default_rng(g)
+    gain, cost = rng.normal(size=(2, g)), rng.normal(size=(m, g))
+    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
+    assert _pairwise_max_surplus(gain, cost).tobytes() == dense.tobytes()
 
 
 def test_tinbergen_market_matches_analytic_quality():

@@ -304,6 +304,42 @@ def test_round_trip_error_improves_as_reference_doubles():
     assert errors[0] > errors[1] > errors[2] > errors[3]
 
 
+def round_trip_spec_2d():
+    """Criterion 7's 2-D bilinear market: u_bar = -|z - 4|^2 / 2, cost |z|^2 / 2 - y.z."""
+    return StructuralSpec(
+        u_bar=ScalarFamily.neg_quadratic(np.eye(2), center_offset=[4.0, 4.0], d_a=1),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "z": [2, 0]}, {"coeff": 0.5, "z": [0, 2]},
+             {"coeff": -1.0, "a": [1, 0], "z": [1, 0]},
+             {"coeff": -1.0, "a": [0, 1], "z": [0, 1]}], 2, 2,
+        ),
+        zeta=SurplusFamily.bilinear(2, d_x=1),
+    )
+
+
+@pytest.mark.parametrize("n, res, shape", [(200, 42, [10, 20]), (300, 52, [15, 20])])
+def test_round_trip_lattice_takes_the_replicated_assignment(n, res, shape):
+    eps_spec = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
+    out = simulate_market(
+        round_trip_spec_2d(), DistributionSpec.point([1.0]), eps_spec, eps_spec,
+        n, n, build_z_grid([1.9, 1.9], [3.1, 3.1], res), seed=20,
+    )
+    sl = partition_by_x(out.dataset, "exact")[0]
+    pot = general_identify(
+        sl, eps_spec, SurplusFamily.bilinear(2, d_x=1), n_ref=n, reference_mode="lattice"
+    )
+    assert pot.diagnostics["solver_path"] == "replicated"
+    assert pot.diagnostics["reference_shape"] == shape
+    assert pot.diagnostics["n_ref"] == n
+
+
+def test_sampled_reference_reports_its_path_without_a_shape():
+    sl = make_slice([[0.1, 0.2], [0.4, 0.9], [0.8, 0.3]], np.zeros(3))
+    pot = brenier_identify(sl, DistributionSpec.uniform([0, 0], [1, 1]), n_ref=5, seed=1)
+    assert pot.diagnostics["solver_path"] == "lp"  # 5 x 3 uniform: 5/3 copies
+    assert "reference_shape" not in pot.diagnostics
+
+
 def test_foc_residuals_reported_and_small_on_smooth_data():
     n = 60
     z = np.linspace(0.0, 1.0, n)
@@ -323,6 +359,15 @@ def test_simeq_identity_map():
     lattice = spec.lattice(36)
     ds = MarketDataset(np.zeros((36, 1)), lattice, np.zeros(36))
     est = simultaneous_equations_identify(ds, spec, n_ref=36, reference_mode="lattice")[0]
+    assert np.abs(est.z_hat - est.eps_points).max() <= 1e-12
+
+
+def test_simeq_reports_the_path_and_the_lattice_shape():
+    spec = DistributionSpec.uniform([0, 0], [1, 1])
+    ds = MarketDataset(np.zeros((200, 1)), spec.lattice(200), np.zeros(200))
+    est = simultaneous_equations_identify(ds, spec, n_ref=200, reference_mode="lattice")[0]
+    assert est.diagnostics["solver_path"] == "replicated"
+    assert est.diagnostics["reference_shape"] == [10, 20]
     assert np.abs(est.z_hat - est.eps_points).max() <= 1e-12
 
 

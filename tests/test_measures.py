@@ -1,11 +1,12 @@
 """Measures, partitioning, reference sampling, and quantile tests."""
 
+import itertools
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -286,6 +287,82 @@ def test_uniform_lattice_hits_midpoints():
     spec = DistributionSpec.uniform([0.0], [1.0])
     lat = reference_lattice(spec, 4)
     assert np.allclose(np.sort(lat.points[:, 0]), [0.125, 0.375, 0.625, 0.875])
+
+
+def _old_lattice(spec, n):
+    """The k = round(n^(1/d)) lattice rule of earlier versions."""
+    d = spec.dim
+    k = max(1, int(round(n ** (1.0 / d))))
+    q = (np.arange(k) + 0.5) / k
+    mesh = np.meshgrid(*[spec._axis_ppf(a, q) for a in range(d)], indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def _balanced_shapes(n, d):
+    """Every nondecreasing d-tuple with product n and k_d <= 2 k_1, by brute force."""
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    return [
+        k for k in itertools.combinations_with_replacement(divisors, d)
+        if np.prod(k) == n and k[-1] <= 2 * k[0]
+    ]
+
+
+LATTICE_SPECS = {
+    2: [
+        DistributionSpec.uniform([0.0, -1.0], [1.0, 3.0]),
+        DistributionSpec.product(
+            [{"kind": "normal", "mu": 1.0, "sigma": 0.5}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}]
+        ),
+    ],
+    3: [
+        DistributionSpec.gaussian(3, [-1.0, -2.0, 0.0], [1.0, 1.0, 2.0]),
+        DistributionSpec.gaussian(3),
+    ],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 2000), st.integers(0, 1))
+@example(2, 196, 0)  # 14^2
+@example(2, 200, 1)  # 10 x 20
+@example(3, 1999, 0)  # 10^3
+@example(3, 47, 1)  # 24 = 2 x 3 x 4
+def test_lattice_honours_n_on_balanced_factorizations(d, n, which):
+    n = n if d == 2 else (n + 1) // 2  # d = 3 draws n <= 1000
+    spec = LATTICE_SPECS[d][which]
+    shape = spec.lattice_shape(n)
+    points = spec.lattice(n)
+    balanced = _balanced_shapes(n, d)
+    if balanced:
+        assert points.shape == (n, d)
+        assert shape in balanced
+        assert shape[-1] / shape[0] == min(k[-1] / k[0] for k in balanced)
+    else:
+        k = max(1, int(round(n ** (1.0 / d))))
+        assert shape == (k,) * d and points.shape == (k**d, d)
+    for a, k in enumerate(shape):
+        q = (np.arange(k) + 0.5) / k
+        assert np.array_equal(np.unique(points[:, a]), np.sort(spec._axis_ppf(a, q)))
+    root = int(round(n ** (1.0 / d)))
+    if root**d == n:
+        assert points.tobytes() == _old_lattice(spec, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "d, n", [(1, 1), (1, 7), (1, 200), (1, 301), (2, 1), (2, 64), (2, 100), (3, 343), (3, 1000)]
+)
+def test_lattice_keeps_the_old_rule_for_powers_and_one_axis(d, n):
+    spec = DistributionSpec.gaussian(d)
+    assert spec.lattice(n).tobytes() == _old_lattice(spec, n).tobytes()
+
+
+def test_round_trip_sizes_get_exact_lattices():
+    spec = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
+    assert spec.lattice_shape(200) == (10, 20)
+    assert spec.lattice_shape(300) == (15, 20)
+    assert spec.lattice_shape(24) == (4, 6)
+    assert spec.lattice_shape(13) == (4, 4)  # prime: old k^d rule
+    assert reference_lattice(spec, 200).n == 200
 
 
 def test_point_spec_is_degenerate():

@@ -19,6 +19,7 @@ from hedonic.ot import (
     _replication_counts,
     barycentric_projection,
     check_cyclical_monotonicity,
+    exact_solver_path,
     read_duals_csv,
     read_plan_csv,
     solve_entropic,
@@ -412,6 +413,25 @@ def test_duals_csv_without_pin_row_rejected(tmp_path):
         read_duals_csv(path)
 
 
+GOOD_DUALS = ["source,0,1.0", "source,1,2.0", "target,0,0.0", "target,1,0.5", "pin,0,0"]
+
+
+@pytest.mark.parametrize(
+    "index, row",
+    [(1, "source,0,2.0"), (3, "target,0,0.5"), (1, "source,2,2.0"), (3, "target,-1,0.5"),
+     (3, "tagret,1,0.5"), (4, "pin,2,0"), (4, "pin,-1,0"), (4, "pin,0"), (5, "pin,1,0")],
+    ids=["repeated-source", "repeated-target", "source-gap", "negative-target",
+         "unknown-side", "pin-past-targets", "negative-pin", "short-row", "two-pins"],
+)
+def test_duals_csv_with_a_malformed_row_rejected(tmp_path, index, row):
+    rows = list(GOOD_DUALS)
+    rows[index : index + 1] = [row]  # index 5 appends a row
+    path = tmp_path / "duals.csv"
+    path.write_text("side,idx,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="duals file"):
+        read_duals_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # solve_exact properties: every dispatch path against independent oracles
 # ---------------------------------------------------------------------------
@@ -486,6 +506,7 @@ def test_size_one_side_couples_by_the_product_of_weights(k, side, data):
     mu_pts, nu_pts, s = data.draw(surplus_instances(n, m))
     mu = from_samples(mu_pts, data.draw(copy_counts(k, n)) / k)
     nu = from_samples(nu_pts, data.draw(copy_counts(k, m)) / k)
+    assert exact_solver_path(mu.weights, nu.weights) == "size-1"
     plan, duals = solve_exact(mu, nu, s)
     assert np.array_equal(dense(plan), np.outer(mu.weights, nu.weights))
     assert_optimal_duals(mu, nu, s, plan, duals)
@@ -510,6 +531,7 @@ def test_lp_and_replicated_assignment_agree(instance):
     size = max(s.shape)
     assert _replication_counts(mu.weights, size) is not None
     assert _replication_counts(nu.weights, size) is not None
+    assert exact_solver_path(mu.weights, nu.weights) == "replicated"
     plan, duals = solve_exact(mu, nu, s)
     lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
     assert abs(lp_plan.objective - plan.objective) <= 1e-12
@@ -534,6 +556,7 @@ def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     mu, nu, s = instance
     n, m = s.shape
     assert _replication_counts(mu.weights, max(n, m)) is None
+    assert exact_solver_path(mu.weights, nu.weights) == "lp"
     lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
     # crossover ran: a basic solution has at most n + m - 1 nonzeros
     assert lp_plan.mass.size <= n + m - 1
