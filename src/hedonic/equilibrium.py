@@ -11,6 +11,8 @@ identification pipelines for round-trip validation.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,19 +137,47 @@ class EquilibriumOutcome:
         return self.spec.cost.pairwise_grid(self.producer_y, z_points)
 
 
+def _maxplus_workers(n: int) -> int:
+    """Threads for an n-row max-plus product: one per CPU this process may
+    run on, at most one per row."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n))
+
+
 def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray):
-    """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), one consumer
-    row and one block of producers at a time, so the only temporary is a
-    reused buffer of about _MAXPLUS_BLOCK_CELLS cells."""
+    """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]).
+
+    Consumer rows are split into contiguous ranges, one per worker thread
+    (see _maxplus_workers); numpy's subtract and max release the GIL, so the
+    ranges run in parallel.  Each worker takes one consumer row and one
+    block of producers at a time, so its only temporary is a reused buffer
+    of about _MAXPLUS_BLOCK_CELLS cells.  Every entry is computed by the
+    same operations for any split, so S is bit-identical to the serial
+    product.
+    """
+    n = consumer_gain.shape[0]
     m, g = producer_cost.shape
-    s = np.empty((consumer_gain.shape[0], m))
+    s = np.empty((n, m))
     block = max(1, _MAXPLUS_BLOCK_CELLS // g)
-    buf = np.empty((min(block, m), g))
-    for i, gain in enumerate(consumer_gain):
-        for j0 in range(0, m, block):
-            j1 = min(j0 + block, m)
-            diff = np.subtract(gain, producer_cost[j0:j1], out=buf[: j1 - j0])
-            diff.max(axis=1, out=s[i, j0:j1])
+
+    def fill(i0, i1):
+        buf = np.empty((min(block, m), g))
+        for i in range(i0, i1):
+            gain = consumer_gain[i]
+            for j0 in range(0, m, block):
+                j1 = min(j0 + block, m)
+                diff = np.subtract(gain, producer_cost[j0:j1], out=buf[: j1 - j0])
+                diff.max(axis=1, out=s[i, j0:j1])
+
+    workers = _maxplus_workers(n)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        for future in futures:
+            future.result()
     return s
 
 

@@ -96,38 +96,61 @@ def test_joint_surplus_tie_breaks_to_lowest_index():
 # ---------------------------------------------------------------------------
 
 
+def dense_max_plus(gain, cost):
+    return (gain[:, None, :] - cost[None, :, :]).max(axis=2)
+
+
 def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
     rng = np.random.default_rng(12)
     # integer values make ties and equal maxima common
     gain = rng.integers(-3, 4, size=(7, 40)).astype(float)
     cost = rng.integers(-3, 4, size=(5, 40)).astype(float)
-    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
-    assert np.array_equal(_pairwise_max_surplus(gain, cost), dense)
+    assert np.array_equal(_pairwise_max_surplus(gain, cost), dense_max_plus(gain, cost))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(1, 4),
+    st.integers(1, 9),
     st.integers(1, 9),
     st.integers(1, 12),
     st.integers(1, 40),
+    st.sampled_from([1, 2, 3, 7]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(1, 7, 1, 3, True, 0)  # n = 1, G = 1, 3-row blocks leave a remainder
-@example(2, 7, 2, 6, True, 1)  # 3-row blocks, 7 producers
-@example(3, 5, 12, 5, False, 2)  # G above the block: one producer per block
-def test_blocked_max_plus_equals_the_dense_max_bitwise(n, m, g, block_cells, ints, seed):
+@example(1, 7, 1, 3, 1, True, 0)  # n = 1, G = 1, 3-row blocks leave a remainder
+@example(2, 7, 2, 6, 2, True, 1)  # 3-row blocks, 7 producers
+@example(3, 5, 12, 5, 3, False, 2)  # G above the block: one producer per block
+@example(1, 4, 3, 40, 7, True, 3)  # one row, more CPUs than rows
+@example(5, 3, 4, 8, 7, False, 4)  # fewer rows than CPUs
+@example(8, 6, 5, 11, 3, True, 5)  # 8 rows over 3 workers: 2, 3, 3
+def test_blocked_max_plus_equals_the_dense_max_bitwise(
+    n, m, g, block_cells, cpus, ints, seed
+):
     rng = np.random.default_rng(seed)
     if ints:  # tied integer values
         gain = rng.integers(-3, 4, size=(n, g)).astype(float)
         cost = rng.integers(-3, 4, size=(m, g)).astype(float)
     else:
         gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
-    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells), \
+            mock.patch.object(equilibrium.os, "sched_getaffinity",
+                              return_value=set(range(cpus))):
+        assert equilibrium._maxplus_workers(n) == min(cpus, n)
         got = _pairwise_max_surplus(gain, cost)
-    assert got.tobytes() == dense.tobytes()
+    assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+@pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+def test_max_plus_without_an_affinity_call_uses_the_cpu_count(
+    monkeypatch, cpu_count, workers
+):
+    monkeypatch.delattr(equilibrium.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(equilibrium.os, "cpu_count", lambda: cpu_count)
+    assert equilibrium._maxplus_workers(10) == workers
+    rng = np.random.default_rng(workers)
+    gain, cost = rng.normal(size=(10, 30)), rng.normal(size=(4, 30))
+    assert _pairwise_max_surplus(gain, cost).tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 @pytest.mark.parametrize("m, g", [(70, 1000), (3, 32768 + 5)])
@@ -135,8 +158,7 @@ def test_blocked_max_plus_at_the_module_block_size(m, g):
     # 32 producers per block with a remainder of 6; a grid above the block
     rng = np.random.default_rng(g)
     gain, cost = rng.normal(size=(2, g)), rng.normal(size=(m, g))
-    dense = (gain[:, None, :] - cost[None, :, :]).max(axis=2)
-    assert _pairwise_max_surplus(gain, cost).tobytes() == dense.tobytes()
+    assert _pairwise_max_surplus(gain, cost).tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 def test_tinbergen_market_matches_analytic_quality():

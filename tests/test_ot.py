@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hedonic.measures import from_samples
+from hedonic.measures import DistributionSpec, from_samples, reference_lattice
 from hedonic.ot import (
     SPARSITY_THRESHOLD,
     DualPair,
     TransportPlan,
+    _duals_from_support,
     _exact_lp,
+    _lexicographic_ref,
     _replication_counts,
     barycentric_projection,
     check_cyclical_monotonicity,
@@ -562,4 +564,66 @@ def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     assert lp_plan.mass.size <= n + m - 1
     plan, duals = solve_exact(mu, nu, s)
     assert np.array_equal(dense(plan), dense(lp_plan))
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+# ---------------------------------------------------------------------------
+# dual reconstruction: the worklist against the full Jacobi sweep
+# ---------------------------------------------------------------------------
+
+
+def sweep_duals(surplus, ii, jj, ref):
+    """Reference: the full Jacobi sweep that relaxes every support pair in
+    every round.  Returns (w, v, number of rounds that changed v)."""
+    m = surplus.shape[1]
+    v = np.full(m, -np.inf)
+    v[ref if np.any(jj == ref) else jj[0]] = 0.0
+    rows = surplus[ii, :]
+    rounds = 0
+    for _ in range(m + 1):
+        cand = (v[jj] - surplus[ii, jj])[:, None] + rows
+        new_v = np.maximum(v, cand.max(axis=0))
+        if np.array_equal(new_v, v):
+            break
+        v = new_v
+        rounds += 1
+    w = (surplus - v[None, :]).max(axis=1)
+    return w, v, rounds
+
+
+def assert_duals_match_the_sweep(s, plan, ref):
+    w, v = _duals_from_support(s, plan.rows, plan.cols, ref)
+    w_ref, v_ref, rounds = sweep_duals(s, plan.rows, plan.cols, ref)
+    assert w.tobytes() == w_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+    return rounds
+
+
+@PROPERTY
+@given(rational_instances())
+def test_worklist_duals_match_the_full_sweep_bitwise(instance):
+    # tied integer surpluses (zero-length cycles), duplicate points and
+    # zero-copy targets, on supports from every solve_exact path
+    mu, nu, s, _, _ = instance
+    plan, _ = solve_exact(mu, nu, s)
+    # every pin, so massless ones start the chains at the first support target
+    for ref in range(nu.n):
+        assert_duals_match_the_sweep(s, plan, ref)
+
+
+def test_worklist_duals_match_the_sweep_when_a_float_instance_hits_the_cap():
+    # README spec, as identification sees it at n = 300: a 300-point eps
+    # lattice on the unit box against qualities on the 52^2 grid over
+    # [1.9, 3.1]^2, duplicates merged into count / 300 weights
+    rng = np.random.default_rng(0)
+    mu = reference_lattice(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), 300)
+    grid = np.linspace(1.9, 3.1, 52)
+    z = grid[rng.integers(0, 52, size=(300, 2))]
+    points, counts = np.unique(z, axis=0, return_counts=True)
+    nu = from_samples(points, counts / 300)
+    s = surplus_matrix(mu, nu, SurplusFamily.bilinear(2))
+    plan, duals = solve_exact(mu, nu, s)
+    assert exact_solver_path(mu.weights, nu.weights) == "replicated"
+    rounds = assert_duals_match_the_sweep(s, plan, _lexicographic_ref(nu.points))
+    assert rounds == nu.n + 1  # creeping targets keep it running to the cap
     assert_optimal_duals(mu, nu, s, plan, duals)
