@@ -111,6 +111,7 @@ def cmd_simulate(config: dict, seed: int, out_dir: str) -> int:
         "n_pairs": outcome.n_pairs,
         "objective": outcome.matching.objective,
         "atomlessness": eq.atomlessness_diagnostic(outcome),
+        "maxplus": outcome.maxplus,
     }
     eq.write_equilibrium_report(
         report, extra, _out_path(out_dir, resolved["outputs"]["report"])

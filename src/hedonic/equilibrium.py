@@ -38,6 +38,9 @@ __all__ = [
 # Cells per producer block of the max-plus product: 2^15 doubles (256 KB)
 # keep the difference buffer in cache.
 _MAXPLUS_BLOCK_CELLS = 32768
+# Consumers x producers per tile of the pruned max-plus product: each tile
+# gathers its candidate columns once, and its 16 consumer rows share them.
+_MAXPLUS_TILE = (16, 128)
 
 
 class GridBoundaryError(RuntimeError):
@@ -95,6 +98,7 @@ class EquilibriumOutcome:
     traded_z: np.ndarray
     prices: np.ndarray
     boundary_fraction: float
+    maxplus: dict  # grid_points, cells_dense (n m G), cells_evaluated
 
     @property
     def indirect_v(self) -> np.ndarray:
@@ -147,38 +151,194 @@ def _maxplus_workers(n: int) -> int:
     return max(1, min(cpus, n))
 
 
-def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray):
+def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid=None):
     """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]).
 
-    Consumer rows are split into contiguous ranges, one per worker thread
-    (see _maxplus_workers); numpy's subtract and max release the GIL, so the
-    ranges run in parallel.  Each worker takes one consumer row and one
-    block of producers at a time, so its only temporary is a reused buffer
-    of about _MAXPLUS_BLOCK_CELLS cells.  Every entry is computed by the
-    same operations for any split, so S is bit-identical to the serial
-    product.
+    Each pair is evaluated only on the grid points that a dominance
+    certificate cannot exclude; S is bit-identical to the dense product.
+
+    Partners: for each grid axis, every point is paired with its previous
+    and next point in a lexsort along that axis (the axis neighbours on a
+    build_z_grid lattice; consecutive indices when no grid is given).  The
+    partner choice sets only how much is pruned, never the result, so any
+    grid works, scattered or with duplicate points.
+
+    Masks: point g leaves consumer row i's mask when, for some partner g',
+    the rounded step gain[i, g'] - gain[i, g] is above every producer's
+    rounded step cost[j, g'] - cost[j, g]; it leaves producer row j's mask
+    when j's rounded cost step is below every consumer's gain step.  Each
+    step is one rounded subtraction of exact inputs, and rounding is
+    monotone, so a rounded step above another means a strictly larger real
+    step: no tolerance is needed.  A dropped point therefore has a strictly
+    larger real surplus at g' for every pair it was dropped for, and (again
+    by monotone rounding) a float surplus at g' at least as large.  Real
+    values rise strictly along a chain of drops, so every chain ends at a
+    point kept for that pair, and the max over the kept points is the dense
+    max, bit for bit.  The masks are booleans built in row chunks of about
+    _MAXPLUS_BLOCK_CELLS cells.
+
+    Tiles: consumers and producers are ordered by the mean kept grid index
+    of their masks and cut into tiles of _MAXPLUS_TILE rows; a tile is
+    evaluated on the union of its consumers' masks intersected with the
+    union of its producers' masks.  It gathers those gain columns once, and
+    those cost columns in blocks of at most _MAXPLUS_BLOCK_CELLS cells (one
+    producer row when a tile keeps more columns); every consumer row of the
+    tile then runs np.subtract and max(axis=1) on a block into a reused
+    buffer of the same size.  Row tiles are split into contiguous ranges
+    over _maxplus_workers threads; numpy's subtract and max release the
+    GIL.  With one worker the tiles run on the calling thread.  There is
+    no flag: every entry is the max of the same float values for any
+    split or order.
     """
-    n = consumer_gain.shape[0]
-    m, g = producer_cost.shape
+    return _max_plus(consumer_gain, producer_cost, grid)[0]
+
+
+def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
+    """_pairwise_max_surplus, and the number of cells it evaluated."""
+    n, g = consumer_gain.shape
+    m = producer_cost.shape[0]
     s = np.empty((n, m))
-    block = max(1, _MAXPLUS_BLOCK_CELLS // g)
+    if n == 0 or m == 0:
+        return s, 0
+    (cmask, ckey), (dmask, dkey) = _candidate_masks(consumer_gain, producer_cost, grid)
 
-    def fill(i0, i1):
-        buf = np.empty((min(block, m), g))
-        for i in range(i0, i1):
-            gain = consumer_gain[i]
-            for j0 in range(0, m, block):
-                j1 = min(j0 + block, m)
-                diff = np.subtract(gain, producer_cost[j0:j1], out=buf[: j1 - j0])
-                diff.max(axis=1, out=s[i, j0:j1])
+    tile_rows, tile_cols = _MAXPLUS_TILE
+    corder = np.argsort(ckey, kind="stable")
+    dorder = np.argsort(dkey, kind="stable")
+    row_tiles = [corder[i:i + tile_rows] for i in range(0, n, tile_rows)]
+    col_tiles = [dorder[j:j + tile_cols] for j in range(0, m, tile_cols)]
+    col_unions = [dmask[cols].any(axis=0) for cols in col_tiles]
 
-    workers = _maxplus_workers(n)
-    bounds = [n * k // workers for k in range(workers + 1)]
+    def fill(tiles):
+        buf = np.empty(max(_MAXPLUS_BLOCK_CELLS, g))
+        out = np.empty((tile_rows, tile_cols))
+        cells = 0
+        for rows in tiles:
+            row_union = cmask[rows].any(axis=0)
+            for cols, col_union in zip(col_tiles, col_unions):
+                kept = np.flatnonzero(row_union & col_union)
+                k = kept.size
+                gain = consumer_gain[np.ix_(rows, kept)]
+                block = max(1, _MAXPLUS_BLOCK_CELLS // k)
+                res = out[: rows.size, : cols.size]
+                for j0 in range(0, cols.size, block):
+                    part = cols[j0:j0 + block]
+                    cost = producer_cost[np.ix_(part, kept)]
+                    diff = buf[: part.size * k].reshape(part.size, k)
+                    for r in range(rows.size):
+                        np.subtract(gain[r], cost, out=diff)
+                        diff.max(axis=1, out=res[r, j0:j0 + part.size])
+                s[np.ix_(rows, cols)] = res
+                cells += rows.size * cols.size * k
+        return cells
+
+    workers = _maxplus_workers(len(row_tiles))
+    if workers == 1:
+        return s, fill(row_tiles)
+    bounds = [len(row_tiles) * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        for future in futures:
-            future.result()
-    return s
+        futures = [
+            pool.submit(fill, row_tiles[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        cells = sum(future.result() for future in futures)
+    return s, cells
+
+
+def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
+    """(mask, key) of the consumer rows and of the producer rows: the grid
+    points each row keeps (see _pairwise_max_surplus) and its mean kept
+    grid index."""
+    g = consumer_gain.shape[1]
+    chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
+    orders = _grid_orders(grid, g)
+    gain_range = _step_range(consumer_gain, orders, chunk)
+    cost_range = _step_range(producer_cost, orders, chunk)
+    # a consumer drops a point when its gain step to a partner is above
+    # every producer's cost step, and a producer when its cost step is
+    # below every consumer's gain step; producer steps are negated so that
+    # both compare as "above up, or below down"
+    return (
+        _row_mask(consumer_gain, orders, cost_range, 1.0, chunk),
+        _row_mask(
+            producer_cost, orders, [(-low, -high) for high, low in gain_range], -1.0, chunk
+        ),
+    )
+
+
+def _grid_orders(grid, g: int) -> list:
+    """Partner orders of the max-plus masks, one per grid axis: a lexsort
+    whose last key is that axis, so consecutive points are the axis
+    neighbours on a build_z_grid lattice.  None stands for the identity
+    order, which is also the only order without a grid."""
+    if grid is None:
+        return [None]
+    points = np.asarray(grid).reshape(g, -1)
+    orders = []
+    for a in range(points.shape[1]):
+        keys = [points[:, a]] + [points[:, b] for b in range(points.shape[1]) if b != a]
+        order = np.lexsort(keys)
+        orders.append(None if np.array_equal(order, np.arange(g)) else order)
+    return orders
+
+
+def _steps(block: np.ndarray, order, out: np.ndarray) -> np.ndarray:
+    """Steps v[:, k + 1] - v[:, k] of the columns v of block in `order`,
+    written into out.  One subtraction over the flattened rows does every
+    row at once; the differences across row ends land in out's last
+    column, which the returned view leaves out."""
+    v = np.ascontiguousarray(block) if order is None else np.take(block, order, axis=1)
+    flat = v.reshape(-1)
+    out = out[: block.shape[0]]
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    return out[:, :-1]
+
+
+def _step_range(values: np.ndarray, orders: list, chunk: int) -> list:
+    """(max, min) over rows of each partner step, per order."""
+    buf = np.empty((min(chunk, values.shape[0]), values.shape[1]))
+    ranges = []
+    for order in orders:
+        high = np.full(values.shape[1] - 1, -np.inf)
+        low = np.full(values.shape[1] - 1, np.inf)
+        for r0 in range(0, values.shape[0], chunk):
+            step = _steps(values[r0:r0 + chunk], order, buf)
+            np.maximum(high, step.max(axis=0), out=high)
+            np.minimum(low, step.min(axis=0), out=low)
+        ranges.append((high, low))
+    return ranges
+
+
+def _row_mask(values, orders, limits, sign, chunk):
+    """Grid points each row keeps, and each row's mean kept grid index.
+
+    With step = sign * (partner step) and (up, down) the limits of an
+    order, a row drops point k of the order when its step to k + 1 is
+    above up[k], and point k + 1 when that step is below down[k].
+    """
+    n, g = values.shape
+    inverses = [None if order is None else np.argsort(order) for order in orders]
+    keep = np.ones((n, g), dtype=bool)
+    key = np.empty(n)
+    index = np.arange(g, dtype=float)
+    buf = np.empty((min(chunk, n), g))
+    drop = np.empty((min(chunk, n), g), dtype=bool)
+    for r0 in range(0, n, chunk):
+        block = values[r0:r0 + chunk]
+        kept = keep[r0:r0 + chunk]
+        rows = kept.shape[0]
+        for order, inverse, (up, down) in zip(orders, inverses, limits):
+            step = _steps(block, order, buf)
+            if sign < 0:
+                np.negative(step, out=step)
+            dropped = drop[:rows]
+            np.greater(step, up, out=dropped[:, :-1])
+            dropped[:, -1] = False
+            dropped[:, 1:] |= step < down
+            if inverse is not None:
+                dropped = np.take(dropped, inverse, axis=1)
+            kept &= ~dropped
+        key[r0:r0 + chunk] = kept.dot(index) / np.count_nonzero(kept, axis=1)
+    return keep, key
 
 
 def simulate_market(
@@ -215,7 +375,7 @@ def simulate_market(
     producer_cost = spec.cost.pairwise_grid(y, grid)
     if not (np.all(np.isfinite(consumer_gain)) and np.all(np.isfinite(producer_cost))):
         raise ValueError("surplus is not finite on the quality grid")
-    surplus = _pairwise_max_surplus(consumer_gain, producer_cost)
+    surplus, maxplus_cells = _max_plus(consumer_gain, producer_cost, grid)
 
     mu = from_samples(np.column_stack([x, eps]))
     nu = from_samples(y)
@@ -249,6 +409,11 @@ def simulate_market(
         traded_z=traded_z,
         prices=prices,
         boundary_fraction=boundary_fraction,
+        maxplus={
+            "grid_points": grid.shape[0],
+            "cells_dense": n_consumers * n_producers * grid.shape[0],
+            "cells_evaluated": maxplus_cells,
+        },
     )
 
 

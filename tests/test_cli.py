@@ -1,6 +1,7 @@
 """Command-line contract tests: exit codes, files, determinism."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ def test_exact_commands_are_byte_deterministic(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_simulate_report_counts_max_plus_cells_for_any_thread_split(tmp_path):
+    # 60 consumers make 4 row tiles, split over 1 or 3 threads
+    cfg = write_config(tmp_path, {"seed": 3, "simulate": simulate_section(n=60)})
+    facts = []
+    for cpus in (1, 3):
+        out = tmp_path / f"cpus{cpus}"
+        with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))):
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        facts.append(json.loads((out / "sim_report.json").read_text())["maxplus"])
+    assert facts[0] == facts[1]
+    assert facts[0]["grid_points"] == 25 * 25
+    assert facts[0]["cells_dense"] == 60 * 60 * 25 * 25
+    assert 0 < facts[0]["cells_evaluated"] < facts[0]["cells_dense"]
 
 
 def test_tiny_grid_aborts_with_exit_3(tmp_path):

@@ -161,6 +161,130 @@ def test_blocked_max_plus_at_the_module_block_size(m, g):
     assert _pairwise_max_surplus(gain, cost).tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
+def lattice(*res):
+    axes = [np.arange(r, dtype=float) for r in res]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(res))
+
+
+@st.composite
+def pruned_max_plus_instances(draw):
+    """(gain, cost, grid) on lattices, scattered or duplicate points, or no
+    grid, with values that the certificate prunes heavily (concave,
+    monotone), barely (normal), or not at all (all zero)."""
+    kind = draw(st.sampled_from(["lattice", "scattered", "duplicates", "none"]))
+    if kind == "lattice":
+        grid = lattice(*draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    else:
+        g = draw(st.integers(1, 60))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid = {
+            "scattered": rng.normal(size=(g, 2)),
+            "duplicates": rng.integers(0, 3, size=(g, 2)).astype(float),
+            "none": None,
+        }[kind]
+    g = 60 if grid is None else grid.shape[0]
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    values = draw(st.sampled_from(["concave", "tied", "normal", "monotone", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.arange(g, dtype=float)[:, None] if grid is None else grid
+    z = (z - z.mean(axis=0)) / (np.ptp(z, axis=0) + 1.0)
+    if values in ("concave", "tied"):
+        a = rng.normal(size=(n, z.shape[1]))
+        b = rng.uniform(0.5, 2.0, size=(m, 1))
+        gain = 2.0 * a @ z.T - (z**2).sum(axis=1)
+        cost = b * (z**2).sum(axis=1) + rng.normal(size=(m, 1))
+        if values == "tied":  # integer values: ties and equal steps
+            gain, cost = np.round(8 * gain), np.round(8 * cost)
+    elif values == "normal":
+        gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
+    elif values == "monotone":  # one point dominates every other, by chains
+        gain = np.outer(np.arange(1.0, n + 1), z.sum(axis=1))
+        cost = np.outer(rng.uniform(0.0, 0.5, size=m), z.sum(axis=1))
+    else:
+        gain, cost = np.zeros((n, g)), np.zeros((m, g))
+    return gain, cost, grid
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    pruned_max_plus_instances(),
+    st.sampled_from([1, 7, 500, 32768]),
+    st.sampled_from([1, 2, 3, 7]),
+)
+@example((np.zeros((3, 1)), np.ones((5, 1)), lattice(1)), 7, 3)  # G = 1
+@example((np.zeros((17, 4)), np.zeros((129, 4)), lattice(2, 2)), 32768, 2)  # all zero
+@example(  # 1-D chain: every point but the last is dominated
+    (np.outer(np.arange(1.0, 18.0), np.arange(300.0)),
+     np.outer(np.linspace(0.0, 0.5, 130), np.arange(300.0)), lattice(300)),
+    64, 3,
+)
+@example(  # duplicate points with distinct values; 33 rows, 257 producers
+    (np.random.default_rng(1).normal(size=(33, 6)),
+     np.random.default_rng(2).normal(size=(257, 6)),
+     np.repeat(lattice(3), 2, axis=0)),
+    7, 7,
+)
+def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells, cpus):
+    gain, cost, grid = instance
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells), \
+            mock.patch.object(equilibrium.os, "sched_getaffinity",
+                              return_value=set(range(cpus))):
+        got = _pairwise_max_surplus(gain, cost, grid)
+    assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+def readme_spec_arrays(n, res, seed):
+    """Consumer gains and producer costs of the README's 2-D bilinear spec
+    on a res x res grid over [1.9, 3.1]^2."""
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.neg_quadratic(np.eye(2), center_offset=[4.0, 4.0], d_a=1),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "z": [2, 0]}, {"coeff": 0.5, "z": [0, 2]},
+             {"coeff": -1.0, "a": [1, 0], "z": [1, 0]},
+             {"coeff": -1.0, "a": [0, 1], "z": [0, 1]}], 2, 2
+        ),
+        zeta=SurplusFamily.bilinear(2, d_x=1),
+    )
+    rng = np.random.default_rng(seed)
+    x = np.ones((n, 1))
+    eps, y = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
+    grid = build_z_grid([1.9, 1.9], [3.1, 3.1], res)
+    gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(x, eps, grid)
+    return gain, spec.cost.pairwise_grid(y, grid), grid
+
+
+@pytest.mark.parametrize("case", ["normal-lattice", "normal-scattered", "readme"])
+def test_candidate_masks_keep_every_dense_argmax(case):
+    rng = np.random.default_rng(len(case))
+    if case == "readme":
+        gain, cost, grid = readme_spec_arrays(80, 30, seed=4)
+    else:
+        grid = lattice(9, 8) if case == "normal-lattice" else rng.normal(size=(72, 3))
+        gain, cost = rng.normal(size=(30, 72)), rng.normal(size=(40, 72))
+    (cmask, _), (dmask, _) = equilibrium._candidate_masks(gain, cost, grid)
+    arg = np.argmax(gain[:, None, :] - cost[None, :, :], axis=2)  # first index
+    rows, cols = np.indices(arg.shape)
+    assert np.all(cmask[rows, arg] & dmask[cols, arg])
+    if case == "readme":
+        dense_cells = gain.shape[0] * cost.shape[0] * grid.shape[0]
+        kept_cells = cmask.sum(axis=0) @ dmask.sum(axis=0)
+        assert kept_cells < 0.5 * dense_cells
+        # tiles evaluate the unions of their rows' masks: at least the kept cells
+        assert kept_cells <= equilibrium._max_plus(gain, cost, grid)[1] < dense_cells
+
+
+@pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7)])
+def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
+    # 16 rows make one row tile, so one worker whatever the CPU count
+    gain, cost, grid = readme_spec_arrays(n, 12, seed=n)
+    with mock.patch.object(equilibrium.os, "sched_getaffinity",
+                           return_value=set(range(cpus))), \
+            mock.patch.object(equilibrium, "ThreadPoolExecutor",
+                              side_effect=AssertionError("pool started")):
+        got = _pairwise_max_surplus(gain, cost, grid)
+    assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
 def test_tinbergen_market_matches_analytic_quality():
     spec = tinbergen_spec()
     out = simulate_market(
