@@ -12,15 +12,16 @@ complementary-slack dual pair.  It takes one of three paths:
 3. everything else: the transportation LP, solved by HiGHS's interior
    point method with crossover to a basic optimal solution.
 
-Dual potentials for the first two paths are rebuilt from the plan
-support by a longest-chain propagation, which yields machine-precision
-feasibility and slackness; LP duals are polished by a double
-surplus-transform.  The propagation is a Jacobi sweep run on a worklist
-(a label-correcting method): each round relaxes only the support pairs
-whose target potential changed in the round before.  It has the same
-fixed point, the same m + 1 round cap and the same values round for
-round as a sweep over every pair.  On float data a few targets keep
-creeping up by an ulp per round, so it usually still runs to the cap.
+Every path hands its plan support to one routine that rebuilds the dual
+potentials by longest-chain propagation, with machine-precision
+feasibility and slackness; the LP's basic solution is a spanning forest
+of at most n + m - 1 pairs, so HiGHS's own row duals are not read.  The
+propagation is a Jacobi sweep run on a worklist (a label-correcting
+method): each round relaxes only the support pairs whose target
+potential changed in the round before.  It has the same fixed point, the
+same m + 1 round cap and the same values round for round as a sweep over
+every pair.  On float data a few targets keep creeping up by an ulp per
+round, so it usually still runs to the cap, on LP supports too.
 
 `solve_entropic` is the fast approximate path: log-domain scaling
 iterations with an epsilon-halving schedule.
@@ -272,16 +273,17 @@ def _replication_counts(weights: np.ndarray, size: int):
     return counts.astype(int)
 
 
-def _exact_replicated(mu_w, surplus, mu_copies, nu_copies):
-    """One square assignment over points repeated by their copy counts.
+def _exact_replicated(mu_w, nu_w, surplus):
+    """One square assignment over points repeated max(n, m) * weight times.
 
     Returns the plan's support triplets.  Each copy of source i carries
     mass mu_i / copies_i, so a square instance with one copy per point
     puts exactly mu_i on its match.
     """
     n, m = surplus.shape
+    mu_copies = _replication_counts(mu_w, max(n, m))
     rows = np.repeat(np.arange(n), mu_copies)
-    cols = np.repeat(np.arange(m), nu_copies)
+    cols = np.repeat(np.arange(m), _replication_counts(nu_w, max(n, m)))
     row, col = linear_sum_assignment(-surplus[np.ix_(rows, cols)])
     src = rows[row]
     # copies matched to the same (i, j) are summed in assignment order
@@ -291,7 +293,8 @@ def _exact_replicated(mu_w, surplus, mu_copies, nu_copies):
 
 
 def _exact_lp(mu_w, nu_w, surplus):
-    """General transportation LP via HiGHS with tightened tolerances."""
+    """Support triplets of a basic optimal plan of the transportation LP,
+    solved by HiGHS with tightened tolerances."""
     n, m = surplus.shape
     # Row-sum constraints then column-sum constraints on vec(coupling).
     data = np.ones(2 * n * m)
@@ -317,11 +320,9 @@ def _exact_lp(mu_w, nu_w, surplus):
     )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    coupling = np.maximum(res.x.reshape(n, m), 0.0)
-    plan = TransportPlan.from_dense(coupling, float(np.sum(coupling * surplus)))
-    w = -res.eqlin.marginals[:n]
-    v = -res.eqlin.marginals[n:]
-    return plan, w, v
+    coupling = res.x.reshape(n, m)
+    rows, cols = np.nonzero(coupling > 0)
+    return rows, cols, coupling[rows, cols]
 
 
 def exact_solver_path(mu_weights: np.ndarray, nu_weights: np.ndarray) -> str:
@@ -357,29 +358,16 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     ref = _lexicographic_ref(nu.points)
 
     path = exact_solver_path(mu_w, nu_w)
-    w = v = None
     if path == "size-1":
         rows, cols = np.divmod(np.arange(n * m), m)
-        triplets = rows, cols, mu_w[rows] * nu_w[cols]
+        mass = mu_w[rows] * nu_w[cols]
     elif path == "replicated":
-        size = max(n, m)
-        triplets = _exact_replicated(
-            mu_w, surplus, _replication_counts(mu_w, size), _replication_counts(nu_w, size)
-        )
+        rows, cols, mass = _exact_replicated(mu_w, nu_w, surplus)
     else:
-        plan, w, v = _exact_lp(mu_w, nu_w, surplus)
-
-    if w is None:
-        rows, cols, mass = triplets
-        objective = float(np.sum(mass * surplus[rows, cols]))
-        plan = TransportPlan(rows, cols, mass, (n, m), objective)
-        w, v = _duals_from_support(surplus, plan.rows, plan.cols, ref)
-    else:
-        # Polish LP duals: the double transform restores exact feasibility
-        # and can only move the dual objective toward the optimum.
-        w = (surplus - v[None, :]).max(axis=1)
-        v = (surplus - w[:, None]).max(axis=0)
-    w, v = _pin(w, v, ref)
+        rows, cols, mass = _exact_lp(mu_w, nu_w, surplus)
+    objective = float(np.sum(mass * surplus[rows, cols]))
+    plan = TransportPlan(rows, cols, mass, (n, m), objective)
+    w, v = _pin(*_duals_from_support(surplus, plan.rows, plan.cols, ref), ref)
     return plan, DualPair(w, v, ref)
 
 
@@ -572,6 +560,16 @@ def check_cyclical_monotonicity(
 # ---------------------------------------------------------------------------
 
 
+def _read_csv_rows(path, header, kind):
+    """Non-empty rows of a CSV file whose first line must be `header`."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines or lines[0] != header:
+        expected = ",".join(header)
+        raise ValueError(f"{kind} file {path} is empty or lacks the header {expected}")
+    return list(filter(None, lines[1:]))
+
+
 def write_plan_csv(plan: TransportPlan, path) -> None:
     """Support triplets i,j,mass."""
     ii, jj, mass = plan.support()
@@ -585,14 +583,13 @@ def write_plan_csv(plan: TransportPlan, path) -> None:
 def read_plan_csv(path, shape) -> TransportPlan:
     """Plan of `shape` from a support-triplet file written by write_plan_csv.
 
-    Indices must lie in range(n) x range(m) and each (i, j) may appear
-    once; zero-mass rows are dropped.  The file carries no objective, so
-    the plan's objective is NaN.
+    The first line must be the header i,j,mass; an empty file raises
+    ValueError.  Indices must lie in range(n) x range(m) and each (i, j)
+    may appear once; zero-mass rows are dropped.  The file carries no
+    objective, so the plan's objective is NaN.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        triplets = [(int(i), int(j), float(w)) for i, j, w in filter(None, reader)]
+    rows = _read_csv_rows(path, ["i", "j", "mass"], "plan")
+    triplets = [(int(i), int(j), float(w)) for i, j, w in rows]
     rows, cols, mass = np.array(triplets, dtype=float).reshape(-1, 3).T
     return TransportPlan(rows, cols, mass, shape, float("nan"))
 
@@ -613,18 +610,16 @@ def write_duals_csv(duals: DualPair, path) -> None:
 def read_duals_csv(path) -> DualPair:
     """Inverse of write_duals_csv.
 
-    Raises ValueError unless every row is side,idx,value with side
-    source, target or pin, source and target each list the indices
-    0..len-1 exactly once, and one pin row names a target index.
+    Raises ValueError unless the first line is the header side,idx,value,
+    every later row is side,idx,value with side source, target or pin,
+    source and target each list the indices 0..len-1 exactly once, and
+    one pin row names a target index.
     """
     rows = {"source": [], "target": [], "pin": []}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in filter(None, reader):
-            if row[0] not in rows or len(row) != 3:
-                raise ValueError(f"duals file {path} has a malformed row {row!r}")
-            rows[row[0]].append((int(row[1]), float(row[2])))
+    for row in _read_csv_rows(path, ["side", "idx", "value"], "duals"):
+        if row[0] not in rows or len(row) != 3:
+            raise ValueError(f"duals file {path} has a malformed row {row!r}")
+        rows[row[0]].append((int(row[1]), float(row[2])))
     if len(rows["pin"]) != 1:
         raise ValueError(f"duals file {path} needs exactly one pin row")
 

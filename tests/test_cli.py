@@ -290,16 +290,20 @@ def test_check_flags_broken_plan_marginals(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entries",
-    ["0,0,0.5\n-1,1,0.5\n", "0,0,0.5\n5,0,0.5\n", "0,0,0.25\n0,0,0.5\n1,1,0.5\n"],
-    ids=["negative-index", "index-out-of-range", "repeated-entry"],
+    "text",
+    ["i,j,mass\n0,0,0.5\n-1,1,0.5\n", "i,j,mass\n0,0,0.5\n5,0,0.5\n",
+     "i,j,mass\n0,0,0.25\n0,0,0.5\n1,1,0.5\n",
+     # headerless and empty files are config errors, not misread plans
+     # that then fail verification (exit 2)
+     "0,0,0.5\n1,1,0.5\n", ""],
+    ids=["negative-index", "index-out-of-range", "repeated-entry", "headerless", "zero-byte"],
 )
-def test_check_rejects_bad_plan_indices(tmp_path, entries):
+def test_check_rejects_bad_plan_indices(tmp_path, text):
     mu = from_samples(np.array([[0.0], [1.0]]))
     nu = from_samples(np.array([[0.0], [1.0]]))
     write_measure_csv(mu, tmp_path / "mu.csv")
     write_measure_csv(nu, tmp_path / "nu.csv")
-    (tmp_path / "plan.csv").write_text("i,j,mass\n" + entries)
+    (tmp_path / "plan.csv").write_text(text)
     cfg = write_config(
         tmp_path,
         {

@@ -3,12 +3,14 @@
 import itertools
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 
 from hedonic.measures import DistributionSpec, from_samples, reference_lattice
 from hedonic.ot import (
@@ -18,6 +20,7 @@ from hedonic.ot import (
     _duals_from_support,
     _exact_lp,
     _lexicographic_ref,
+    _pin,
     _replication_counts,
     barycentric_projection,
     check_cyclical_monotonicity,
@@ -434,6 +437,31 @@ def test_duals_csv_with_a_malformed_row_rejected(tmp_path, index, row):
         read_duals_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "0,0,0.5\n1,1,0.5\n", "j,i,mass\n0,0,0.5\n1,1,0.5\n"],
+    ids=["zero-byte", "headerless", "wrong-header"],
+)
+def test_plan_csv_without_its_header_rejected(tmp_path, text):
+    # read as data, a headerless file's first line would be lost
+    path = tmp_path / "plan.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="header i,j,mass"):
+        read_plan_csv(path, (2, 2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n".join(GOOD_DUALS) + "\n", "idx,side,value\n" + "\n".join(GOOD_DUALS) + "\n"],
+    ids=["zero-byte", "headerless", "wrong-header"],
+)
+def test_duals_csv_without_its_header_rejected(tmp_path, text):
+    path = tmp_path / "duals.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="header side,idx,value"):
+        read_duals_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # solve_exact properties: every dispatch path against independent oracles
 # ---------------------------------------------------------------------------
@@ -535,7 +563,8 @@ def test_lp_and_replicated_assignment_agree(instance):
     assert _replication_counts(nu.weights, size) is not None
     assert exact_solver_path(mu.weights, nu.weights) == "replicated"
     plan, duals = solve_exact(mu, nu, s)
-    lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    rows, cols, mass = _exact_lp(mu.weights, nu.weights, s)
+    lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     assert abs(lp_plan.objective - plan.objective) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
 
@@ -559,12 +588,36 @@ def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     n, m = s.shape
     assert _replication_counts(mu.weights, max(n, m)) is None
     assert exact_solver_path(mu.weights, nu.weights) == "lp"
-    lp_plan, _, _ = _exact_lp(mu.weights, nu.weights, s)
+    rows, cols, mass = _exact_lp(mu.weights, nu.weights, s)
+    lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     # crossover ran: a basic solution has at most n + m - 1 nonzeros
     assert lp_plan.mass.size <= n + m - 1
     plan, duals = solve_exact(mu, nu, s)
     assert np.array_equal(dense(plan), dense(lp_plan))
     assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+@PROPERTY
+@given(irrational_instances())
+def test_lp_duals_are_rebuilt_from_the_support_without_highs_row_duals(instance):
+    # every LP result's row duals are NaN: solve_exact must not read them
+    mu, nu, s = instance
+    results = []
+
+    def linprog_without_row_duals(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.eqlin.marginals[:] = np.nan
+        results.append(res)
+        return res
+
+    with mock.patch("hedonic.ot.linprog", linprog_without_row_duals):
+        plan, duals = solve_exact(mu, nu, s)
+    assert len(results) == 1
+    assert_optimal_duals(mu, nu, s, plan, duals)
+    ref = _lexicographic_ref(nu.points)
+    w, v = _pin(*_duals_from_support(s, plan.rows, plan.cols, ref), ref)
+    assert duals.w_source.tobytes() == w.tobytes()
+    assert duals.v_target.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +653,16 @@ def assert_duals_match_the_sweep(s, plan, ref):
 
 
 @PROPERTY
-@given(rational_instances())
-def test_worklist_duals_match_the_full_sweep_bitwise(instance):
+@given(rational_instances(), irrational_instances())
+def test_worklist_duals_match_the_full_sweep_bitwise(instance, lp_instance):
     # tied integer surpluses (zero-length cycles), duplicate points and
-    # zero-copy targets, on supports from every solve_exact path
-    mu, nu, s, _, _ = instance
-    plan, _ = solve_exact(mu, nu, s)
-    # every pin, so massless ones start the chains at the first support target
-    for ref in range(nu.n):
-        assert_duals_match_the_sweep(s, plan, ref)
+    # zero-copy targets, on supports from every solve_exact path, and the
+    # basic support of an LP with positive irrational weights
+    for mu, nu, s in (instance[:3], lp_instance):
+        plan, _ = solve_exact(mu, nu, s)
+        # every pin, so massless ones start the chains at the first support target
+        for ref in range(nu.n):
+            assert_duals_match_the_sweep(s, plan, ref)
 
 
 def test_worklist_duals_match_the_sweep_when_a_float_instance_hits_the_cap():
