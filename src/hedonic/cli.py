@@ -368,6 +368,12 @@ def _check_plan(section: dict) -> dict:
         passed = passed and mono.passed
         if "duals" in section:
             duals = ot.read_duals_csv(section["duals"])
+            if duals.w_source.size != mu.n or duals.v_target.size != nu.n:
+                raise ValueError(
+                    f"duals file {section['duals']} has {duals.w_source.size} source "
+                    f"and {duals.v_target.size} target values for measures of "
+                    f"{mu.n} and {nu.n} points"
+                )
             feas = duals.feasibility_margin(s)
             slack = duals.slackness_error(plan, s)
             v_grid = conj.GridFunction(nu, duals.v_target)

@@ -547,17 +547,14 @@ def atomlessness_diagnostic(outcome: EquilibriumOutcome) -> dict:
     uniq, inverse, counts = np.unique(
         outcome.traded_z, axis=0, return_inverse=True, return_counts=True
     )
-    dup_groups = np.nonzero(counts > 1)[0]
-    quantization = 0
-    input_driven = 0
-    for g in dup_groups:
-        pairs = np.nonzero(inverse == g)[0]
-        eps_rows = outcome.consumer_eps[outcome.pair_source[pairs]]
-        distinct_eps = np.unique(eps_rows, axis=0).shape[0]
-        if distinct_eps > 1:
-            quantization += int(counts[g] - 1)
-        else:
-            input_driven += int(counts[g] - 1)
+    # one row per distinct (quality group, taste) combination
+    combos = np.unique(
+        np.column_stack([inverse, outcome.consumer_eps[outcome.pair_source]]), axis=0
+    )
+    distinct_eps = np.bincount(combos[:, 0].astype(int), minlength=uniq.shape[0])
+    extra = counts - 1
+    quantization = int(extra[distinct_eps > 1].sum())
+    input_driven = int(extra[distinct_eps == 1].sum())
     return {
         "applicable": True,
         "n_pairs": int(outcome.n_pairs),

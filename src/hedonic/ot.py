@@ -8,7 +8,15 @@ complementary-slack dual pair.  It takes one of three paths:
 2. replicated assignment: with N = max(n, m), when N * weights is
    integral on both sides, each point is repeated that many times and
    one N x N linear assignment is solved (square uniform instances are
-   the special case of one copy per point);
+   the special case of one copy per point).  From 64 rows up the
+   assignment is warm-started coarse to fine (Merigot 2011; Schmitzer
+   2016): every 4th row and column, ranked by mean cost, form a
+   quarter-size assignment solved the same way; its exact duals, rebuilt
+   from its matching, are extended to every row and column by two
+   c-transforms and subtracted from the cost, so the final
+   shortest-augmenting-path search starts from nearly tight duals.  Shifts
+   of rows and columns move every matching's cost by the same constant,
+   so the optimal matchings do not change;
 3. everything else: the transportation LP, solved by HiGHS's interior
    point method with crossover to a basic optimal solution.
 
@@ -20,8 +28,8 @@ propagation is a Jacobi sweep run on a worklist (a label-correcting
 method): each round relaxes only the support pairs whose target
 potential changed in the round before.  It has the same fixed point, the
 same m + 1 round cap and the same values round for round as a sweep over
-every pair.  On float data a few targets keep creeping up by an ulp per
-round, so it usually still runs to the cap, on LP supports too.
+every pair.  On float data a few targets can keep creeping up by an ulp
+per round, so it often still runs to the cap, on LP supports too.
 
 `solve_entropic` is the fast approximate path: log-domain scaling
 iterations with an epsilon-halving schedule.
@@ -65,6 +73,10 @@ _REPLICATION_TOL = 1e-9
 # Cells per block of gathered support rows in the dual relaxation: 2^15
 # doubles (256 KB) keep the block in cache.
 _RELAX_BLOCK_CELLS = 32768
+# Square assignments with fewer rows are solved directly; larger ones are
+# warm-started from every _COARSE_STRIDE-th row and column.
+_ASSIGNMENT_FLOOR = 64
+_COARSE_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -229,9 +241,9 @@ def _duals_from_support(
     unchanged v_j yields the same candidates as before and those are
     already folded into v.  The start, the m + 1 round cap and the stop
     rule (no target changed) are those of a full sweep, so v and w match
-    it bit for bit, round for round.  On float data a few targets keep
-    rising by an ulp per round around near-zero cycles, so the loop
-    usually runs to the cap; those rounds relax only the creeping pairs.
+    it bit for bit, round for round.  On float data a few targets can
+    keep rising by an ulp per round around near-zero cycles, so the loop
+    often runs to the cap; those rounds relax only the creeping pairs.
     The active surplus rows are gathered a block of about
     _RELAX_BLOCK_CELLS cells at a time into one reused buffer, so even a
     round with every pair active makes no n_support x m temporary.
@@ -273,6 +285,34 @@ def _replication_counts(weights: np.ndarray, size: int):
     return counts.astype(int)
 
 
+def _assignment(cost):
+    """Row and column indices of a minimum-cost square assignment.
+
+    Overwrites `cost`.  From _ASSIGNMENT_FLOOR rows up, every
+    _COARSE_STRIDE-th row and column, ranked by mean cost (stable), form a
+    coarse problem that this function solves first.  Its exact duals are
+    rebuilt from its matching, extended to every row and then every
+    column by two c-transforms, and subtracted from `cost` in place, so
+    every reduced cost is >= 0 and every column has a zero.  Every
+    matching's cost moves by the same constant, so the optimal matchings
+    are unchanged, and the augmenting paths of the final
+    linear_sum_assignment call start from nearly tight duals.
+    """
+    if cost.shape[0] >= _ASSIGNMENT_FLOOR:
+        r = np.argsort(cost.mean(axis=1), kind="stable")[::_COARSE_STRIDE]
+        c = np.argsort(cost.mean(axis=0), kind="stable")[::_COARSE_STRIDE]
+        # surplus form of the coarse problem; the recursive call overwrites
+        # its own negated copy, so this one still holds the original costs
+        coarse = -cost[np.ix_(r, c)]
+        _, v = _duals_from_support(coarse, *_assignment(-coarse), 0)
+        # cost-form column potentials are -v; c-transform them to every row
+        to_rows = cost[:, c]
+        to_rows += v
+        cost -= to_rows.min(axis=1)[:, None]
+        cost -= cost.min(axis=0)
+    return linear_sum_assignment(cost)
+
+
 def _exact_replicated(mu_w, nu_w, surplus):
     """One square assignment over points repeated max(n, m) * weight times.
 
@@ -284,7 +324,9 @@ def _exact_replicated(mu_w, nu_w, surplus):
     mu_copies = _replication_counts(mu_w, max(n, m))
     rows = np.repeat(np.arange(n), mu_copies)
     cols = np.repeat(np.arange(m), _replication_counts(nu_w, max(n, m)))
-    row, col = linear_sum_assignment(-surplus[np.ix_(rows, cols)])
+    cost = surplus[np.ix_(rows, cols)]
+    np.negative(cost, out=cost)
+    row, col = _assignment(cost)
     src = rows[row]
     # copies matched to the same (i, j) are summed in assignment order
     keys, inverse = np.unique(src * m + cols[col], return_inverse=True)

@@ -321,18 +321,22 @@ def test_check_rejects_bad_plan_indices(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "targets, code",
-    [("target,0,0\ntarget,1,0\n", 0), ("target,0,0\ntarget,0,0\n", 1)],
-    ids=["well-formed", "repeated-target"],
+    "values, code",
+    [
+        ("source,0,0\nsource,1,1\ntarget,0,0\ntarget,1,0\n", 0),
+        ("source,0,0\nsource,1,1\ntarget,0,0\ntarget,0,0\n", 1),
+        ("source,0,0\ntarget,0,0\ntarget,1,0\n", 1),
+        ("source,0,0\nsource,1,1\ntarget,0,0\n", 1),
+    ],
+    ids=["well-formed", "repeated-target", "short-source", "short-target"],
 )
-def test_check_rejects_a_malformed_duals_file(tmp_path, targets, code):
+def test_check_rejects_a_malformed_duals_file(tmp_path, values, code):
+    # 2-point source and target measures
     pts = from_samples(np.array([[0.0], [1.0]]))
     write_measure_csv(pts, tmp_path / "mu.csv")
     write_measure_csv(pts, tmp_path / "nu.csv")
     (tmp_path / "plan.csv").write_text("i,j,mass\n0,0,0.5\n1,1,0.5\n")
-    (tmp_path / "duals.csv").write_text(
-        "side,idx,value\nsource,0,0\nsource,1,1\n" + targets + "pin,0,0\n"
-    )
+    (tmp_path / "duals.csv").write_text("side,idx,value\n" + values + "pin,0,0\n")
     cfg = write_config(
         tmp_path,
         {

@@ -1,6 +1,7 @@
 """Market construction, verification, and diagnostics tests."""
 
 import dataclasses
+import types
 from unittest import mock
 
 import numpy as np
@@ -442,6 +443,52 @@ def test_atomic_taste_duplicates_are_attributed_to_inputs():
     )
     rep = atomlessness_diagnostic(out)
     assert rep["duplicates_from_atomic_inputs"] > 0
+
+
+def atomlessness_by_group_loop(outcome):
+    """Reference: the scan with one np.unique call per duplicate group."""
+    uniq, inverse, counts = np.unique(
+        outcome.traded_z, axis=0, return_inverse=True, return_counts=True
+    )
+    quantization = 0
+    input_driven = 0
+    for g in np.nonzero(counts > 1)[0]:
+        pairs = np.nonzero(inverse == g)[0]
+        eps_rows = outcome.consumer_eps[outcome.pair_source[pairs]]
+        if np.unique(eps_rows, axis=0).shape[0] > 1:
+            quantization += int(counts[g] - 1)
+        else:
+            input_driven += int(counts[g] - 1)
+    return {
+        "applicable": True,
+        "n_pairs": int(outcome.n_pairs),
+        "n_distinct_qualities": int(uniq.shape[0]),
+        "duplicates_from_grid_quantization": quantization,
+        "duplicates_from_atomic_inputs": input_driven,
+        "note": "coincidences among distinct tastes reflect grid resolution",
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 30), st.integers(1, 3), st.integers(1, 2), st.data())
+def test_atomlessness_counts_match_the_per_group_loop(n_pairs, d_z, d_eps, data):
+    # qualities and tastes from a few small integers, so both repeat often;
+    # a consumer may appear in several pairs
+    n_consumers = data.draw(st.integers(1, n_pairs))
+    values = st.integers(-1, 1).map(float)
+    traded_z = np.array(data.draw(st.lists(values, min_size=n_pairs * d_z, max_size=n_pairs * d_z)))
+    eps = np.array(data.draw(st.lists(values, min_size=n_consumers * d_eps, max_size=n_consumers * d_eps)))
+    source = data.draw(st.lists(st.integers(0, n_consumers - 1), min_size=n_pairs, max_size=n_pairs))
+    outcome = types.SimpleNamespace(
+        n_pairs=n_pairs,
+        traded_z=traded_z.reshape(n_pairs, d_z),
+        consumer_eps=eps.reshape(n_consumers, d_eps),
+        pair_source=np.array(source),
+    )
+    rep = atomlessness_diagnostic(outcome)
+    expected = atomlessness_by_group_loop(outcome)
+    assert rep == expected
+    assert [type(v) for v in rep.values()] == [type(v) for v in expected.values()]
 
 
 def test_single_pair_atomlessness_not_applicable():

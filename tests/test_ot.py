@@ -1,5 +1,7 @@
 """Exact and entropic transport solver tests against independent oracles."""
 
+import contextlib
+import functools
 import itertools
 import os
 import tempfile
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from hedonic.measures import DistributionSpec, from_samples, reference_lattice
 from hedonic.ot import (
@@ -46,13 +48,19 @@ def brute_force_assignment_value(surplus):
     return values.max()
 
 
+@functools.lru_cache(maxsize=None)
+def permutations(k):
+    """All k! permutations of range(k), one per row (int8: 3.3 MB at k = 9)."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+
+
 def brute_force_replicated_value(surplus, mu_copies, nu_copies):
     """Oracle: repeat points by integer copies summing to K, then scan all
     K! matchings of the copies; each matched pair carries mass 1/K."""
     rows = np.repeat(np.arange(surplus.shape[0]), mu_copies)
     cols = np.repeat(np.arange(surplus.shape[1]), nu_copies)
     k = rows.shape[0]
-    perms = np.array(list(itertools.permutations(range(k))))
+    perms = permutations(k)
     values = surplus[rows[None, :], cols[perms]].sum(axis=1) / k
     return values.max()
 
@@ -665,19 +673,107 @@ def test_worklist_duals_match_the_full_sweep_bitwise(instance, lp_instance):
             assert_duals_match_the_sweep(s, plan, ref)
 
 
-def test_worklist_duals_match_the_sweep_when_a_float_instance_hits_the_cap():
-    # README spec, as identification sees it at n = 300: a 300-point eps
-    # lattice on the unit box against qualities on the 52^2 grid over
-    # [1.9, 3.1]^2, duplicates merged into count / 300 weights
+def readme_identification_instance():
+    """README spec, as identification sees it at n = 300: a 300-point eps
+    lattice on the unit box against qualities on the 52^2 grid over
+    [1.9, 3.1]^2, duplicates merged into count / 300 weights."""
     rng = np.random.default_rng(0)
     mu = reference_lattice(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), 300)
     grid = np.linspace(1.9, 3.1, 52)
     z = grid[rng.integers(0, 52, size=(300, 2))]
     points, counts = np.unique(z, axis=0, return_counts=True)
     nu = from_samples(points, counts / 300)
-    s = surplus_matrix(mu, nu, SurplusFamily.bilinear(2))
+    return mu, nu, surplus_matrix(mu, nu, SurplusFamily.bilinear(2))
+
+
+def tied_integer_instance():
+    """200 x 200 uniform instance with surplus values in {-2, ..., 2}."""
+    rng = np.random.default_rng(1)
+    mu = from_samples(rng.normal(size=(200, 2)))
+    nu = from_samples(rng.normal(size=(200, 2)))
+    return mu, nu, rng.integers(-2, 3, size=(200, 200)).astype(float)
+
+
+def direct_assignment(mu, nu, s):
+    """Support (i, j) and objective of one plain linear_sum_assignment on the
+    replicated N x N matrix, with no warm start."""
+    size = max(s.shape)
+    rows = np.repeat(np.arange(mu.n), _replication_counts(mu.weights, size))
+    cols = np.repeat(np.arange(nu.n), _replication_counts(nu.weights, size))
+    r, c = linear_sum_assignment(-s[np.ix_(rows, cols)])
+    keys = np.unique(rows[r] * nu.n + cols[c])
+    return keys // nu.n, keys % nu.n, s[rows[r], cols[c]].sum() / size
+
+
+def test_worklist_duals_match_the_sweep_when_a_float_instance_hits_the_cap():
+    mu, nu, s = readme_identification_instance()
     plan, duals = solve_exact(mu, nu, s)
     assert exact_solver_path(mu.weights, nu.weights) == "replicated"
-    rounds = assert_duals_match_the_sweep(s, plan, _lexicographic_ref(nu.points))
-    assert rounds == nu.n + 1  # creeping targets keep it running to the cap
+    ref = _lexicographic_ref(nu.points)
+    assert_duals_match_the_sweep(s, plan, ref)
+    # the warm-started matching's chains settle early; on the matching of a
+    # direct solve of the same matrix creeping targets keep them running
+    ii, jj, _ = direct_assignment(mu, nu, s)
+    direct = TransportPlan(ii, jj, np.ones(ii.size), s.shape, 0.0)
+    assert assert_duals_match_the_sweep(s, direct, ref) == nu.n + 1
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+# ---------------------------------------------------------------------------
+# warm-started assignment: coarse levels against direct solves and oracles
+# ---------------------------------------------------------------------------
+
+
+def coarse_levels(size, floor):
+    """Sizes of the assignments one warm-started solve makes, innermost first."""
+    levels = [size]
+    while levels[-1] >= floor:
+        levels.append(-(-levels[-1] // 4))
+    return levels[::-1]
+
+
+@contextlib.contextmanager
+def counted_assignments():
+    """Record the row count of every linear_sum_assignment call in hedonic.ot."""
+    sizes = []
+
+    def counted(cost):
+        sizes.append(cost.shape[0])
+        return linear_sum_assignment(cost)
+
+    with mock.patch("hedonic.ot.linear_sum_assignment", counted):
+        yield sizes
+
+
+@PROPERTY
+@given(rational_instances(), replicable_instances())
+def test_warm_start_recursion_is_optimal_with_the_floor_at_two(instance, replicable):
+    # from 2 rows up every level recurses, down to a 1 x 1 problem
+    mu, nu, s = replicable
+    size = max(s.shape)
+    copies = _replication_counts(mu.weights, size), _replication_counts(nu.weights, size)
+    for mu, nu, s, mu_copies, nu_copies in (instance, (mu, nu, s, *copies)):
+        with mock.patch("hedonic.ot._ASSIGNMENT_FLOOR", 2), counted_assignments() as sizes:
+            plan, duals = solve_exact(mu, nu, s)
+        oracle = brute_force_replicated_value(s, mu_copies, nu_copies)
+        assert abs(plan.objective - oracle) <= 1e-9
+        assert_optimal_duals(mu, nu, s, plan, duals)
+        if exact_solver_path(mu.weights, nu.weights) == "replicated":
+            assert sizes == coarse_levels(max(s.shape), 2)
+        else:
+            assert sizes == []
+
+
+@pytest.mark.parametrize(
+    "make, levels",
+    [(readme_identification_instance, [19, 75, 300]), (tied_integer_instance, [50, 200])],
+    ids=["readme-spec-300", "tied-integer-200"],
+)
+def test_warm_started_assignment_matches_a_direct_solve(make, levels):
+    mu, nu, s = make()
+    with counted_assignments() as sizes:
+        plan, duals = solve_exact(mu, nu, s)
+    assert sizes == levels == coarse_levels(max(s.shape), 64)
+    _, _, value = direct_assignment(mu, nu, s)
+    assert abs(plan.objective - value) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
