@@ -141,7 +141,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
     dataset = measures.read_dataset_csv(section["dataset"])
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"])
     part = section.get("partition", {"scheme": "exact"})
-    n_ref = int(section.get("n_ref", dataset.n))
+    n_ref = section.get("n_ref")
     mode = section.get("reference_mode", "sample")
     prefix = section.get("outputs", {}).get("prefix", "identified")
     k_neighbors = section.get("k_neighbors")
@@ -150,7 +150,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
         maps = ident.simultaneous_equations_identify(
             dataset,
             eps_spec,
-            n_ref,
+            dataset.n if n_ref is None else int(n_ref),
             seed=seed,
             scheme=part.get("scheme", "exact"),
             widths=part.get("widths"),
@@ -175,21 +175,24 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
     diag = []
     for k, slice_ in enumerate(slices):
         child_seed = int(children[k].generate_state(1)[0])
+        # by default each cell's reference has one point per dataset row of
+        # the cell, so its transport takes the replicated assignment path
+        cell_ref = slice_.n_rows if n_ref is None else int(n_ref)
         if pipeline == "scalar":
             zeta = SurplusFamily.from_config(section["zeta"])
             pot = ident.scalar_identify(
-                slice_, eps_spec, zeta, n_ref=n_ref, seed=child_seed,
+                slice_, eps_spec, zeta, n_ref=cell_ref, seed=child_seed,
                 reference_mode=mode,
             )
         elif pipeline == "brenier":
             pot = ident.brenier_identify(
-                slice_, eps_spec, n_ref, seed=child_seed, reference_mode=mode,
+                slice_, eps_spec, cell_ref, seed=child_seed, reference_mode=mode,
                 k_neighbors=k_neighbors,
             )
         else:
             zeta = SurplusFamily.from_config(section["zeta"])
             pot = ident.general_identify(
-                slice_, eps_spec, zeta, n_ref, seed=child_seed,
+                slice_, eps_spec, zeta, cell_ref, seed=child_seed,
                 reference_mode=mode, k_neighbors=k_neighbors,
             )
         ident.write_potential_csv(pot, _out_path(out_dir, f"{prefix}_cell{k:03d}.csv"))

@@ -18,6 +18,10 @@ import numpy as np
 from .measures import DiscreteMeasure, from_samples, read_float_table, write_float_table
 from .surplus import SurplusFamily
 
+# Gains this many ulps of max(|S| + |V|) below a boundary argmax still tie
+# with it: such an interior quality clears the truncation warning.
+_TIE_ULPS = 4
+
 __all__ = [
     "GridFunction",
     "zeta_conjugate",
@@ -79,8 +83,10 @@ def zeta_conjugate(
 ) -> GridFunction:
     """V^zeta over eps_grid by exhaustive scan of V's quality grid.
 
-    Ties break to the lowest scanned index; argmaxes on the quality
-    grid's bounding box are flagged as truncation warnings.
+    Ties break to the lowest scanned index.  An argmax on the quality
+    grid's bounding box is flagged as a truncation warning unless an
+    interior quality's gain is within _TIE_ULPS ulps of max(|S| + |V|)
+    of the max.
     """
     eps_pts = _as_points(eps_grid)
     z_pts = v.grid.points
@@ -88,7 +94,14 @@ def zeta_conjugate(
     gains = s - v.values[None, :]
     arg = np.argmax(gains, axis=1)  # first max -> lowest index
     vals = np.take_along_axis(gains, arg[:, None], axis=1)[:, 0]
-    boundary = bounding_box_mask(z_pts)[arg]
+    on_box = bounding_box_mask(z_pts)
+    boundary = on_box[arg]
+    if boundary.any() and not on_box.all():
+        # an interior quality within rounding of the max clears the flag, so
+        # last-digit changes in V cannot move the warning count
+        scale = np.abs(s[boundary]).max(axis=1) + np.abs(v.values).max()
+        interior = gains[np.ix_(boundary, ~on_box)].max(axis=1)
+        boundary[boundary] = interior < vals[boundary] - _TIE_ULPS * np.spacing(scale)
     return GridFunction(from_samples(eps_pts), vals, arg, boundary)
 
 

@@ -18,7 +18,15 @@ complementary-slack dual pair.  It takes one of three paths:
    of rows and columns move every matching's cost by the same constant,
    so the optimal matchings do not change;
 3. everything else: the transportation LP, solved by HiGHS's interior
-   point method with crossover to a basic optimal solution.
+   point method with crossover to a basic optimal solution, on a
+   shortlist of pairs (Gottschlich & Schuhmacher 2014).  The dual guess
+   is path 2's assignment over N * weights rounded by largest remainder,
+   its duals rebuilt on the real surplus.  The list holds the guess's
+   support, the 8 smallest reduced costs of every row and every column,
+   and a north-west-corner staircase that keeps the restricted LP
+   feasible.  Pricing rebuilds the restricted plan's duals with every
+   unlisted pair barred and lists every pair they violate; when none
+   is violated, the restricted plan is optimal for the full LP.
 
 Every path hands its plan support to one routine that rebuilds the dual
 potentials by longest-chain propagation, with machine-precision
@@ -77,6 +85,11 @@ _RELAX_BLOCK_CELLS = 32768
 # warm-started from every _COARSE_STRIDE-th row and column.
 _ASSIGNMENT_FLOOR = 64
 _COARSE_STRIDE = 4
+# Smallest reduced costs of the dual guess listed per row and per column
+# for the first restricted transportation LP.
+_SHORTLIST_WIDTH = 8
+# Pricing tolerance of the shortlisted LP, in ulps of max|S|.
+_PRICING_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -313,6 +326,17 @@ def _assignment(cost):
     return linear_sum_assignment(cost)
 
 
+def _replicated_matching(surplus, mu_copies, nu_copies):
+    """Source and target index of every matched pair of copies in one square
+    assignment over points repeated by the given integer counts."""
+    rows = np.repeat(np.arange(surplus.shape[0]), mu_copies)
+    cols = np.repeat(np.arange(surplus.shape[1]), nu_copies)
+    cost = surplus[np.ix_(rows, cols)]
+    np.negative(cost, out=cost)
+    row, col = _assignment(cost)
+    return rows[row], cols[col]
+
+
 def _exact_replicated(mu_w, nu_w, surplus):
     """One square assignment over points repeated max(n, m) * weight times.
 
@@ -322,49 +346,115 @@ def _exact_replicated(mu_w, nu_w, surplus):
     """
     n, m = surplus.shape
     mu_copies = _replication_counts(mu_w, max(n, m))
-    rows = np.repeat(np.arange(n), mu_copies)
-    cols = np.repeat(np.arange(m), _replication_counts(nu_w, max(n, m)))
-    cost = surplus[np.ix_(rows, cols)]
-    np.negative(cost, out=cost)
-    row, col = _assignment(cost)
-    src = rows[row]
+    src, dst = _replicated_matching(
+        surplus, mu_copies, _replication_counts(nu_w, max(n, m))
+    )
     # copies matched to the same (i, j) are summed in assignment order
-    keys, inverse = np.unique(src * m + cols[col], return_inverse=True)
+    keys, inverse = np.unique(src * m + dst, return_inverse=True)
     mass = np.bincount(inverse, mu_w[src] / mu_copies[src])
     return keys // m, keys % m, mass
 
 
-def _exact_lp(mu_w, nu_w, surplus):
-    """Support triplets of a basic optimal plan of the transportation LP,
-    solved by HiGHS with tightened tolerances."""
+def _largest_remainder_counts(weights: np.ndarray, size: int) -> np.ndarray:
+    """size * weights rounded to integers that sum to `size`: floors, plus one
+    for the largest remainders (ties to the lowest index)."""
+    scaled = weights * size
+    counts = np.floor(scaled).astype(int)
+    short = size - counts.sum()
+    counts[np.argsort(counts - scaled, kind="stable")[:short]] += 1
+    return counts
+
+
+def _shortlist(mu_w, nu_w, surplus):
+    """Pairs (n x m mask) on which the first restricted LP is solved.
+
+    The dual guess comes from the assignment over largest-remainder copies
+    of max(n, m) * weights: its duals are rebuilt on the real surplus.  The
+    list holds the guess's support, the _SHORTLIST_WIDTH smallest reduced
+    costs w_i + v_j - S_ij of every row and every column, and the cells of
+    the north-west-corner rule with rows in descending w and columns in
+    ascending v, whose plan makes the restricted LP feasible.
+    """
     n, m = surplus.shape
-    # Row-sum constraints then column-sum constraints on vec(coupling).
-    data = np.ones(2 * n * m)
-    row_idx = np.concatenate(
-        [np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]
+    size = max(n, m)
+    src, dst = _replicated_matching(
+        surplus,
+        _largest_remainder_counts(mu_w, size),
+        _largest_remainder_counts(nu_w, size),
     )
-    col_idx = np.concatenate([np.arange(n * m), np.arange(n * m)])
-    a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n * m))
+    keys = np.unique(src * m + dst)
+    w, v = _duals_from_support(surplus, keys // m, keys % m, 0)
+    listed = np.zeros((n, m), dtype=bool)
+    listed[keys // m, keys % m] = True
+    reduced = w[:, None] + v[None, :] - surplus
+    for axis, length in ((1, m), (0, n)):
+        k = min(_SHORTLIST_WIDTH, length)
+        smallest = np.argpartition(reduced, k - 1, axis=axis)
+        np.put_along_axis(listed, np.take(smallest, range(k), axis=axis), True, axis=axis)
+    # north-west corner: merging the two cumulative sums orders its steps,
+    # a row step first on ties
+    r = np.argsort(-w, kind="stable")
+    c = np.argsort(v, kind="stable")
+    ends = np.concatenate([np.cumsum(mu_w[r])[:-1], np.cumsum(nu_w[c])[:-1]])
+    down = np.argsort(ends, kind="stable") < n - 1
+    listed[r[np.cumsum(np.r_[False, down])], c[np.cumsum(np.r_[False, ~down])]] = True
+    return listed
+
+
+def _exact_lp(mu_w, nu_w, surplus):
+    """Support triplets of a basic optimal plan of the transportation LP.
+
+    Solves the LP restricted to a shortlist of pairs (see _shortlist) and
+    prices out the rest: the restricted plan's duals are rebuilt from its
+    support on the surplus with every unlisted pair at -inf, and every
+    unlisted pair whose surplus exceeds w_i + v_j by more than
+    _PRICING_ULPS ulps of max|S| joins the list, as does every pair of a
+    target that the chains leave at -inf.  When no pair joins, the duals
+    are feasible for the full LP and complementary to the restricted plan,
+    which is then optimal for the full LP.  A full list is the dense LP.
+    """
+    n, m = surplus.shape
     b_eq = np.concatenate([mu_w, nu_w])
-    # Interior point, then HiGHS's default crossover to an optimal basis:
-    # entries off the basis are exact zeros (at most n + m - 1 nonzeros),
-    # so the support is clean for slackness checks.
-    res = linprog(
-        c=-surplus.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs-ipm",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    coupling = res.x.reshape(n, m)
-    rows, cols = np.nonzero(coupling > 0)
-    return rows, cols, coupling[rows, cols]
+    tol = _PRICING_ULPS * np.spacing(np.abs(surplus).max())
+    listed = _shortlist(mu_w, nu_w, surplus)
+    while True:
+        rows, cols = np.nonzero(listed)
+        k = rows.size
+        # row-sum constraints then column-sum constraints on the listed pairs
+        a_eq = csr_matrix(
+            (np.ones(2 * k), (np.concatenate([rows, n + cols]), np.tile(np.arange(k), 2))),
+            shape=(n + m, k),
+        )
+        # Interior point, then HiGHS's default crossover to an optimal basis:
+        # entries off the basis are exact zeros (at most n + m - 1 nonzeros),
+        # so the support is clean for slackness checks.
+        res = linprog(
+            c=-surplus[rows, cols],
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=(0, None),
+            method="highs-ipm",
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        if not res.success:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        on = res.x > 0
+        rows, cols, mass = rows[on], cols[on], res.x[on]
+        restricted = np.where(listed, surplus, -np.inf)
+        # an unreached target makes -inf - (-inf) in w; only v is read then
+        with np.errstate(invalid="ignore"):
+            w, v = _duals_from_support(restricted, rows, cols, 0)
+        unreached = np.isneginf(v)
+        if unreached.any():
+            joins = ~listed & unreached[None, :]
+        else:
+            joins = ~listed & (surplus - w[:, None] - v[None, :] > tol)
+        if not joins.any():
+            return rows, cols, mass
+        listed |= joins
 
 
 def exact_solver_path(mu_weights: np.ndarray, nu_weights: np.ndarray) -> str:

@@ -107,6 +107,33 @@ def test_exact_commands_are_byte_deterministic(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+def test_identify_without_n_ref_sizes_each_cell_reference_by_its_rows(tmp_path):
+    # x uniform on [0.6, 1.4] in bins of width 0.4: two cells of unequal size
+    sim = dict(simulate_section(n=60), x_spec={"kind": "uniform", "lo": [0.6], "hi": [1.4]})
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 5,
+            "simulate": sim,
+            "identify": {
+                "pipeline": "brenier",
+                "dataset": str(tmp_path / "dataset.csv"),
+                "eps_spec": UNIT_BOX_2D,
+                "partition": {"scheme": "bins", "widths": [0.4]},
+                "outputs": {"prefix": "ident"},
+            },
+        },
+    )
+    out = str(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert main(["identify", "--config", cfg, "--out", out]) == 0
+    cells = json.loads((tmp_path / "ident_diagnostics.json").read_text())["cells"]
+    assert len(cells) == 2
+    assert [c["solver_path"] for c in cells] == ["replicated", "replicated"]
+    sizes = [c["n_ref"] for c in cells]
+    assert sum(sizes) == 60 and sizes[0] != sizes[1]
+
+
 def test_simulate_report_counts_max_plus_cells_for_any_thread_split(tmp_path):
     # 60 consumers make 4 row tiles, split over 1 or 3 threads
     cfg = write_config(tmp_path, {"seed": 3, "simulate": simulate_section(n=60)})

@@ -1,5 +1,6 @@
 """Conjugation identities on grids and the zeta-convexity check."""
 
+import itertools
 import os
 import tempfile
 
@@ -67,6 +68,20 @@ def test_argmax_tie_breaks_to_lowest_index():
     v = GridFunction(from_samples(np.array([[-1.0], [1.0]])), np.zeros(2))
     out = zeta_conjugate(v, BILINEAR_1D, NO_X, np.array([[0.0]]))
     assert out.argmax[0] == 0
+
+
+def test_truncation_count_ignores_ulp_ties_with_interior_qualities():
+    # v convex on z = 0..3 with slopes 1, 1.5, 2: at eps = 1 boundary z = 0
+    # ties with interior z = 1, at eps = 2 interior z = 2 ties with boundary
+    # z = 3; only eps = 0.5 maximizes on the boundary alone
+    grid = from_samples(np.array([[0.0], [1.0], [2.0], [3.0]]))
+    v = np.array([0.0, 1.0, 2.5, 4.5])
+    eps = np.array([[0.5], [1.0], [2.0]])
+    for j, step in itertools.product((1, 2), (-np.inf, np.inf)):
+        nudged = v.copy()
+        nudged[j] = np.nextafter(v[j], step)
+        out = zeta_conjugate(GridFunction(grid, nudged), BILINEAR_1D, NO_X, eps)
+        assert out.boundary_hit.tolist() == [True, False, False]
 
 
 def test_empty_grid_rejected():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
 
 from hedonic.measures import DistributionSpec, from_samples, reference_lattice
 from hedonic.ot import (
@@ -629,6 +630,130 @@ def test_lp_duals_are_rebuilt_from_the_support_without_highs_row_duals(instance)
 
 
 # ---------------------------------------------------------------------------
+# shortlisted LP: pricing rounds against the dense LP
+# ---------------------------------------------------------------------------
+
+
+def dense_lp(mu_w, nu_w, surplus):
+    """Reference: support triplets of a basic optimal plan of the dense
+    transportation LP over all n x m pairs, solved by HiGHS with tightened
+    tolerances."""
+    n, m = surplus.shape
+    # Row-sum constraints then column-sum constraints on vec(coupling).
+    data = np.ones(2 * n * m)
+    row_idx = np.concatenate(
+        [np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]
+    )
+    col_idx = np.concatenate([np.arange(n * m), np.arange(n * m)])
+    a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n * m))
+    b_eq = np.concatenate([mu_w, nu_w])
+    res = linprog(
+        c=-surplus.ravel(),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs-ipm",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    assert res.success, res.message
+    coupling = res.x.reshape(n, m)
+    rows, cols = np.nonzero(coupling > 0)
+    return rows, cols, coupling[rows, cols]
+
+
+@contextlib.contextmanager
+def counted_lps():
+    """Record the number of listed pairs of every linprog call in hedonic.ot."""
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(len(kwargs["c"]))
+        return linprog(*args, **kwargs)
+
+    with mock.patch("hedonic.ot.linprog", counted):
+        yield sizes
+
+
+def assert_lp_matches_the_dense_lp(mu, nu, s):
+    """solve_exact's LP plan is basic, optimal to 1e-12 against the dense LP,
+    and carries optimal duals; returns the listed-pair count of each round."""
+    n, m = s.shape
+    assert exact_solver_path(mu.weights, nu.weights) == "lp"
+    with counted_lps() as rounds:
+        plan, duals = solve_exact(mu, nu, s)
+    rows, cols, mass = dense_lp(mu.weights, nu.weights, s)
+    assert abs(plan.objective - np.sum(mass * s[rows, cols])) <= 1e-12
+    assert plan.mass.size <= n + m - 1
+    assert_optimal_duals(mu, nu, s, plan, duals)
+    return rounds
+
+
+@PROPERTY
+@given(irrational_instances(), rational_instances())
+def test_shortlisted_lp_matches_the_dense_lp_when_pricing_runs(instance, rational):
+    # one reduced cost per row and column: most pairs join only by pricing;
+    # rational weights off the replicated path make degenerate bases, whose
+    # chains can leave a target unreached
+    for mu, nu, s in (instance, rational[:3]):
+        if exact_solver_path(mu.weights, nu.weights) != "lp":
+            continue
+        with mock.patch("hedonic.ot._SHORTLIST_WIDTH", 1):
+            rounds = assert_lp_matches_the_dense_lp(mu, nu, s)
+        assert rounds == sorted(set(rounds))
+
+
+@pytest.mark.parametrize("seed", [102, 476])
+def test_shortlisted_lp_lists_every_pair_of_an_unreached_target(seed):
+    # weights in sevenths on 5 x 6 points: a degenerate basis whose listed
+    # pairs do not chain every target to the pin, and a restricted plan that
+    # is not optimal until those targets' columns are listed
+    rng = np.random.default_rng(seed)
+    mu_w = np.bincount(rng.integers(0, 5, 7), minlength=5) / 7
+    nu_w = np.bincount(rng.integers(0, 6, 7), minlength=6) / 7
+    s = rng.normal(size=(5, 6))
+    mu = from_samples(rng.normal(size=(5, 2)), mu_w)
+    nu = from_samples(rng.normal(size=(6, 2)), nu_w)
+    unreached = []
+
+    def counted(surplus, ii, jj, ref):
+        w, v = _duals_from_support(surplus, ii, jj, ref)
+        unreached.append(int(np.isneginf(v).sum()))
+        return w, v
+
+    with (
+        mock.patch("hedonic.ot._SHORTLIST_WIDTH", 1),
+        mock.patch("hedonic.ot._duals_from_support", counted),
+    ):
+        rounds = assert_lp_matches_the_dense_lp(mu, nu, s)
+    assert max(unreached) > 0
+    assert len(rounds) >= 2
+
+
+def criterion_2_trial(index):
+    """The instance of trial `index` of acceptance criterion 2 (rng 77)."""
+    rng = np.random.default_rng(77)
+    for trial in range(index + 1):
+        n, m = int(rng.integers(2, 201)), int(rng.integers(2, 201))
+        uniform = trial % 3 == 0
+        mu = from_samples(rng.normal(size=(n, 2)), None if uniform else rng.random(n) + 0.05)
+        nu = from_samples(rng.normal(size=(m, 2)), None if uniform else rng.random(m) + 0.05)
+    return mu, nu, surplus_matrix(mu, nu, SurplusFamily.bilinear(2))
+
+
+def test_shortlisted_lp_prices_in_pairs_over_several_rounds():
+    mu, nu, s = criterion_2_trial(97)
+    assert s.shape == (166, 161)
+    rounds = assert_lp_matches_the_dense_lp(mu, nu, s)
+    # each round lists more pairs than the one before, and far fewer than n * m
+    assert len(rounds) >= 2
+    assert rounds == sorted(set(rounds))
+    assert rounds[-1] < s.size // 10
+
+
+# ---------------------------------------------------------------------------
 # dual reconstruction: the worklist against the full Jacobi sweep
 # ---------------------------------------------------------------------------
 
@@ -758,10 +883,11 @@ def test_warm_start_recursion_is_optimal_with_the_floor_at_two(instance, replica
         oracle = brute_force_replicated_value(s, mu_copies, nu_copies)
         assert abs(plan.objective - oracle) <= 1e-9
         assert_optimal_duals(mu, nu, s, plan, duals)
-        if exact_solver_path(mu.weights, nu.weights) == "replicated":
-            assert sizes == coarse_levels(max(s.shape), 2)
-        else:
+        # the LP path's dual guess is one replicated assignment of the same size
+        if exact_solver_path(mu.weights, nu.weights) == "size-1":
             assert sizes == []
+        else:
+            assert sizes == coarse_levels(max(s.shape), 2)
 
 
 @pytest.mark.parametrize(
