@@ -41,6 +41,10 @@ _MAXPLUS_BLOCK_CELLS = 32768
 # Consumers x producers per tile of the pruned max-plus product: each tile
 # gathers its candidate columns once, and its 16 consumer rows share them.
 _MAXPLUS_TILE = (16, 128)
+# Dense cells n * m * G below which the max-plus product runs on the calling
+# thread: on smaller products the GIL hand-offs between many small numpy
+# calls cost more than splitting the rows saves.
+_MAXPLUS_THREAD_CELLS = 1 << 22
 
 
 class GridBoundaryError(RuntimeError):
@@ -186,9 +190,9 @@ def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray, 
     tile then runs np.subtract and max(axis=1) on a block into a reused
     buffer of the same size.  Row tiles are split into contiguous ranges
     over _maxplus_workers threads; numpy's subtract and max release the
-    GIL.  With one worker the tiles run on the calling thread.  There is
-    no flag: every entry is the max of the same float values for any
-    split or order.
+    GIL.  With one worker, or below _MAXPLUS_THREAD_CELLS dense cells, the
+    tiles run on the calling thread.  There is no flag: every entry is the
+    max of the same float values for any split or order.
     """
     return _max_plus(consumer_gain, producer_cost, grid)[0]
 
@@ -233,7 +237,7 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
         return cells
 
     workers = _maxplus_workers(len(row_tiles))
-    if workers == 1:
+    if workers == 1 or n * m * g < _MAXPLUS_THREAD_CELLS:
         return s, fill(row_tiles)
     bounds = [len(row_tiles) * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -374,28 +374,6 @@ class DistributionSpec:
     def is_absolutely_continuous(self) -> bool:
         return self.kind in ("uniform", "gaussian", "product")
 
-    def support_box(self):
-        """(lo, hi) support bounds; unbounded axes use +-inf."""
-        d = self.dim
-        if self.kind == "uniform":
-            return self.params["lo"].copy(), self.params["hi"].copy()
-        if self.kind == "gaussian":
-            if "lo" in self.params:
-                return self.params["lo"].copy(), self.params["hi"].copy()
-            return np.full(d, -np.inf), np.full(d, np.inf)
-        if self.kind == "product":
-            lo, hi = np.empty(d), np.empty(d)
-            for k, m in enumerate(self.params["marginals"]):
-                if m["kind"] == "uniform":
-                    lo[k], hi[k] = m["lo"], m["hi"]
-                else:
-                    lo[k], hi[k] = -np.inf, np.inf
-            return lo, hi
-        if self.kind == "point":
-            v = self.params["value"]
-            return v.copy(), v.copy()
-        raise ValueError(self.kind)
-
     # -- per-axis quantile functions ------------------------------------
     def _axis_ppf(self, axis: int, q: np.ndarray) -> np.ndarray:
         if self.kind == "uniform":
@@ -570,32 +548,38 @@ def write_float_table(path, header, *columns) -> None:
 
 def read_float_table(path, kind: str):
     """(header, rows) of a CSV of floats under one header row; a file
-    without data rows is rejected as an empty `kind` file."""
+    without data rows is rejected as an empty `kind` file, and a row whose
+    width differs from the header's as a malformed one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [[float(c) for c in row] for row in reader if row]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{kind} file {path} has a row whose width differs from its header")
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         raise ValueError(f"empty {kind} file")
     return header, arr
 
 
+def _dataset_header(d_x: int, d_z: int) -> list:
+    """x_1..x_dx,z_1..z_dz,p."""
+    return [f"x_{k+1}" for k in range(d_x)] + [f"z_{k+1}" for k in range(d_z)] + ["p"]
+
+
 def write_dataset_csv(dataset: MarketDataset, path) -> None:
     """Header x_1..x_dx,z_1..z_dz,p; one observation per row."""
-    header = (
-        [f"x_{k+1}" for k in range(dataset.d_x)]
-        + [f"z_{k+1}" for k in range(dataset.d_z)]
-        + ["p"]
-    )
+    header = _dataset_header(dataset.d_x, dataset.d_z)
     write_float_table(path, header, dataset.x, dataset.z, dataset.p)
 
 
 def read_dataset_csv(path) -> MarketDataset:
+    """Inverse of write_dataset_csv: the header must be exactly
+    x_1..x_dx,z_1..z_dz,p."""
     header, arr = read_float_table(path, "dataset")
     d_x = sum(1 for h in header if h.startswith("x_"))
-    d_z = sum(1 for h in header if h.startswith("z_"))
-    if d_x + d_z + 1 != len(header) or header[-1] != "p":
+    d_z = len(header) - d_x - 1
+    if header != _dataset_header(d_x, d_z):
         raise ValueError(f"unrecognized dataset header {header}")
     return MarketDataset(arr[:, :d_x], arr[:, d_x : d_x + d_z], arr[:, -1])
 

@@ -2,31 +2,33 @@
 
 `solve_exact` maximizes total surplus over couplings with fixed
 marginals and returns both the optimal plan and a feasible,
-complementary-slack dual pair.  It takes one of three paths:
+complementary-slack dual pair.  A size-1 side couples by the outer
+product of the weights.  Every other instance is solved in two steps:
 
-1. a size-1 side: the only coupling is the outer product of the weights;
-2. replicated assignment: with N = max(n, m), when N * weights is
-   integral on both sides, each point is repeated that many times and
-   one N x N linear assignment is solved (square uniform instances are
-   the special case of one copy per point).  From 64 rows up the
-   assignment is warm-started coarse to fine (Merigot 2011; Schmitzer
-   2016): every 4th row and column, ranked by mean cost, form a
+1. one rounding and one assignment: with N = max(n, m), N * weights is
+   rounded by largest remainder on both sides, each point is repeated
+   that many times and one N x N linear assignment is solved (square
+   uniform instances are the case of one copy per point).  From 64 rows
+   up the assignment is warm-started coarse to fine (Merigot 2011;
+   Schmitzer 2016): every 4th row and column, ranked by mean cost, form a
    quarter-size assignment solved the same way; its exact duals, rebuilt
    from its matching, are extended to every row and column by two
    c-transforms and subtracted from the cost, so the final
    shortest-augmenting-path search starts from nearly tight duals.  Shifts
    of rows and columns move every matching's cost by the same constant,
-   so the optimal matchings do not change;
-3. everything else: the transportation LP, solved by HiGHS's interior
-   point method with crossover to a basic optimal solution, on a
-   shortlist of pairs (Gottschlich & Schuhmacher 2014).  The dual guess
-   is path 2's assignment over N * weights rounded by largest remainder,
-   its duals rebuilt on the real surplus.  The list holds the guess's
-   support, the 8 smallest reduced costs of every row and every column,
-   and a north-west-corner staircase that keeps the restricted LP
-   feasible.  Pricing rebuilds the restricted plan's duals with every
-   unlisted pair barred and lists every pair they violate; when none
-   is violated, the restricted plan is optimal for the full LP.
+   so the optimal matchings do not change.  When every count is N *
+   weight to within 1e-9, the rounding is exact and the copies' masses,
+   summed per pair, are the optimal plan ("replicated");
+2. only when the rounding is inexact ("lp"): the transportation LP,
+   solved by HiGHS's interior point method with crossover to a basic
+   optimal solution, on a shortlist of pairs (Gottschlich & Schuhmacher
+   2014).  The assignment's support is the dual guess, its duals rebuilt
+   on the real surplus.  The list holds that support, the 8 smallest
+   reduced costs of every row and every column, and a north-west-corner
+   staircase that keeps the restricted LP feasible.  Pricing rebuilds the
+   restricted plan's duals with every unlisted pair barred and lists
+   every pair they violate; when none is violated, the restricted plan is
+   optimal for the full LP.
 
 Every path hands its plan support to one routine that rebuilds the dual
 potentials by longest-chain propagation, with machine-precision
@@ -289,15 +291,6 @@ def _duals_from_support(
     return w, v
 
 
-def _replication_counts(weights: np.ndarray, size: int):
-    """Integer copies size * weights, or None when they are not integral."""
-    scaled = weights * size
-    counts = np.rint(scaled)
-    if np.abs(scaled - counts).max() > _REPLICATION_TOL or counts.sum() != size:
-        return None
-    return counts.astype(int)
-
-
 def _assignment(cost):
     """Row and column indices of a minimum-cost square assignment.
 
@@ -337,55 +330,31 @@ def _replicated_matching(surplus, mu_copies, nu_copies):
     return rows[row], cols[col]
 
 
-def _exact_replicated(mu_w, nu_w, surplus):
-    """One square assignment over points repeated max(n, m) * weight times.
-
-    Returns the plan's support triplets.  Each copy of source i carries
-    mass mu_i / copies_i, so a square instance with one copy per point
-    puts exactly mu_i on its match.
-    """
-    n, m = surplus.shape
-    mu_copies = _replication_counts(mu_w, max(n, m))
-    src, dst = _replicated_matching(
-        surplus, mu_copies, _replication_counts(nu_w, max(n, m))
-    )
-    # copies matched to the same (i, j) are summed in assignment order
-    keys, inverse = np.unique(src * m + dst, return_inverse=True)
-    mass = np.bincount(inverse, mu_w[src] / mu_copies[src])
-    return keys // m, keys % m, mass
-
-
-def _largest_remainder_counts(weights: np.ndarray, size: int) -> np.ndarray:
-    """size * weights rounded to integers that sum to `size`: floors, plus one
-    for the largest remainders (ties to the lowest index)."""
+def _copy_counts(weights: np.ndarray, size: int):
+    """size * weights rounded to integers that sum to `size` (floors, plus one
+    for the largest remainders, ties to the lowest index), and whether every
+    count lies within _REPLICATION_TOL of size * weight."""
     scaled = weights * size
     counts = np.floor(scaled).astype(int)
     short = size - counts.sum()
     counts[np.argsort(counts - scaled, kind="stable")[:short]] += 1
-    return counts
+    return counts, bool(np.abs(scaled - counts).max() <= _REPLICATION_TOL)
 
 
-def _shortlist(mu_w, nu_w, surplus):
+def _shortlist(mu_w, nu_w, surplus, guess_rows, guess_cols):
     """Pairs (n x m mask) on which the first restricted LP is solved.
 
-    The dual guess comes from the assignment over largest-remainder copies
-    of max(n, m) * weights: its duals are rebuilt on the real surplus.  The
-    list holds the guess's support, the _SHORTLIST_WIDTH smallest reduced
-    costs w_i + v_j - S_ij of every row and every column, and the cells of
-    the north-west-corner rule with rows in descending w and columns in
+    The dual guess is rebuilt on the real surplus from the guess support,
+    the pairs of an assignment over rounded copies of the points.  The
+    list holds that support, the _SHORTLIST_WIDTH smallest reduced costs
+    w_i + v_j - S_ij of every row and every column, and the cells of the
+    north-west-corner rule with rows in descending w and columns in
     ascending v, whose plan makes the restricted LP feasible.
     """
     n, m = surplus.shape
-    size = max(n, m)
-    src, dst = _replicated_matching(
-        surplus,
-        _largest_remainder_counts(mu_w, size),
-        _largest_remainder_counts(nu_w, size),
-    )
-    keys = np.unique(src * m + dst)
-    w, v = _duals_from_support(surplus, keys // m, keys % m, 0)
+    w, v = _duals_from_support(surplus, guess_rows, guess_cols, 0)
     listed = np.zeros((n, m), dtype=bool)
-    listed[keys // m, keys % m] = True
+    listed[guess_rows, guess_cols] = True
     reduced = w[:, None] + v[None, :] - surplus
     for axis, length in ((1, m), (0, n)):
         k = min(_SHORTLIST_WIDTH, length)
@@ -401,22 +370,23 @@ def _shortlist(mu_w, nu_w, surplus):
     return listed
 
 
-def _exact_lp(mu_w, nu_w, surplus):
+def _exact_lp(mu_w, nu_w, surplus, guess_rows, guess_cols):
     """Support triplets of a basic optimal plan of the transportation LP.
 
-    Solves the LP restricted to a shortlist of pairs (see _shortlist) and
-    prices out the rest: the restricted plan's duals are rebuilt from its
-    support on the surplus with every unlisted pair at -inf, and every
-    unlisted pair whose surplus exceeds w_i + v_j by more than
-    _PRICING_ULPS ulps of max|S| joins the list, as does every pair of a
-    target that the chains leave at -inf.  When no pair joins, the duals
-    are feasible for the full LP and complementary to the restricted plan,
-    which is then optimal for the full LP.  A full list is the dense LP.
+    Solves the LP restricted to a shortlist of pairs grown from the guess
+    support (see _shortlist) and prices out the rest: the restricted
+    plan's duals are rebuilt from its support on the surplus with every
+    unlisted pair at -inf, and every unlisted pair whose surplus exceeds
+    w_i + v_j by more than _PRICING_ULPS ulps of max|S| joins the list, as
+    does every pair of a target that the chains leave at -inf.  When no
+    pair joins, the duals are feasible for the full LP and complementary
+    to the restricted plan, which is then optimal for the full LP.  A full
+    list is the dense LP.
     """
     n, m = surplus.shape
     b_eq = np.concatenate([mu_w, nu_w])
     tol = _PRICING_ULPS * np.spacing(np.abs(surplus).max())
-    listed = _shortlist(mu_w, nu_w, surplus)
+    listed = _shortlist(mu_w, nu_w, surplus, guess_rows, guess_cols)
     while True:
         rows, cols = np.nonzero(listed)
         k = rows.size
@@ -463,13 +433,8 @@ def exact_solver_path(mu_weights: np.ndarray, nu_weights: np.ndarray) -> str:
     n, m = len(mu_weights), len(nu_weights)
     if min(n, m) == 1:
         return "size-1"
-    size = max(n, m)
-    if (
-        _replication_counts(mu_weights, size) is not None
-        and _replication_counts(nu_weights, size) is not None
-    ):
-        return "replicated"
-    return "lp"
+    exact = all(_copy_counts(w, max(n, m))[1] for w in (mu_weights, nu_weights))
+    return "replicated" if exact else "lp"
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
@@ -493,10 +458,17 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     if path == "size-1":
         rows, cols = np.divmod(np.arange(n * m), m)
         mass = mu_w[rows] * nu_w[cols]
-    elif path == "replicated":
-        rows, cols, mass = _exact_replicated(mu_w, nu_w, surplus)
     else:
-        rows, cols, mass = _exact_lp(mu_w, nu_w, surplus)
+        mu_copies, nu_copies = (_copy_counts(w, max(n, m))[0] for w in (mu_w, nu_w))
+        src, dst = _replicated_matching(surplus, mu_copies, nu_copies)
+        keys, inverse = np.unique(src * m + dst, return_inverse=True)
+        rows, cols = keys // m, keys % m
+        if path == "replicated":
+            # each copy of source i carries mu_i / copies_i; copies matched
+            # to the same (i, j) are summed in assignment order
+            mass = np.bincount(inverse, mu_w[src] / mu_copies[src])
+        else:
+            rows, cols, mass = _exact_lp(mu_w, nu_w, surplus, rows, cols)
     objective = float(np.sum(mass * surplus[rows, cols]))
     plan = TransportPlan(rows, cols, mass, (n, m), objective)
     w, v = _pin(*_duals_from_support(surplus, plan.rows, plan.cols, ref), ref)

@@ -135,12 +135,14 @@ def test_identify_without_n_ref_sizes_each_cell_reference_by_its_rows(tmp_path):
 
 
 def test_simulate_report_counts_max_plus_cells_for_any_thread_split(tmp_path):
-    # 60 consumers make 4 row tiles, split over 1 or 3 threads
+    # 60 consumers make 4 row tiles, split over 1 or 3 threads with no
+    # thread floor
     cfg = write_config(tmp_path, {"seed": 3, "simulate": simulate_section(n=60)})
     facts = []
     for cpus in (1, 3):
         out = tmp_path / f"cpus{cpus}"
-        with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))), \
+                mock.patch("hedonic.equilibrium._MAXPLUS_THREAD_CELLS", 0):
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         facts.append(json.loads((out / "sim_report.json").read_text())["maxplus"])
     assert facts[0] == facts[1]
@@ -380,6 +382,27 @@ def test_check_rejects_a_malformed_duals_file(tmp_path, values, code):
         },
     )
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == code
+
+
+def test_identify_on_a_dataset_with_short_rows_exits_1(tmp_path):
+    # the header names two quality axes, but each row holds x, one z and p
+    (tmp_path / "dataset.csv").write_text("x_1,z_1,z_2,p\n1,2.0,0.5\n1,2.5,0.7\n1,3.0,0.9\n")
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 0,
+            "identify": {
+                "pipeline": "general",
+                "dataset": str(tmp_path / "dataset.csv"),
+                "eps_spec": UNIT_BOX_2D,
+                "zeta": {"kind": "bilinear", "dim": 2, "d_x": 1},
+                "n_ref": 4,
+                "outputs": {"prefix": "identified"},
+            },
+        },
+    )
+    assert main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("identified*"))
 
 
 def test_conjugate_command(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import types
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,22 @@ def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells, cpu
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pruned_max_plus_instances(), st.sampled_from([2, 3, 7]))
+def test_threaded_max_plus_equals_one_worker_bitwise(instance, cpus):
+    # with no thread floor the row tiles are split over the CPUs; every tile
+    # makes the same float operations on any thread
+    gain, cost, grid = instance
+    with mock.patch.object(equilibrium.os, "sched_getaffinity", return_value={0}):
+        serial = equilibrium._max_plus(gain, cost, grid)
+    with mock.patch.object(equilibrium, "_MAXPLUS_THREAD_CELLS", 0), \
+            mock.patch.object(equilibrium.os, "sched_getaffinity",
+                              return_value=set(range(cpus))):
+        threaded = equilibrium._max_plus(gain, cost, grid)
+    assert threaded[0].tobytes() == serial[0].tobytes()
+    assert threaded[1] == serial[1]
+
+
 def readme_spec_arrays(n, res, seed):
     """Consumer gains and producer costs of the README's 2-D bilinear spec
     on a res x res grid over [1.9, 3.1]^2."""
@@ -274,15 +291,36 @@ def test_candidate_masks_keep_every_dense_argmax(case):
         assert kept_cells <= equilibrium._max_plus(gain, cost, grid)[1] < dense_cells
 
 
-@pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7)])
+@pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7), (64, 2)])
 def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
-    # 16 rows make one row tile, so one worker whatever the CPU count
+    # 16 rows make one row tile, so one worker whatever the CPU count; 64
+    # rows make four row tiles, but 64 x 64 x 144 cells are below the floor
     gain, cost, grid = readme_spec_arrays(n, 12, seed=n)
+    assert n * n * grid.shape[0] < equilibrium._MAXPLUS_THREAD_CELLS
     with mock.patch.object(equilibrium.os, "sched_getaffinity",
                            return_value=set(range(cpus))), \
             mock.patch.object(equilibrium, "ThreadPoolExecutor",
                               side_effect=AssertionError("pool started")):
         got = _pairwise_max_surplus(gain, cost, grid)
+    assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_max_plus_threads_from_the_floor_up(above):
+    # 64 rows make four row tiles over two CPUs; the floor sits at or just
+    # above the product's 64 x 64 x 144 dense cells
+    gain, cost, grid = readme_spec_arrays(64, 12, seed=1)
+    pools = []
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    with mock.patch.object(equilibrium, "_MAXPLUS_THREAD_CELLS", 64 * 64 * 144 + above), \
+            mock.patch.object(equilibrium.os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(equilibrium, "ThreadPoolExecutor", counted):
+        got = _pairwise_max_surplus(gain, cost, grid)
+    assert pools == ([] if above else [2])
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 

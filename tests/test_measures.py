@@ -432,6 +432,25 @@ def test_measure_csv_round_trip(tmp_path):
     assert np.allclose(back.weights, m.weights, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_dataset_csv, "x_1,z_1,z_2,p\n1,2,3\n4,5,6\n"),
+        (read_dataset_csv, "z_1,x_1,p\n1,2,3\n4,5,6\n"),
+        (read_dataset_csv, "x_1,z_2,z_1,p\n1,2,3,4\n5,6,7,8\n"),
+        (read_measure_csv, "w,c_1,c_2\n0.5,1\n0.5,2\n"),
+    ],
+    ids=["dataset-short-rows", "dataset-z-before-x", "dataset-swapped-z", "measure-short-rows"],
+)
+def test_csv_layout_that_would_be_misread_rejected(tmp_path, reader, text):
+    # read by position, these would give p as z_2, z as x, swapped z axes
+    # and a 1-D measure
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        reader(path)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -20,11 +20,12 @@ from hedonic.ot import (
     SPARSITY_THRESHOLD,
     DualPair,
     TransportPlan,
+    _copy_counts,
     _duals_from_support,
     _exact_lp,
     _lexicographic_ref,
     _pin,
-    _replication_counts,
+    _replicated_matching,
     barycentric_projection,
     check_cyclical_monotonicity,
     exact_solver_path,
@@ -551,6 +552,57 @@ def test_size_one_side_couples_by_the_product_of_weights(k, side, data):
     assert_optimal_duals(mu, nu, s, plan, duals)
 
 
+def rint_copy_counts(weights, size):
+    """Reference: size * weights rounded to the nearest integers, or None
+    unless every one is within 1e-9 of its integer and they sum to size."""
+    scaled = weights * size
+    counts = np.rint(scaled)
+    if np.abs(scaled - counts).max() > 1e-9 or counts.sum() != size:
+        return None
+    return counts.astype(int)
+
+
+@st.composite
+def roundable_weights(draw):
+    """n <= 12 weights and N = max(n, m) with m <= 12: integer copies / N
+    (zeros allowed) with some N * weight moved up to 1e-10 off its integer,
+    or random weights with some zeros."""
+    n = draw(st.integers(1, 12))
+    size = max(n, draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        counts = draw(copy_counts(size, n))
+        offsets = st.sampled_from([0.0, 0.0, 1e-10, -1e-10, 3e-11, -7e-11])
+        nudge = draw(hnp.arrays(float, n, elements=offsets))
+        # a zero count only moves up, so no weight is negative
+        return (counts + np.where(counts > 0, nudge, np.abs(nudge))) / size, size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(n) * (rng.random(n) < 0.7)
+    weights[0] += weights.sum() == 0
+    return weights / weights.sum(), size
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(roundable_weights())
+def test_largest_remainder_copies_equal_the_rint_rule_when_exact(instance):
+    weights, size = instance
+    counts, exact = _copy_counts(weights, size)
+    reference = rint_copy_counts(weights, size)
+    assert counts.sum() == size
+    assert exact == (reference is not None)
+    if exact:
+        assert np.array_equal(counts, reference)
+
+
+def lp_from_matching(mu_w, nu_w, s):
+    """_exact_lp with the dual guess solve_exact hands it: the support of one
+    replicated assignment over largest-remainder copies of max(n, m) * weights."""
+    m = s.shape[1]
+    counts = (_copy_counts(w, max(s.shape))[0] for w in (mu_w, nu_w))
+    src, dst = _replicated_matching(s, *counts)
+    keys = np.unique(src * m + dst)
+    return _exact_lp(mu_w, nu_w, s, keys // m, keys % m)
+
+
 @st.composite
 def replicable_instances(draw):
     """N = max(n, m) copies in total on both sides, n, m >= 2."""
@@ -568,11 +620,11 @@ def replicable_instances(draw):
 def test_lp_and_replicated_assignment_agree(instance):
     mu, nu, s = instance
     size = max(s.shape)
-    assert _replication_counts(mu.weights, size) is not None
-    assert _replication_counts(nu.weights, size) is not None
+    assert _copy_counts(mu.weights, size)[1]
+    assert _copy_counts(nu.weights, size)[1]
     assert exact_solver_path(mu.weights, nu.weights) == "replicated"
     plan, duals = solve_exact(mu, nu, s)
-    rows, cols, mass = _exact_lp(mu.weights, nu.weights, s)
+    rows, cols, mass = lp_from_matching(mu.weights, nu.weights, s)
     lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     assert abs(lp_plan.objective - plan.objective) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
@@ -595,9 +647,9 @@ def irrational_instances(draw):
 def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     mu, nu, s = instance
     n, m = s.shape
-    assert _replication_counts(mu.weights, max(n, m)) is None
+    assert not _copy_counts(mu.weights, max(n, m))[1]
     assert exact_solver_path(mu.weights, nu.weights) == "lp"
-    rows, cols, mass = _exact_lp(mu.weights, nu.weights, s)
+    rows, cols, mass = lp_from_matching(mu.weights, nu.weights, s)
     lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     # crossover ran: a basic solution has at most n + m - 1 nonzeros
     assert lp_plan.mass.size <= n + m - 1
@@ -823,8 +875,8 @@ def direct_assignment(mu, nu, s):
     """Support (i, j) and objective of one plain linear_sum_assignment on the
     replicated N x N matrix, with no warm start."""
     size = max(s.shape)
-    rows = np.repeat(np.arange(mu.n), _replication_counts(mu.weights, size))
-    cols = np.repeat(np.arange(nu.n), _replication_counts(nu.weights, size))
+    rows = np.repeat(np.arange(mu.n), _copy_counts(mu.weights, size)[0])
+    cols = np.repeat(np.arange(nu.n), _copy_counts(nu.weights, size)[0])
     r, c = linear_sum_assignment(-s[np.ix_(rows, cols)])
     keys = np.unique(rows[r] * nu.n + cols[c])
     return keys // nu.n, keys % nu.n, s[rows[r], cols[c]].sum() / size
@@ -876,7 +928,7 @@ def test_warm_start_recursion_is_optimal_with_the_floor_at_two(instance, replica
     # from 2 rows up every level recurses, down to a 1 x 1 problem
     mu, nu, s = replicable
     size = max(s.shape)
-    copies = _replication_counts(mu.weights, size), _replication_counts(nu.weights, size)
+    copies = _copy_counts(mu.weights, size)[0], _copy_counts(nu.weights, size)[0]
     for mu, nu, s, mu_copies, nu_copies in (instance, (mu, nu, s, *copies)):
         with mock.patch("hedonic.ot._ASSIGNMENT_FLOOR", 2), counted_assignments() as sizes:
             plan, duals = solve_exact(mu, nu, s)
