@@ -13,7 +13,6 @@ from .equilibrium import (
     GridBoundaryError,
     atomlessness_diagnostic,
     build_z_grid,
-    joint_surplus,
     simulate_market,
     verify_equilibrium,
 )

@@ -321,9 +321,14 @@ def _check_equilibrium(section: dict, seed: int) -> dict:
     if "dataset" in section:
         ds = measures.read_dataset_csv(section["dataset"])
         own = outcome.dataset
-        if ds.n != own.n or np.abs(ds.x - own.x).max() > 1e-9 or np.abs(
-            ds.z - own.z
-        ).max() > 1e-9:
+        # shapes first: an (n, 1) z would broadcast against the replay's (n, 2)
+        matches = (
+            ds.x.shape == own.x.shape
+            and ds.z.shape == own.z.shape
+            and np.abs(ds.x - own.x).max() <= 1e-9
+            and np.abs(ds.z - own.z).max() <= 1e-9
+        )
+        if not matches:
             checks["dataset_matches_replay"] = False
             report = eq.verify_equilibrium(outcome)
         else:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "EquilibriumReport",
     "GridBoundaryError",
     "build_z_grid",
-    "joint_surplus",
     "simulate_market",
     "verify_equilibrium",
     "atomlessness_diagnostic",
@@ -63,29 +61,6 @@ def build_z_grid(lo, hi, resolution) -> np.ndarray:
     axes = [np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
-
-
-def joint_surplus(spec: StructuralSpec, x_tilde, y_tilde, z_grid):
-    """Maximized joint surplus of one consumer-producer pair.
-
-    Returns (value, argmax quality, interior flag); ties break to the
-    lowest grid index, and argmaxes touching the grid's bounding box
-    clear the interior flag.
-    """
-    x, eps = x_tilde
-    grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
-    gains = (
-        spec.u_bar.pairwise_grid(np.atleast_2d(x), grid)[0]
-        + spec.zeta.pairwise_consumer_grid(
-            np.atleast_2d(x), np.atleast_2d(eps), grid
-        )[0]
-        - spec.cost.pairwise_grid(np.atleast_2d(y_tilde), grid)[0]
-    )
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("joint surplus is not finite on the grid")
-    arg = int(np.argmax(gains))
-    interior = not bool(bounding_box_mask(grid)[arg])
-    return float(gains[arg]), grid[arg].copy(), interior
 
 
 @dataclass(frozen=True)
@@ -155,17 +130,18 @@ def _maxplus_workers(n: int) -> int:
     return max(1, min(cpus, n))
 
 
-def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid=None):
-    """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]).
+def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
+    """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), and the
+    number of cells it evaluated.
 
     Each pair is evaluated only on the grid points that a dominance
     certificate cannot exclude; S is bit-identical to the dense product.
 
-    Partners: for each grid axis, every point is paired with its previous
-    and next point in a lexsort along that axis (the axis neighbours on a
-    build_z_grid lattice; consecutive indices when no grid is given).  The
+    Partners: every point g is paired with g + s for each of the strides s
+    of _grid_strides, the axis neighbours on a build_z_grid lattice.  The
     partner choice sets only how much is pruned, never the result, so any
-    grid works, scattered or with duplicate points.
+    grid works, scattered or with duplicate points; off a lattice the
+    masks may prune less.
 
     Masks: point g leaves consumer row i's mask when, for some partner g',
     the rounded step gain[i, g'] - gain[i, g] is above every producer's
@@ -178,8 +154,10 @@ def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray, 
     by monotone rounding) a float surplus at g' at least as large.  Real
     values rise strictly along a chain of drops, so every chain ends at a
     point kept for that pair, and the max over the kept points is the dense
-    max, bit for bit.  The masks are booleans built in row chunks of about
-    _MAXPLUS_BLOCK_CELLS cells.
+    max.  numpy's max takes the sign of a zero reached as both +0.0 and
+    -0.0 from the zeros' positions, so zero entries are redone over all G
+    points, as the dense product does.  The masks are booleans built in
+    row chunks of about _MAXPLUS_BLOCK_CELLS cells.
 
     Tiles: consumers and producers are ordered by the mean kept grid index
     of their masks and cut into tiles of _MAXPLUS_TILE rows; a tile is
@@ -194,11 +172,6 @@ def _pairwise_max_surplus(consumer_gain: np.ndarray, producer_cost: np.ndarray, 
     tiles run on the calling thread.  There is no flag: every entry is the
     max of the same float values for any split or order.
     """
-    return _max_plus(consumer_gain, producer_cost, grid)[0]
-
-
-def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
-    """_pairwise_max_surplus, and the number of cells it evaluated."""
     n, g = consumer_gain.shape
     m = producer_cost.shape[0]
     s = np.empty((n, m))
@@ -238,89 +211,93 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
 
     workers = _maxplus_workers(len(row_tiles))
     if workers == 1 or n * m * g < _MAXPLUS_THREAD_CELLS:
-        return s, fill(row_tiles)
-    bounds = [len(row_tiles) * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fill, row_tiles[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        cells = sum(future.result() for future in futures)
-    return s, cells
+        cells = fill(row_tiles)
+    else:
+        bounds = [len(row_tiles) * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(fill, row_tiles[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            cells = sum(future.result() for future in futures)
+    # zero maxima: the sign comes from where the zeros sit among all G points
+    ii, jj = np.nonzero(s == 0)
+    chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
+    for k in range(0, ii.size, chunk):
+        rows, cols = ii[k:k + chunk], jj[k:k + chunk]
+        s[rows, cols] = (consumer_gain[rows] - producer_cost[cols]).max(axis=1)
+    return s, cells + ii.size * g
 
 
 def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     """(mask, key) of the consumer rows and of the producer rows: the grid
-    points each row keeps (see _pairwise_max_surplus) and its mean kept
-    grid index."""
+    points each row keeps (see _max_plus) and its mean kept grid index."""
     g = consumer_gain.shape[1]
     chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
-    orders = _grid_orders(grid, g)
-    gain_range = _step_range(consumer_gain, orders, chunk)
-    cost_range = _step_range(producer_cost, orders, chunk)
+    strides = _grid_strides(grid, g)
+    gain_range = _step_range(consumer_gain, strides, chunk)
+    cost_range = _step_range(producer_cost, strides, chunk)
     # a consumer drops a point when its gain step to a partner is above
     # every producer's cost step, and a producer when its cost step is
     # below every consumer's gain step; producer steps are negated so that
     # both compare as "above up, or below down"
     return (
-        _row_mask(consumer_gain, orders, cost_range, 1.0, chunk),
+        _row_mask(consumer_gain, strides, cost_range, 1.0, chunk),
         _row_mask(
-            producer_cost, orders, [(-low, -high) for high, low in gain_range], -1.0, chunk
+            producer_cost, strides, [(-low, -high) for high, low in gain_range], -1.0, chunk
         ),
     )
 
 
-def _grid_orders(grid, g: int) -> list:
-    """Partner orders of the max-plus masks, one per grid axis: a lexsort
-    whose last key is that axis, so consecutive points are the axis
-    neighbours on a build_z_grid lattice.  None stands for the identity
-    order, which is also the only order without a grid."""
+def _grid_strides(grid, g: int) -> list:
+    """Partner strides of the max-plus masks: for each grid axis, the index
+    of the first row whose coordinate on that axis differs from row 0's,
+    without repeats.  On a row-major lattice these are the axis strides
+    ([r, 1] on an r x r grid); a scattered grid usually gets [1], and so
+    does a grid of one point or none."""
     if grid is None:
-        return [None]
-    points = np.asarray(grid).reshape(g, -1)
-    orders = []
-    for a in range(points.shape[1]):
-        keys = [points[:, a]] + [points[:, b] for b in range(points.shape[1]) if b != a]
-        order = np.lexsort(keys)
-        orders.append(None if np.array_equal(order, np.arange(g)) else order)
-    return orders
+        return [1]
+    strides = []
+    for column in np.asarray(grid).reshape(g, -1).T:
+        moved = np.flatnonzero(column != column[0])
+        if moved.size and moved[0] not in strides:
+            strides.append(int(moved[0]))
+    return strides or [1]
 
 
-def _steps(block: np.ndarray, order, out: np.ndarray) -> np.ndarray:
-    """Steps v[:, k + 1] - v[:, k] of the columns v of block in `order`,
-    written into out.  One subtraction over the flattened rows does every
-    row at once; the differences across row ends land in out's last
-    column, which the returned view leaves out."""
-    v = np.ascontiguousarray(block) if order is None else np.take(block, order, axis=1)
-    flat = v.reshape(-1)
+def _steps(block: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Steps v[:, k + s] - v[:, k] of the rows v of block, written into
+    out.  One subtraction over the flattened rows does every row at once;
+    the differences across row ends land in out's last s columns, which
+    the returned view leaves out."""
+    flat = np.ascontiguousarray(block).reshape(-1)
     out = out[: block.shape[0]]
-    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
-    return out[:, :-1]
+    np.subtract(flat[s:], flat[:-s], out=out.reshape(-1)[:-s])
+    return out[:, : block.shape[1] - s]
 
 
-def _step_range(values: np.ndarray, orders: list, chunk: int) -> list:
-    """(max, min) over rows of each partner step, per order."""
+def _step_range(values: np.ndarray, strides: list, chunk: int) -> list:
+    """(max, min) over rows of each partner step, per stride."""
     buf = np.empty((min(chunk, values.shape[0]), values.shape[1]))
     ranges = []
-    for order in orders:
-        high = np.full(values.shape[1] - 1, -np.inf)
-        low = np.full(values.shape[1] - 1, np.inf)
+    for s in strides:
+        high = np.full(values.shape[1] - s, -np.inf)
+        low = np.full(values.shape[1] - s, np.inf)
         for r0 in range(0, values.shape[0], chunk):
-            step = _steps(values[r0:r0 + chunk], order, buf)
+            step = _steps(values[r0:r0 + chunk], s, buf)
             np.maximum(high, step.max(axis=0), out=high)
             np.minimum(low, step.min(axis=0), out=low)
         ranges.append((high, low))
     return ranges
 
 
-def _row_mask(values, orders, limits, sign, chunk):
+def _row_mask(values, strides, limits, sign, chunk):
     """Grid points each row keeps, and each row's mean kept grid index.
 
-    With step = sign * (partner step) and (up, down) the limits of an
-    order, a row drops point k of the order when its step to k + 1 is
-    above up[k], and point k + 1 when that step is below down[k].
+    With step = sign * (partner step) and (up, down) the limits of a
+    stride s, a row drops point k when its step to k + s is above up[k],
+    and point k + s when that step is below down[k].
     """
     n, g = values.shape
-    inverses = [None if order is None else np.argsort(order) for order in orders]
     keep = np.ones((n, g), dtype=bool)
     key = np.empty(n)
     index = np.arange(g, dtype=float)
@@ -329,17 +306,14 @@ def _row_mask(values, orders, limits, sign, chunk):
     for r0 in range(0, n, chunk):
         block = values[r0:r0 + chunk]
         kept = keep[r0:r0 + chunk]
-        rows = kept.shape[0]
-        for order, inverse, (up, down) in zip(orders, inverses, limits):
-            step = _steps(block, order, buf)
+        dropped = drop[: kept.shape[0]]
+        for s, (up, down) in zip(strides, limits):
+            step = _steps(block, s, buf)
             if sign < 0:
                 np.negative(step, out=step)
-            dropped = drop[:rows]
-            np.greater(step, up, out=dropped[:, :-1])
-            dropped[:, -1] = False
-            dropped[:, 1:] |= step < down
-            if inverse is not None:
-                dropped = np.take(dropped, inverse, axis=1)
+            np.greater(step, up, out=dropped[:, :-s])
+            dropped[:, -s:] = False
+            dropped[:, s:] |= step < down
             kept &= ~dropped
         key[r0:r0 + chunk] = kept.dot(index) / np.count_nonzero(kept, axis=1)
     return keep, key

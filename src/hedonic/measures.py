@@ -437,13 +437,7 @@ class DistributionSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
-    # -- config round trip ----------------------------------------------
-    def to_config(self) -> dict:
-        out = {"kind": self.kind}
-        for key, val in self.params.items():
-            out[key] = val.tolist() if isinstance(val, np.ndarray) else val
-        return out
-
+    # -- config -------------------------------------------------------
     @staticmethod
     def from_config(cfg: dict) -> "DistributionSpec":
         kind = cfg.get("kind")

@@ -294,6 +294,35 @@ def test_check_detects_tampered_prices(tmp_path):
     assert report["equilibrium"]["verification"]["failures"]
 
 
+def test_check_rejects_a_dataset_with_too_few_quality_columns(tmp_path):
+    # point tastes and producers: every pair trades z = (2.5, 2.5), so a
+    # one-column z broadcasts onto the replay's values unless shapes are compared
+    section = simulate_section(n=20, resolution=21)
+    section["eps_spec"] = section["producer_spec"] = {"kind": "point", "value": [0.5, 0.5]}
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 5,
+            "simulate": section,
+            "check": {
+                "equilibrium": {"simulate": section, "dataset": str(tmp_path / "dataset.csv")},
+            },
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "dataset.csv").read_text().splitlines()]
+    assert rows[0] == ["x_1", "z_1", "z_2", "p"]
+    assert {tuple(row[1:3]) for row in rows[1:]} == {("2.5", "2.5")}
+    (tmp_path / "dataset.csv").write_text(
+        "".join(",".join([row[0], row[1], row[3]]) + "\n" for row in rows)
+    )
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["equilibrium"]["dataset_matches_replay"] is False
+    assert not report["passed"]
+
+
 def test_check_flags_broken_plan_marginals(tmp_path):
     mu = from_samples(np.array([[0.0], [1.0]]))
     nu = from_samples(np.array([[0.0], [1.0]]))

@@ -7,16 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hedonic import equilibrium
 from hedonic.equilibrium import (
     GridBoundaryError,
-    _pairwise_max_surplus,
+    _max_plus,
     atomlessness_diagnostic,
     build_z_grid,
-    joint_surplus,
     simulate_market,
     verify_equilibrium,
 )
@@ -48,52 +47,6 @@ def tinbergen_spec():
 
 
 # ---------------------------------------------------------------------------
-# joint_surplus
-# ---------------------------------------------------------------------------
-
-
-def test_joint_surplus_analytic_argmax():
-    # u_bar = 0, zeta = z eps, C = z^2/2: argmax z* = eps, S = eps^2 / 2
-    spec = StructuralSpec(
-        u_bar=ScalarFamily.zero(1, 1),
-        cost=ScalarFamily.polynomial([{"coeff": 0.5, "z": [2]}], 1, 1),
-        zeta=SurplusFamily.bilinear(1, d_x=1),
-    )
-    eps = 0.8
-    grid = build_z_grid([0.0], [2 * eps], 801)
-    value, z_star, interior = joint_surplus(
-        spec, (np.array([0.0]), np.array([eps])), np.array([1.0]), grid
-    )
-    step = 2 * eps / 800
-    assert abs(z_star[0] - eps) <= step
-    assert abs(value - eps**2 / 2) <= step**2
-    assert interior
-
-
-def test_joint_surplus_single_point_grid_is_boundary():
-    spec = quadratic_spec_1d()
-    value, z_star, interior = joint_surplus(
-        spec, (np.array([1.0]), np.array([0.5])), np.array([0.5]), np.array([[1.0]])
-    )
-    assert z_star[0] == 1.0
-    assert not interior
-
-
-def test_joint_surplus_tie_breaks_to_lowest_index():
-    # surplus symmetric in z around 0 with two symmetric grid nodes
-    spec = StructuralSpec(
-        u_bar=ScalarFamily.polynomial([{"coeff": -1.0, "z": [2]}], 1, 1),
-        cost=ScalarFamily.zero(1, 1),
-        zeta=SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [2]}], 1, 1),
-    )
-    _, z_star, _ = joint_surplus(
-        spec, (np.array([0.0]), np.array([0.5])), np.array([0.0]),
-        np.array([[-1.0], [1.0]]),
-    )
-    assert z_star[0] == -1.0
-
-
-# ---------------------------------------------------------------------------
 # simulate_market
 # ---------------------------------------------------------------------------
 
@@ -107,7 +60,7 @@ def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
     # integer values make ties and equal maxima common
     gain = rng.integers(-3, 4, size=(7, 40)).astype(float)
     cost = rng.integers(-3, 4, size=(5, 40)).astype(float)
-    assert np.array_equal(_pairwise_max_surplus(gain, cost), dense_max_plus(gain, cost))
+    assert np.array_equal(_max_plus(gain, cost, None)[0], dense_max_plus(gain, cost))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -139,7 +92,7 @@ def test_blocked_max_plus_equals_the_dense_max_bitwise(
             mock.patch.object(equilibrium.os, "sched_getaffinity",
                               return_value=set(range(cpus))):
         assert equilibrium._maxplus_workers(n) == min(cpus, n)
-        got = _pairwise_max_surplus(gain, cost)
+        got = _max_plus(gain, cost, None)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -152,7 +105,7 @@ def test_max_plus_without_an_affinity_call_uses_the_cpu_count(
     assert equilibrium._maxplus_workers(10) == workers
     rng = np.random.default_rng(workers)
     gain, cost = rng.normal(size=(10, 30)), rng.normal(size=(4, 30))
-    assert _pairwise_max_surplus(gain, cost).tobytes() == dense_max_plus(gain, cost).tobytes()
+    assert _max_plus(gain, cost, None)[0].tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 @pytest.mark.parametrize("m, g", [(70, 1000), (3, 32768 + 5)])
@@ -160,7 +113,7 @@ def test_blocked_max_plus_at_the_module_block_size(m, g):
     # 32 producers per block with a remainder of 6; a grid above the block
     rng = np.random.default_rng(g)
     gain, cost = rng.normal(size=(2, g)), rng.normal(size=(m, g))
-    assert _pairwise_max_surplus(gain, cost).tobytes() == dense_max_plus(gain, cost).tobytes()
+    assert _max_plus(gain, cost, None)[0].tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 def lattice(*res):
@@ -169,11 +122,11 @@ def lattice(*res):
 
 
 @st.composite
-def pruned_max_plus_instances(draw):
+def pruned_max_plus_instances(draw, kinds=("lattice", "scattered", "duplicates", "none")):
     """(gain, cost, grid) on lattices, scattered or duplicate points, or no
     grid, with values that the certificate prunes heavily (concave,
     monotone), barely (normal), or not at all (all zero)."""
-    kind = draw(st.sampled_from(["lattice", "scattered", "duplicates", "none"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "lattice":
         grid = lattice(*draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
     else:
@@ -231,7 +184,7 @@ def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells, cpu
     with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells), \
             mock.patch.object(equilibrium.os, "sched_getaffinity",
                               return_value=set(range(cpus))):
-        got = _pairwise_max_surplus(gain, cost, grid)
+        got = _max_plus(gain, cost, grid)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -291,6 +244,87 @@ def test_candidate_masks_keep_every_dense_argmax(case):
         assert kept_cells <= equilibrium._max_plus(gain, cost, grid)[1] < dense_cells
 
 
+def lexsort_candidate_masks(gain, cost, grid):
+    """Reference: the masks and keys of the lexsort partners that stride
+    partners replaced.  For each grid axis every point is paired with the
+    next point of a lexsort whose last key is that axis (the identity
+    without a grid), so on a lattice the last point of each axis line is
+    also paired with the first point of the next line."""
+    g = gain.shape[1]
+    if grid is None:
+        orders = [np.arange(g)]
+    else:
+        pts = np.asarray(grid).reshape(g, -1)
+        d = pts.shape[1]
+        orders = [
+            np.lexsort([pts[:, a]] + [pts[:, b] for b in range(d) if b != a])
+            for a in range(d)
+        ]
+
+    def step_ranges(values):
+        steps = [np.diff(values[:, order], axis=1) for order in orders]
+        return [(step.max(axis=0), step.min(axis=0)) for step in steps]
+
+    def masks(values, limits, sign):
+        keep = np.ones(values.shape, dtype=bool)
+        for order, (up, down) in zip(orders, limits):
+            step = sign * np.diff(values[:, order], axis=1)
+            dropped = np.zeros(values.shape, dtype=bool)
+            dropped[:, :-1] = step > up
+            dropped[:, 1:] |= step < down
+            keep[:, order] &= ~dropped
+        return keep, keep.dot(np.arange(g, dtype=float)) / np.count_nonzero(keep, axis=1)
+
+    gain_range = step_ranges(gain)
+    return (
+        masks(gain, step_ranges(cost), 1.0),
+        masks(cost, [(-low, -high) for high, low in gain_range], -1.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, strides",
+    [
+        (None, [1]),
+        (lattice(1), [1]),
+        (lattice(300), [1]),
+        (lattice(4, 5), [5, 1]),
+        (lattice(3, 4, 5), [20, 5, 1]),
+        (lattice(1, 6), [1]),  # an axis of one point has no stride
+        (lattice(6, 1), [1]),
+        (np.repeat(lattice(3), 2, axis=0), [2]),  # duplicate points
+        (np.random.default_rng(0).normal(size=(30, 2)), [1]),  # scattered
+    ],
+)
+def test_grid_strides_are_the_lattice_axis_strides(grid, strides):
+    g = 60 if grid is None else grid.shape[0]
+    assert equilibrium._grid_strides(grid, g) == strides
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pruned_max_plus_instances(kinds=("lattice", "none")), st.sampled_from([1, 7, 500, 32768]))
+def test_stride_masks_keep_every_point_the_lexsort_masks_keep(instance, block_cells):
+    # on 1-D and 2-D lattices the strides keep every lexsort pair but the
+    # wraps from one axis line to the next, and test each pair against the
+    # same limits; on 3-D lattices and off a lattice the two partner sets
+    # differ, and neither mask need contain the other
+    gain, cost, grid = instance
+    assume(grid is None or grid.shape[1] <= 2)
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+        got = equilibrium._candidate_masks(gain, cost, grid)
+    for (mask, _), (ref, _) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
+        assert np.all(mask | ~ref)
+
+
+@pytest.mark.parametrize("n, res, seed", [(80, 30, 4), (100, 30, 7), (64, 45, 2)])
+def test_stride_masks_equal_the_lexsort_masks_on_readme_lattices(n, res, seed):
+    gain, cost, grid = readme_spec_arrays(n, res, seed)
+    got = equilibrium._candidate_masks(gain, cost, grid)
+    for (mask, key), (ref, ref_key) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
+        assert np.array_equal(mask, ref)
+        assert key.tobytes() == ref_key.tobytes()
+
+
 @pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7), (64, 2)])
 def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
     # 16 rows make one row tile, so one worker whatever the CPU count; 64
@@ -301,7 +335,7 @@ def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
                            return_value=set(range(cpus))), \
             mock.patch.object(equilibrium, "ThreadPoolExecutor",
                               side_effect=AssertionError("pool started")):
-        got = _pairwise_max_surplus(gain, cost, grid)
+        got = _max_plus(gain, cost, grid)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -319,7 +353,7 @@ def test_max_plus_threads_from_the_floor_up(above):
     with mock.patch.object(equilibrium, "_MAXPLUS_THREAD_CELLS", 64 * 64 * 144 + above), \
             mock.patch.object(equilibrium.os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(equilibrium, "ThreadPoolExecutor", counted):
-        got = _pairwise_max_surplus(gain, cost, grid)
+        got = _max_plus(gain, cost, grid)[0]
     assert pools == ([] if above else [2])
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
