@@ -12,7 +12,6 @@ Exit codes: 0 ok, 1 usage/config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -82,20 +81,24 @@ def _resolve_simulate(section: dict, seed: int) -> dict:
     return resolved
 
 
-def _run_simulation(resolved: dict) -> eq.EquilibriumOutcome:
-    spec = StructuralSpec.from_config(resolved["structural"])
+def _market(resolved: dict) -> dict:
+    """Keyword arguments of the market a resolved simulate section describes."""
     grid_cfg = resolved["z_grid"]
-    grid = eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"])
+    return {
+        "spec": StructuralSpec.from_config(resolved["structural"]),
+        "x_spec": measures.DistributionSpec.from_config(resolved["x_spec"]),
+        "eps_spec": measures.DistributionSpec.from_config(resolved["eps_spec"]),
+        "producer_spec": measures.DistributionSpec.from_config(resolved["producer_spec"]),
+        "n_consumers": resolved["n_consumers"],
+        "n_producers": resolved["n_producers"],
+        "z_grid": eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"]),
+        "seed": resolved["seed"],
+    }
+
+
+def _run_simulation(resolved: dict) -> eq.EquilibriumOutcome:
     return eq.simulate_market(
-        spec=spec,
-        x_spec=measures.DistributionSpec.from_config(resolved["x_spec"]),
-        eps_spec=measures.DistributionSpec.from_config(resolved["eps_spec"]),
-        producer_spec=measures.DistributionSpec.from_config(resolved["producer_spec"]),
-        n_consumers=resolved["n_consumers"],
-        n_producers=resolved["n_producers"],
-        z_grid=grid,
-        seed=resolved["seed"],
-        boundary_threshold=resolved["boundary_threshold"],
+        **_market(resolved), boundary_threshold=resolved["boundary_threshold"]
     )
 
 
@@ -315,31 +318,24 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
 
 
 def _check_equilibrium(section: dict, seed: int) -> dict:
+    """Certify the section's dataset against the market of (config, seed),
+    or, without a dataset, simulate that market; either outcome goes
+    through verify_equilibrium."""
     resolved = _resolve_simulate(section["simulate"], seed)
-    outcome = _run_simulation(resolved)
-    checks = {}
     if "dataset" in section:
         ds = measures.read_dataset_csv(section["dataset"])
-        own = outcome.dataset
-        # shapes first: an (n, 1) z would broadcast against the replay's (n, 2)
-        matches = (
-            ds.x.shape == own.x.shape
-            and ds.z.shape == own.z.shape
-            and np.abs(ds.x - own.x).max() <= 1e-9
-            and np.abs(ds.z - own.z).max() <= 1e-9
-        )
-        if not matches:
-            checks["dataset_matches_replay"] = False
-            report = eq.verify_equilibrium(outcome)
-        else:
-            checks["dataset_matches_replay"] = True
-            patched = dataclasses.replace(outcome, prices=ds.p)
-            report = eq.verify_equilibrium(patched)
+        outcome, facts = eq.certify_dataset(**_market(resolved), dataset=ds)
+        checks = {"method": "certificate", **facts}
+        if outcome is None:
+            checks["passed"] = False
+            return checks
     else:
-        report = eq.verify_equilibrium(outcome)
+        outcome = _run_simulation(resolved)
+        checks = {"method": "simulate"}
+    report = eq.verify_equilibrium(outcome)
     checks["verification"] = report.to_dict()
     checks["atomlessness"] = eq.atomlessness_diagnostic(outcome)
-    checks["passed"] = bool(report.passed) and checks.get("dataset_matches_replay", True)
+    checks["passed"] = bool(report.passed)
     return checks
 
 

@@ -6,16 +6,22 @@ quality grid; the matching solves the exact transport problem on the
 maximized pairwise surplus, and prices split each matched pair's
 surplus according to the dual potentials (pinned so the lowest-index
 producer earns zero profit).  The emitted dataset feeds the
-identification pipelines for round-trip validation.
+identification pipelines for round-trip validation; certify_dataset
+checks such a dataset against the market of its seed without solving
+the market again.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from .conjugate import bounding_box_mask
 from .measures import DistributionSpec, MarketDataset, from_samples, write_json
@@ -27,6 +33,8 @@ __all__ = [
     "EquilibriumReport",
     "GridBoundaryError",
     "build_z_grid",
+    "certify_dataset",
+    "sample_types",
     "simulate_market",
     "verify_equilibrium",
     "atomlessness_diagnostic",
@@ -65,19 +73,30 @@ def build_z_grid(lo, hi, resolution) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """One simulated market: samples, matching, prices, and dataset view."""
+    """One market: samples, matching, prices, and dataset view.
+
+    consumer_gain and producer_cost hold U(x_i, eps_i, z_g) and C(y_j, z_g)
+    on every point of z_grid; the matched pair t trades the quality
+    z_grid[traded_index[t]] at prices[t].
+    """
 
     spec: StructuralSpec
     consumer_x: np.ndarray
     consumer_eps: np.ndarray
     producer_y: np.ndarray
+    z_grid: np.ndarray
+    consumer_gain: np.ndarray
+    producer_cost: np.ndarray
     matching: TransportPlan
     duals: DualPair
-    surplus: np.ndarray
-    traded_z: np.ndarray
+    traded_index: np.ndarray
     prices: np.ndarray
     boundary_fraction: float
-    maxplus: dict  # grid_points, cells_dense (n m G), cells_evaluated
+    maxplus: Optional[dict]  # grid_points, cells_dense (n m G), cells_evaluated
+
+    @property
+    def traded_z(self) -> np.ndarray:
+        return self.z_grid[self.traded_index]
 
     @property
     def indirect_v(self) -> np.ndarray:
@@ -319,6 +338,41 @@ def _row_mask(values, strides, limits, sign, chunk):
     return keep, key
 
 
+def sample_types(
+    x_spec: DistributionSpec,
+    eps_spec: DistributionSpec,
+    producer_spec: DistributionSpec,
+    n_consumers: int,
+    n_producers: int,
+    seed: int = 0,
+):
+    """The consumer types (x, eps) and producer types y that `seed` draws,
+    from three child streams of SeedSequence(seed)."""
+    seeds = np.random.SeedSequence(seed).spawn(3)
+    x = x_spec.sample(n_consumers, np.random.default_rng(seeds[0]))
+    eps = eps_spec.sample(n_consumers, np.random.default_rng(seeds[1]))
+    y = producer_spec.sample(n_producers, np.random.default_rng(seeds[2]))
+    return x, eps, y
+
+
+def _grid_tensors(spec: StructuralSpec, x, eps, y, grid):
+    """U(x_i, eps_i, z_g) and C(y_j, z_g) on every grid point; must be finite."""
+    consumer_gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(
+        x, eps, grid
+    )
+    producer_cost = spec.cost.pairwise_grid(y, grid)
+    if not (np.all(np.isfinite(consumer_gain)) and np.all(np.isfinite(producer_cost))):
+        raise ValueError("surplus is not finite on the quality grid")
+    return consumer_gain, producer_cost
+
+
+def _boundary_fraction(grid, traded_index, mass) -> float:
+    """Share of matched mass trading a quality on the grid's bounding box."""
+    if mass.size == 0:
+        return 0.0
+    return float(mass[bounding_box_mask(grid)[traded_index]].sum() / mass.sum())
+
+
 def simulate_market(
     spec: StructuralSpec,
     x_spec: DistributionSpec,
@@ -342,17 +396,8 @@ def simulate_market(
     if n_consumers < 1 or n_producers < 1:
         raise ValueError("need at least one consumer and one producer")
     grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
-    seeds = np.random.SeedSequence(seed).spawn(3)
-    x = x_spec.sample(n_consumers, np.random.default_rng(seeds[0]))
-    eps = eps_spec.sample(n_consumers, np.random.default_rng(seeds[1]))
-    y = producer_spec.sample(n_producers, np.random.default_rng(seeds[2]))
-
-    consumer_gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(
-        x, eps, grid
-    )
-    producer_cost = spec.cost.pairwise_grid(y, grid)
-    if not (np.all(np.isfinite(consumer_gain)) and np.all(np.isfinite(producer_cost))):
-        raise ValueError("surplus is not finite on the quality grid")
+    x, eps, y = sample_types(x_spec, eps_spec, producer_spec, n_consumers, n_producers, seed)
+    consumer_gain, producer_cost = _grid_tensors(spec, x, eps, y, grid)
     surplus, maxplus_cells = _max_plus(consumer_gain, producer_cost, grid)
 
     mu = from_samples(np.column_stack([x, eps]))
@@ -365,15 +410,13 @@ def simulate_market(
     # the quality argmax is only needed on the matched pairs
     ii, jj, mass = plan.support()
     pair_arg = np.argmax(consumer_gain[ii] - producer_cost[jj], axis=1)
-    boundary_mask = bounding_box_mask(grid)
-    boundary_fraction = float(mass[boundary_mask[pair_arg]].sum() / mass.sum())
+    boundary_fraction = _boundary_fraction(grid, pair_arg, mass)
     if boundary_fraction > boundary_threshold:
         raise GridBoundaryError(
             f"{boundary_fraction:.1%} of matched mass maximizes on the quality "
             f"grid boundary (threshold {boundary_threshold:.1%}); enlarge the grid box"
         )
-    traded_z = grid[pair_arg]
-    cost_at_traded = spec.cost.eval_rows(y[jj], traded_z)
+    cost_at_traded = spec.cost.eval_rows(y[jj], grid[pair_arg])
     prices = cost_at_traded + duals.v_target[jj]
 
     return EquilibriumOutcome(
@@ -381,10 +424,12 @@ def simulate_market(
         consumer_x=x,
         consumer_eps=eps,
         producer_y=y,
+        z_grid=grid,
+        consumer_gain=consumer_gain,
+        producer_cost=producer_cost,
         matching=plan,
         duals=duals,
-        surplus=surplus,
-        traded_z=traded_z,
+        traded_index=pair_arg,
         prices=prices,
         boundary_fraction=boundary_fraction,
         maxplus={
@@ -393,6 +438,146 @@ def simulate_market(
             "cells_evaluated": maxplus_cells,
         },
     )
+
+
+def _grid_rows(grid: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Grid index of each row of z (the first, if a point repeats), -1 for
+    a row that is no grid point.  Points compare exactly: a dataset written
+    by simulate holds the grid's floats as exact repr strings."""
+    index = {}
+    for k, point in enumerate(map(tuple, grid.tolist())):
+        index.setdefault(point, k)
+    return np.array([index.get(tuple(row), -1) for row in z.tolist()], dtype=np.intp)
+
+
+def certify_dataset(
+    spec: StructuralSpec,
+    x_spec: DistributionSpec,
+    eps_spec: DistributionSpec,
+    producer_spec: DistributionSpec,
+    n_consumers: int,
+    n_producers: int,
+    z_grid,
+    dataset: MarketDataset,
+    seed: int = 0,
+    tol: float = 1e-7,
+):
+    """An equilibrium of the market that `seed` draws, built from the
+    posted prices of `dataset` without a max-plus product or a transport
+    solve, for verify_equilibrium to check.
+
+    Returns (outcome, facts).  When the dataset cannot belong to this
+    market (its x or z widths differ from the config's, a z row is no
+    grid point, or an x row is none of this seed's consumer draws),
+    outcome is None and facts["dataset_matches_replay"] is False.
+    Otherwise, with rows k = 1..K of (x_k, z_k, p_k) and the types that
+    sample_types draws:
+
+    - every consumer buys its best row and every producer sells its best
+      row: v_i = max_k U_i(z_k) - p_k and w_j = max_k p_k - C_j(z_k);
+    - an arc i -> k is tight when x_i = x_k and U_i(z_k) - p_k is within
+      tol / 2 of v_i, and an arc k -> j when p_k - C_j(z_k) is within
+      tol / 2 of w_j, so a pair joined through a row meets support
+      equality within tol;
+    - one maximum flow source -> consumer -> row -> producer -> sink on
+      the tight arcs, with capacity L / n out of the source and L / m into
+      the sink for L = lcm(n, m), looks for a clearing plan: each
+      consumer and producer then trades mass flow / L.  The flow through
+      a row is split over its consumers and producers in order (north-west
+      corner); a pair joined through several rows trades the quality of
+      the first.
+
+    facts counts the dataset rows, the tight arcs, and the flow value
+    against L; a flow below L leaves some mass unmatched, which
+    verify_equilibrium reports as a clearing failure.
+    """
+    if n_consumers < 1 or n_producers < 1:
+        raise ValueError("need at least one consumer and one producer")
+    n, m, rows = n_consumers, n_producers, dataset.n
+    lcm = math.lcm(n, m)
+    if lcm > np.iinfo(np.int32).max:
+        raise ValueError(f"lcm({n}, {m}) = {lcm} exceeds the flow capacity range")
+    grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    x, eps, y = sample_types(x_spec, eps_spec, producer_spec, n, m, seed)
+    facts = {"dataset_rows": rows, "dataset_matches_replay": False}
+    if dataset.d_x != x.shape[1] or dataset.d_z != grid.shape[1]:
+        return None, facts
+    row_grid = _grid_rows(grid, dataset.z)
+    same_x = (x[:, None, :] == dataset.x[None, :, :]).all(axis=2)  # (n, K)
+    if np.any(row_grid < 0) or not same_x.any(axis=0).all():
+        return None, facts
+    facts["dataset_matches_replay"] = True
+
+    consumer_gain, producer_cost = _grid_tensors(spec, x, eps, y, grid)
+    net = consumer_gain[:, row_grid] - dataset.p  # (n, K)
+    profit = dataset.p - producer_cost[:, row_grid]  # (m, K)
+    v = net.max(axis=1)
+    w = profit.max(axis=1)
+    ci, ck = np.nonzero(same_x & (net >= v[:, None] - tol / 2))
+    pj, pk = np.nonzero(profit >= w[:, None] - tol / 2)
+
+    # nodes: source 0, consumers 1..n, rows n+1..n+K, producers, sink
+    first_row, first_producer = 1 + n, 1 + n + rows
+    sink = first_producer + m
+    arc_tail = np.concatenate([np.zeros(n, np.intp), 1 + ci, first_row + pk,
+                               first_producer + np.arange(m)])
+    arc_head = np.concatenate([1 + np.arange(n), first_row + ck, first_producer + pj,
+                               np.full(m, sink)])
+    cap = np.repeat([lcm // n, lcm // n, lcm // m, lcm // m], [n, ci.size, pj.size, m])
+    graph = csr_matrix(
+        (cap.astype(np.int32), (arc_tail, arc_head)), shape=(sink + 1, sink + 1)
+    )
+    result = maximum_flow(graph, 0, sink)
+    facts.update(
+        tight_arcs=int(ci.size + pj.size),
+        flow_value=int(result.flow_value),
+        flow_lcm=lcm,
+    )
+
+    # the flow's arcs out of consumers and out of rows, each ordered by row,
+    # carry intervals of one running total that meet at every row end (a
+    # row passes on what it receives); pairing the intervals that overlap
+    # splits each row's flow north-west corner
+    flow = result.flow.tocoo()
+    moved = flow.data > 0
+    tail, head, units = flow.row[moved], flow.col[moved], flow.data[moved]
+    buy = np.flatnonzero((tail >= 1) & (tail < first_row))
+    buy = buy[np.lexsort((tail[buy], head[buy]))]
+    sell = np.flatnonzero((tail >= first_row) & (tail < first_producer))
+    sell = sell[np.lexsort((head[sell], tail[sell]))]
+    buy_end = np.cumsum(units[buy])
+    sell_end = np.cumsum(units[sell])
+    ends = np.union1d(buy_end, sell_end)
+    buy = buy[np.searchsorted(buy_end, ends)]
+    sell = sell[np.searchsorted(sell_end, ends)]
+    keys, first, inverse = np.unique(
+        (tail[buy] - 1) * m + head[sell] - first_producer,
+        return_index=True, return_inverse=True,
+    )
+    buyers, sellers = keys // m, keys % m
+    mass = np.bincount(inverse.ravel(), np.diff(ends, prepend=0), minlength=keys.size) / lcm
+    pair_row = head[buy][first] - first_row
+    traded_index = row_grid[pair_row]
+    objective = float(
+        mass @ (consumer_gain[buyers, traded_index] - producer_cost[sellers, traded_index])
+    )
+
+    outcome = EquilibriumOutcome(
+        spec=spec,
+        consumer_x=x,
+        consumer_eps=eps,
+        producer_y=y,
+        z_grid=grid,
+        consumer_gain=consumer_gain,
+        producer_cost=producer_cost,
+        matching=TransportPlan(buyers, sellers, mass, (n, m), objective),
+        duals=DualPair(v, w, 0),
+        traded_index=traded_index,
+        prices=dataset.p[pair_row],
+        boundary_fraction=_boundary_fraction(grid, traded_index, mass),
+        maxplus=None,
+    )
+    return outcome, facts
 
 
 @dataclass(frozen=True)
@@ -421,9 +606,50 @@ class EquilibriumReport:
         }
 
 
+def _column_extreme(values: np.ndarray, shift: np.ndarray, reduce) -> np.ndarray:
+    """reduce (np.maximum or np.minimum) over the rows of values + shift[:, None],
+    per column, a block of about _MAXPLUS_BLOCK_CELLS cells at a time."""
+    chunk = max(1, _MAXPLUS_BLOCK_CELLS // values.shape[1])
+    out = None
+    for r0 in range(0, values.shape[0], chunk):
+        part = reduce.reduce(values[r0:r0 + chunk] + shift[r0:r0 + chunk, None], axis=0)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
+
+
+def _envelope_margin(consumer_gain, producer_cost, v, w):
+    """Stability margin min_z [min_j (C_jz + w_j) - max_i (U_iz - v_i)] over
+    the grid (see verify_equilibrium), with its grid point g and the
+    consumer i and producer j that attain it there: (margin, g, i, j)."""
+    upper = _column_extreme(consumer_gain, -v, np.maximum)
+    lower = _column_extreme(producer_cost, w, np.minimum)
+    gap = lower - upper
+    g = int(np.argmin(gap))
+    i = int(np.argmax(consumer_gain[:, g] - v))
+    j = int(np.argmin(producer_cost[:, g] + w))
+    return float(gap[g]), g, i, j
+
+
 def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> EquilibriumReport:
     """Check stability, the two-sided price split, market clearing, and
-    the no-profitable-deviation conditions on traded qualities."""
+    the no-profitable-deviation conditions on traded qualities.
+
+    Stability is checked on the hedonic price envelope, in O((n + m) G)
+    work and without the n x m joint surplus S_ij = max_z (U_iz - C_jz)
+    over the grid points z.  Stability asks v_i + w_j >= S_ij for every
+    consumer i and producer j, that is v_i + w_j >= U_iz - C_jz for every
+    (i, j, z), or C_jz + w_j >= U_iz - v_i.  For fixed z the smallest left
+    side and the largest right side are taken independently, so stability
+    holds if and only if
+
+        max_i (U_iz - v_i) <= min_j (C_jz + w_j)    at every grid point z,
+
+    and min_z of the difference equals min_ij (v_i + w_j - S_ij) up to
+    rounding (Chiappori, McCann & Nesheim, Econ. Theory 42, 2010).  A
+    violation names the consumer and producer that attain the two sides
+    at the worst z.  Support equality v_i + w_j = U_iz - C_jz is checked
+    on each matched pair at its traded quality z.
+    """
     failures = []
     v = outcome.indirect_v
     w = outcome.indirect_w
@@ -431,36 +657,41 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
     m = w.shape[0]
     src, tgt, _ = outcome.matching.support()
     n_pairs = src.shape[0]
+    traded_z = outcome.traded_z
 
-    margin = v[:, None] + w[None, :] - outcome.surplus
-    stability_min = float(margin.min())
+    stability_min, g, i, j = _envelope_margin(
+        outcome.consumer_gain, outcome.producer_cost, v, w
+    )
     if stability_min < -tol:
-        i, j = np.unravel_index(np.argmin(margin), margin.shape)
         failures.append(
-            f"stability violated by consumer {i} with producer {j}: "
-            f"margin {stability_min:.3e}"
+            f"stability violated by consumer {i} with producer {j} at grid point "
+            f"{g}: margin {stability_min:.3e}"
         )
 
-    sup_dev = float(np.abs(margin[src, tgt]).max()) if n_pairs else 0.0
+    k = outcome.traded_index
+    pair_margin = v[src] + w[tgt] - (
+        outcome.consumer_gain[src, k] - outcome.producer_cost[tgt, k]
+    )
+    sup_dev = float(np.abs(pair_margin).max(initial=0.0))
     if sup_dev > tol:
         failures.append(f"support pairs miss surplus equality by {sup_dev:.3e}")
 
     # both sides of the split must reproduce the price
     u_at_pairs = (
-        outcome.spec.u_bar.eval_rows(outcome.consumer_x[src], outcome.traded_z)
+        outcome.spec.u_bar.eval_rows(outcome.consumer_x[src], traded_z)
         + outcome.spec.zeta.eval_rows(
-            outcome.consumer_x[src], outcome.consumer_eps[src], outcome.traded_z
+            outcome.consumer_x[src], outcome.consumer_eps[src], traded_z
         )
     )
     consumer_price = u_at_pairs - v[src]
     cost_at_pairs = outcome.spec.cost.eval_rows(
-        outcome.producer_y[tgt], outcome.traded_z
+        outcome.producer_y[tgt], traded_z
     )
     producer_price = cost_at_pairs + w[tgt]
     split_dev = float(
         max(
-            np.abs(consumer_price - outcome.prices).max(),
-            np.abs(producer_price - outcome.prices).max(),
+            np.abs(consumer_price - outcome.prices).max(initial=0.0),
+            np.abs(producer_price - outcome.prices).max(initial=0.0),
         )
     )
     if split_dev > tol:
@@ -476,7 +707,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
     consumer_dev = -np.inf
     producer_dev = -np.inf
     if n_pairs > 1:
-        u_all = outcome.consumer_utilities_at(outcome.traded_z)  # (n, K)
+        u_all = outcome.consumer_utilities_at(traded_z)  # (n, K)
         net_all = u_all - outcome.prices[None, :]
         own_net = net_all[src, np.arange(n_pairs)]
         gain = net_all[src].max(axis=1) - own_net
@@ -487,7 +718,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> Equili
                 f"consumer {int(src[t])} gains "
                 f"{consumer_dev:.3e} by switching traded quality"
             )
-        c_all = outcome.producer_costs_at(outcome.traded_z)  # (m, K)
+        c_all = outcome.producer_costs_at(traded_z)  # (m, K)
         profit_all = outcome.prices[None, :] - c_all
         own_profit = profit_all[tgt, np.arange(n_pairs)]
         gain_p = profit_all[tgt].max(axis=1) - own_profit

@@ -323,6 +323,97 @@ def test_check_rejects_a_dataset_with_too_few_quality_columns(tmp_path):
     assert not report["passed"]
 
 
+def simulated_check_config(tmp_path, section, seed=5):
+    """Config whose check certifies the dataset that simulate writes; runs simulate."""
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": seed,
+            "simulate": section,
+            "check": {
+                "equilibrium": {"simulate": section, "dataset": str(tmp_path / "dataset.csv")},
+            },
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    return cfg
+
+
+def rewrite_dataset_cell(tmp_path, row, column, change):
+    """Replace one cell of dataset.csv (row 0 is the first data row)."""
+    lines = (tmp_path / "dataset.csv").read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[column] = repr(change(float(cells[column])))
+    lines[row + 1] = ",".join(cells)
+    (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_check_certifies_a_market_with_more_producers_than_consumers(tmp_path):
+    section = dict(simulate_section(n=20, resolution=21), n_producers=30)
+    cfg = simulated_check_config(tmp_path, section)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())["equilibrium"]
+    rows = len((tmp_path / "dataset.csv").read_text().splitlines()) - 1
+    assert report["method"] == "certificate"
+    assert report["dataset_rows"] == rows >= 30
+    assert report["flow_value"] == report["flow_lcm"] == 60
+    assert report["tight_arcs"] >= 2 * 30
+    assert report["verification"]["clearing_max_dev"] <= 1e-9
+
+    rewrite_dataset_cell(tmp_path, 1, -1, lambda p: p + 0.25)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert not report["passed"]
+    assert report["equilibrium"]["verification"]["failures"]
+
+
+def test_check_with_a_dataset_neither_simulates_nor_solves(tmp_path):
+    cfg = simulated_check_config(tmp_path, simulate_section(n=20, resolution=21))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check with a dataset must not simulate or solve")
+
+    with mock.patch("hedonic.equilibrium.simulate_market", refuse), \
+            mock.patch("hedonic.equilibrium._max_plus", refuse), \
+            mock.patch("hedonic.equilibrium.solve_exact", refuse), \
+            mock.patch("hedonic.ot.solve_exact", refuse):
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())["equilibrium"]
+    assert report["method"] == "certificate" and report["passed"]
+
+
+def test_check_without_a_dataset_simulates(tmp_path):
+    section = simulate_section(n=20, resolution=21)
+    cfg = write_config(tmp_path, {"seed": 5, "check": {"equilibrium": {"simulate": section}}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())["equilibrium"]
+    assert report["method"] == "simulate" and report["verification"]["passed"]
+    assert "dataset_matches_replay" not in report
+
+
+def test_check_rejects_a_dataset_simulated_under_another_seed(tmp_path):
+    cfg = simulated_check_config(tmp_path, simulate_section(n=20, resolution=21), seed=5)
+    assert main(["check", "--config", cfg, "--seed", "6", "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    # the tastes differ, but x is a point and every z a grid point
+    assert report["equilibrium"]["dataset_matches_replay"] is True
+    assert not report["passed"]
+    assert report["equilibrium"]["verification"]["failures"]
+
+
+@pytest.mark.parametrize("column,change", [
+    (1, lambda z: z + 1e-3),  # z_1 off the grid
+    (0, lambda x: x + 0.5),  # x none of the consumer draws
+])
+def test_check_rejects_a_dataset_row_the_market_cannot_hold(tmp_path, column, change):
+    cfg = simulated_check_config(tmp_path, simulate_section(n=20, resolution=21))
+    rewrite_dataset_cell(tmp_path, 3, column, change)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["equilibrium"]["dataset_matches_replay"] is False
+    assert not report["passed"]
+
+
 def test_check_flags_broken_plan_marginals(tmp_path):
     mu = from_samples(np.array([[0.0], [1.0]]))
     nu = from_samples(np.array([[0.0], [1.0]]))

@@ -16,10 +16,11 @@ from hedonic.equilibrium import (
     _max_plus,
     atomlessness_diagnostic,
     build_z_grid,
+    certify_dataset,
     simulate_market,
     verify_equilibrium,
 )
-from hedonic.measures import DistributionSpec
+from hedonic.measures import DistributionSpec, MarketDataset
 from hedonic.surplus import ScalarFamily, StructuralSpec, SurplusFamily
 
 UNIT_1D = DistributionSpec.uniform([0.0], [1.0])
@@ -202,6 +203,23 @@ def test_threaded_max_plus_equals_one_worker_bitwise(instance, cpus):
         threaded = equilibrium._max_plus(gain, cost, grid)
     assert threaded[0].tobytes() == serial[0].tobytes()
     assert threaded[1] == serial[1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pruned_max_plus_instances(), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 32768]))
+def test_envelope_margin_equals_the_dense_stability_margin(instance, seed, block_cells):
+    # consumer potentials near the c-transform of random producer potentials,
+    # so the margin sits near zero with either sign
+    gain, cost, _ = instance
+    s = dense_max_plus(gain, cost)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=cost.shape[0])
+    v = (s - w).max(axis=1) + rng.normal(scale=0.1, size=gain.shape[0])
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+        margin, g, i, j = equilibrium._envelope_margin(gain, cost, v, w)
+    assert abs(margin - (v[:, None] + w[None, :] - s).min()) <= 1e-12
+    # the named consumer and producer attain the margin at the named point
+    assert abs(v[i] + w[j] - (gain[i, g] - cost[j, g]) - margin) <= 1e-12
 
 
 def readme_spec_arrays(n, res, seed):
@@ -489,6 +507,77 @@ def test_single_pair_deviations_vacuous():
     rep = verify_equilibrium(out)
     assert rep.passed
     assert rep.consumer_deviation_max_gain == -np.inf
+
+
+# ---------------------------------------------------------------------------
+# certify_dataset
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,m", [(30, 30), (24, 36), (25, 31), (36, 24), (1, 4)])
+@pytest.mark.parametrize("tied", [False, True])
+def test_certificate_clears_the_simulated_dataset(n, m, tied):
+    # tied: every consumer and every producer has the same type, so every
+    # arc is tight and the flow alone picks the plan
+    eps = DistributionSpec.point([0.5]) if tied else UNIT_1D
+    producers = DistributionSpec.point([0.3]) if tied else UNIT_1D
+    kw = dict(
+        spec=quadratic_spec_1d(), x_spec=POINT_X, eps_spec=eps, producer_spec=producers,
+        n_consumers=n, n_producers=m, z_grid=build_z_grid([0.0], [3.0], 300), seed=n + m,
+    )
+    out = simulate_market(**kw)
+    cert, facts = certify_dataset(dataset=out.dataset, **kw)
+    lcm = np.lcm(n, m)
+    assert facts["dataset_matches_replay"] and facts["dataset_rows"] == out.n_pairs
+    assert facts["flow_value"] == facts["flow_lcm"] == lcm
+    rep = verify_equilibrium(cert)
+    assert rep.passed, rep.failures
+    assert rep.clearing_max_dev <= 1e-9
+    assert np.abs(cert.indirect_v - out.indirect_v).max() <= 1e-9
+    assert np.abs(cert.indirect_w - out.indirect_w).max() <= 1e-9
+
+
+def test_certificate_of_a_dearer_row_leaves_producers_unmatched():
+    kw = dict(
+        spec=quadratic_spec_1d(), x_spec=POINT_X, eps_spec=UNIT_1D, producer_spec=UNIT_1D,
+        n_consumers=6, n_producers=6, z_grid=build_z_grid([0.0], [3.0], 300), seed=3,
+    )
+    ds = simulate_market(**kw).dataset
+    # the row's producer, and maybe others, now earn most there, where no
+    # consumer buys
+    p = ds.p.copy()
+    p[0] += 0.25
+    cert, facts = certify_dataset(dataset=MarketDataset(ds.x, ds.z, p), **kw)
+    assert facts["flow_value"] < facts["flow_lcm"]
+    rep = verify_equilibrium(cert)
+    assert not rep.passed
+    assert any("clearing" in f for f in rep.failures)
+
+
+def test_certificate_of_rows_their_own_consumers_pass_over_is_empty():
+    # two rows, each carrying the x of the consumer who prefers the other
+    # row, so no arc is tight and the plan is empty
+    spec = tinbergen_spec()
+    kw = dict(
+        spec=spec, x_spec=DistributionSpec.uniform([0.5], [1.5]), eps_spec=UNIT_1D,
+        producer_spec=DistributionSpec.uniform([0.5], [1.5]), n_consumers=2,
+        n_producers=2, z_grid=build_z_grid([0.0], [3.0], 31), seed=1,
+    )
+    x, eps, _ = equilibrium.sample_types(
+        kw["x_spec"], kw["eps_spec"], kw["producer_spec"], 2, 2, seed=1
+    )
+    z = np.array([[2.0], [0.5]])
+    gain = spec.u_bar.pairwise_grid(x, z) + spec.zeta.pairwise_consumer_grid(x, eps, z)
+    step = gain[:, 0] - gain[:, 1]  # what each consumer pays at most for z = 2
+    keen = int(np.argmax(step))
+    ds = MarketDataset(x[[1 - keen, keen]], z, [step.mean(), 0.0])
+    cert, facts = certify_dataset(dataset=ds, **kw)
+    assert facts["dataset_matches_replay"] and facts["flow_value"] == 0
+    assert cert.n_pairs == 0 and cert.boundary_fraction == 0.0
+    rep = verify_equilibrium(cert)
+    assert not rep.passed
+    assert rep.clearing_max_dev == 0.5
+    assert not atomlessness_diagnostic(cert)["applicable"]
 
 
 # ---------------------------------------------------------------------------
