@@ -13,7 +13,6 @@ from .equilibrium import (
     GridBoundaryError,
     atomlessness_diagnostic,
     build_z_grid,
-    certify_dataset,
     simulate_market,
     verify_equilibrium,
 )

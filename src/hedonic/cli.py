@@ -324,7 +324,9 @@ def _check_equilibrium(section: dict, seed: int) -> dict:
     resolved = _resolve_simulate(section["simulate"], seed)
     if "dataset" in section:
         ds = measures.read_dataset_csv(section["dataset"])
-        outcome, facts = eq.certify_dataset(**_market(resolved), dataset=ds)
+        outcome, facts = eq.certify_dataset(
+            **_market(resolved), dataset=ds, boundary_threshold=resolved["boundary_threshold"]
+        )
         checks = {"method": "certificate", **facts}
         if outcome is None:
             checks["passed"] = False

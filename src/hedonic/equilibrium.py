@@ -33,8 +33,6 @@ __all__ = [
     "EquilibriumReport",
     "GridBoundaryError",
     "build_z_grid",
-    "certify_dataset",
-    "sample_types",
     "simulate_market",
     "verify_equilibrium",
     "atomlessness_diagnostic",
@@ -51,6 +49,9 @@ _MAXPLUS_TILE = (16, 128)
 # thread: on smaller products the GIL hand-offs between many small numpy
 # calls cost more than splitting the rows saves.
 _MAXPLUS_THREAD_CELLS = 1 << 22
+# Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
+# it per side so that the pairs it joins meet support equality within it.
+_TOL = 1e-7
 
 
 class GridBoundaryError(RuntimeError):
@@ -373,6 +374,13 @@ def _boundary_fraction(grid, traded_index, mass) -> float:
     return float(mass[bounding_box_mask(grid)[traded_index]].sum() / mass.sum())
 
 
+def _boundary_message(fraction: float, threshold: float) -> str:
+    return (
+        f"{fraction:.1%} of matched mass maximizes on the quality grid boundary "
+        f"(threshold {threshold:.1%}); enlarge the grid box"
+    )
+
+
 def simulate_market(
     spec: StructuralSpec,
     x_spec: DistributionSpec,
@@ -412,10 +420,7 @@ def simulate_market(
     pair_arg = np.argmax(consumer_gain[ii] - producer_cost[jj], axis=1)
     boundary_fraction = _boundary_fraction(grid, pair_arg, mass)
     if boundary_fraction > boundary_threshold:
-        raise GridBoundaryError(
-            f"{boundary_fraction:.1%} of matched mass maximizes on the quality "
-            f"grid boundary (threshold {boundary_threshold:.1%}); enlarge the grid box"
-        )
+        raise GridBoundaryError(_boundary_message(boundary_fraction, boundary_threshold))
     cost_at_traded = spec.cost.eval_rows(y[jj], grid[pair_arg])
     prices = cost_at_traded + duals.v_target[jj]
 
@@ -460,7 +465,7 @@ def certify_dataset(
     z_grid,
     dataset: MarketDataset,
     seed: int = 0,
-    tol: float = 1e-7,
+    boundary_threshold: float = 0.01,
 ):
     """An equilibrium of the market that `seed` draws, built from the
     posted prices of `dataset` without a max-plus product or a transport
@@ -476,9 +481,9 @@ def certify_dataset(
     - every consumer buys its best row and every producer sells its best
       row: v_i = max_k U_i(z_k) - p_k and w_j = max_k p_k - C_j(z_k);
     - an arc i -> k is tight when x_i = x_k and U_i(z_k) - p_k is within
-      tol / 2 of v_i, and an arc k -> j when p_k - C_j(z_k) is within
-      tol / 2 of w_j, so a pair joined through a row meets support
-      equality within tol;
+      _TOL / 2 of v_i, and an arc k -> j when p_k - C_j(z_k) is within
+      _TOL / 2 of w_j, so a pair joined through a row meets support
+      equality within verify_equilibrium's tolerance _TOL;
     - one maximum flow source -> consumer -> row -> producer -> sink on
       the tight arcs, with capacity L / n out of the source and L / m into
       the sink for L = lcm(n, m), looks for a clearing plan: each
@@ -489,7 +494,10 @@ def certify_dataset(
 
     facts counts the dataset rows, the tight arcs, and the flow value
     against L; a flow below L leaves some mass unmatched, which
-    verify_equilibrium reports as a clearing failure.
+    verify_equilibrium reports as a clearing failure.  As simulate_market
+    does, aborts when the plan's mass trading on the grid's bounding box
+    exceeds `boundary_threshold`: stability on the grid says nothing about
+    qualities beyond it.
     """
     if n_consumers < 1 or n_producers < 1:
         raise ValueError("need at least one consumer and one producer")
@@ -513,8 +521,8 @@ def certify_dataset(
     profit = dataset.p - producer_cost[:, row_grid]  # (m, K)
     v = net.max(axis=1)
     w = profit.max(axis=1)
-    ci, ck = np.nonzero(same_x & (net >= v[:, None] - tol / 2))
-    pj, pk = np.nonzero(profit >= w[:, None] - tol / 2)
+    ci, ck = np.nonzero(same_x & (net >= v[:, None] - _TOL / 2))
+    pj, pk = np.nonzero(profit >= w[:, None] - _TOL / 2)
 
     # nodes: source 0, consumers 1..n, rows n+1..n+K, producers, sink
     first_row, first_producer = 1 + n, 1 + n + rows
@@ -558,6 +566,9 @@ def certify_dataset(
     mass = np.bincount(inverse.ravel(), np.diff(ends, prepend=0), minlength=keys.size) / lcm
     pair_row = head[buy][first] - first_row
     traded_index = row_grid[pair_row]
+    boundary_fraction = _boundary_fraction(grid, traded_index, mass)
+    if boundary_fraction > boundary_threshold:
+        raise GridBoundaryError(_boundary_message(boundary_fraction, boundary_threshold))
     objective = float(
         mass @ (consumer_gain[buyers, traded_index] - producer_cost[sellers, traded_index])
     )
@@ -574,7 +585,7 @@ def certify_dataset(
         duals=DualPair(v, w, 0),
         traded_index=traded_index,
         prices=dataset.p[pair_row],
-        boundary_fraction=_boundary_fraction(grid, traded_index, mass),
+        boundary_fraction=boundary_fraction,
         maxplus=None,
     )
     return outcome, facts
@@ -606,23 +617,12 @@ class EquilibriumReport:
         }
 
 
-def _column_extreme(values: np.ndarray, shift: np.ndarray, reduce) -> np.ndarray:
-    """reduce (np.maximum or np.minimum) over the rows of values + shift[:, None],
-    per column, a block of about _MAXPLUS_BLOCK_CELLS cells at a time."""
-    chunk = max(1, _MAXPLUS_BLOCK_CELLS // values.shape[1])
-    out = None
-    for r0 in range(0, values.shape[0], chunk):
-        part = reduce.reduce(values[r0:r0 + chunk] + shift[r0:r0 + chunk, None], axis=0)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
-
-
 def _envelope_margin(consumer_gain, producer_cost, v, w):
     """Stability margin min_z [min_j (C_jz + w_j) - max_i (U_iz - v_i)] over
     the grid (see verify_equilibrium), with its grid point g and the
     consumer i and producer j that attain it there: (margin, g, i, j)."""
-    upper = _column_extreme(consumer_gain, -v, np.maximum)
-    lower = _column_extreme(producer_cost, w, np.minimum)
+    upper = (consumer_gain - v[:, None]).max(axis=0)
+    lower = (producer_cost + w[:, None]).min(axis=0)
     gap = lower - upper
     g = int(np.argmin(gap))
     i = int(np.argmax(consumer_gain[:, g] - v))
@@ -630,7 +630,7 @@ def _envelope_margin(consumer_gain, producer_cost, v, w):
     return float(gap[g]), g, i, j
 
 
-def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = 1e-7) -> EquilibriumReport:
+def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> EquilibriumReport:
     """Check stability, the two-sided price split, market clearing, and
     the no-profitable-deviation conditions on traded qualities.
 

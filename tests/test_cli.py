@@ -414,6 +414,27 @@ def test_check_rejects_a_dataset_row_the_market_cannot_hold(tmp_path, column, ch
     assert not report["passed"]
 
 
+def test_check_of_a_dataset_trading_on_the_grid_box_aborts_with_exit_3(tmp_path):
+    # simulate lets every trade sit on the box of a grid too small for the
+    # market; check keeps its own threshold and refuses the certificate
+    section = dict(simulate_section(n=10, resolution=5, z_lo=(0.0, 0.0), z_hi=(0.5, 0.5)),
+                   boundary_threshold=1.0)
+    simulated_check_config(tmp_path, section)
+    check_section = {"simulate": simulate_section(n=10, resolution=5, z_lo=(0.0, 0.0),
+                                                  z_hi=(0.5, 0.5)),
+                     "dataset": str(tmp_path / "dataset.csv")}
+    cfg = write_config(tmp_path, {"seed": 5, "check": {"equilibrium": check_section}},
+                       name="check.json")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "sim_report.json").read_text())
+    assert report["verification"]["boundary_fraction"] > 0.01
+
+    check_section["simulate"]["boundary_threshold"] = 1.0
+    cfg = write_config(tmp_path, {"seed": 5, "check": {"equilibrium": check_section}},
+                       name="check.json")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 def test_check_flags_broken_plan_marginals(tmp_path):
     mu = from_samples(np.array([[0.0], [1.0]]))
     nu = from_samples(np.array([[0.0], [1.0]]))
