@@ -77,11 +77,10 @@ class EquilibriumOutcome:
     """One market: samples, matching, prices, and dataset view.
 
     consumer_gain and producer_cost hold U(x_i, eps_i, z_g) and C(y_j, z_g)
-    on every point of z_grid; the matched pair t trades the quality
-    z_grid[traded_index[t]] at prices[t].
+    on every point of z_grid, the market's only evaluation of U and C; the
+    matched pair t trades the quality z_grid[traded_index[t]] at prices[t].
     """
 
-    spec: StructuralSpec
     consumer_x: np.ndarray
     consumer_eps: np.ndarray
     producer_y: np.ndarray
@@ -126,18 +125,6 @@ class EquilibriumOutcome:
         return MarketDataset(
             self.consumer_x[self.pair_source], self.traded_z, self.prices
         )
-
-    def consumer_utilities_at(self, z_points: np.ndarray) -> np.ndarray:
-        """U(x_i, eps_i, z_k) for every consumer i and quality row k."""
-        return self.spec.u_bar.pairwise_grid(
-            self.consumer_x, z_points
-        ) + self.spec.zeta.pairwise_consumer_grid(
-            self.consumer_x, self.consumer_eps, z_points
-        )
-
-    def producer_costs_at(self, z_points: np.ndarray) -> np.ndarray:
-        """C(y_j, z_k) for every producer j and quality row k."""
-        return self.spec.cost.pairwise_grid(self.producer_y, z_points)
 
 
 def _maxplus_workers(n: int) -> int:
@@ -421,11 +408,9 @@ def simulate_market(
     boundary_fraction = _boundary_fraction(grid, pair_arg, mass)
     if boundary_fraction > boundary_threshold:
         raise GridBoundaryError(_boundary_message(boundary_fraction, boundary_threshold))
-    cost_at_traded = spec.cost.eval_rows(y[jj], grid[pair_arg])
-    prices = cost_at_traded + duals.v_target[jj]
+    prices = producer_cost[jj, pair_arg] + duals.v_target[jj]
 
     return EquilibriumOutcome(
-        spec=spec,
         consumer_x=x,
         consumer_eps=eps,
         producer_y=y,
@@ -574,7 +559,6 @@ def certify_dataset(
     )
 
     outcome = EquilibriumOutcome(
-        spec=spec,
         consumer_x=x,
         consumer_eps=eps,
         producer_y=y,
@@ -648,7 +632,8 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     rounding (Chiappori, McCann & Nesheim, Econ. Theory 42, 2010).  A
     violation names the consumer and producer that attain the two sides
     at the worst z.  Support equality v_i + w_j = U_iz - C_jz is checked
-    on each matched pair at its traded quality z.
+    on each matched pair at its traded quality z.  Every check reads U and C
+    from the outcome's grid tensors, the values the market was solved on.
     """
     failures = []
     v = outcome.indirect_v
@@ -657,7 +642,6 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     m = w.shape[0]
     src, tgt, _ = outcome.matching.support()
     n_pairs = src.shape[0]
-    traded_z = outcome.traded_z
 
     stability_min, g, i, j = _envelope_margin(
         outcome.consumer_gain, outcome.producer_cost, v, w
@@ -668,26 +652,21 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
             f"{g}: margin {stability_min:.3e}"
         )
 
-    k = outcome.traded_index
-    pair_margin = v[src] + w[tgt] - (
-        outcome.consumer_gain[src, k] - outcome.producer_cost[tgt, k]
-    )
+    # U and C of every agent at every traded quality, and at its own pair
+    u_traded = outcome.consumer_gain[:, outcome.traded_index]  # (n, K)
+    c_traded = outcome.producer_cost[:, outcome.traded_index]  # (m, K)
+    own = np.arange(n_pairs)
+    u_pairs = u_traded[src, own]
+    c_pairs = c_traded[tgt, own]
+
+    pair_margin = v[src] + w[tgt] - (u_pairs - c_pairs)
     sup_dev = float(np.abs(pair_margin).max(initial=0.0))
     if sup_dev > tol:
         failures.append(f"support pairs miss surplus equality by {sup_dev:.3e}")
 
     # both sides of the split must reproduce the price
-    u_at_pairs = (
-        outcome.spec.u_bar.eval_rows(outcome.consumer_x[src], traded_z)
-        + outcome.spec.zeta.eval_rows(
-            outcome.consumer_x[src], outcome.consumer_eps[src], traded_z
-        )
-    )
-    consumer_price = u_at_pairs - v[src]
-    cost_at_pairs = outcome.spec.cost.eval_rows(
-        outcome.producer_y[tgt], traded_z
-    )
-    producer_price = cost_at_pairs + w[tgt]
+    consumer_price = u_pairs - v[src]
+    producer_price = c_pairs + w[tgt]
     split_dev = float(
         max(
             np.abs(consumer_price - outcome.prices).max(initial=0.0),
@@ -707,10 +686,8 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     consumer_dev = -np.inf
     producer_dev = -np.inf
     if n_pairs > 1:
-        u_all = outcome.consumer_utilities_at(traded_z)  # (n, K)
-        net_all = u_all - outcome.prices[None, :]
-        own_net = net_all[src, np.arange(n_pairs)]
-        gain = net_all[src].max(axis=1) - own_net
+        net_all = u_traded - outcome.prices[None, :]
+        gain = net_all[src].max(axis=1) - (u_pairs - outcome.prices)
         consumer_dev = float(gain.max())
         if consumer_dev > tol:
             t = int(np.argmax(gain))
@@ -718,10 +695,8 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
                 f"consumer {int(src[t])} gains "
                 f"{consumer_dev:.3e} by switching traded quality"
             )
-        c_all = outcome.producer_costs_at(traded_z)  # (m, K)
-        profit_all = outcome.prices[None, :] - c_all
-        own_profit = profit_all[tgt, np.arange(n_pairs)]
-        gain_p = profit_all[tgt].max(axis=1) - own_profit
+        profit_all = outcome.prices[None, :] - c_traded
+        gain_p = profit_all[tgt].max(axis=1) - (outcome.prices - c_pairs)
         producer_dev = float(gain_p.max())
         if producer_dev > tol:
             t = int(np.argmax(gain_p))

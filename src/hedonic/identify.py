@@ -123,30 +123,40 @@ def default_neighbor_count(d_z: int) -> int:
     return 2 * d_z + 2
 
 
-def local_price_gradients(z_points: np.ndarray, prices: np.ndarray, k: int):
+def _neighbour_order(z: np.ndarray) -> np.ndarray:
+    """Row j lists every point by its distance from point j, ties by index
+    (a stable argsort of the distance matrix)."""
+    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+    return np.argsort(dist, axis=1, kind="stable")
+
+
+def local_price_gradients(z_points: np.ndarray, prices: np.ndarray, k: int, order=None):
     """Per-point price gradient by local least squares.
 
-    Fits an affine model over each point and its k nearest neighbors.
+    Fits an affine model over each point and its k nearest neighbors, the
+    first k + 1 entries of its row of `order` (default _neighbour_order).
     Returns (gradients, valid); rank-deficient neighborhoods give NaN
-    rows flagged invalid.
+    rows flagged invalid.  All fits are solved by one stacked SVD with
+    np.linalg.lstsq's rank rule for a (k + 1) x (d + 1) design, k >= d: a
+    singular value counts when it is above eps * (k + 1) times the largest.
     """
     z = np.atleast_2d(np.asarray(z_points, dtype=float))
     p = np.asarray(prices, dtype=float).ravel()
     m, d = z.shape
     grads = np.full((m, d), np.nan)
-    valid = np.zeros(m, dtype=bool)
-    if m < 2:
-        return grads, valid
     k = min(k, m - 1)
-    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    order = np.argsort(dist, axis=1, kind="stable")
-    for j in range(m):
-        rows = order[j, : k + 1]  # the point itself plus k neighbors
-        design = np.column_stack([np.ones(rows.shape[0]), z[rows] - z[j]])
-        sol, _, rank, _ = np.linalg.lstsq(design, p[rows], rcond=None)
-        if rank == d + 1:
-            grads[j] = sol[1:]
-            valid[j] = True
+    if m < 2 or k < d:  # fewer than d + 1 rows cannot have full rank
+        return grads, np.zeros(m, dtype=bool)
+    if order is None:
+        order = _neighbour_order(z)
+    rows = order[:, : k + 1]  # the point itself plus k neighbors
+    design = np.concatenate([np.ones((m, k + 1, 1)), z[rows] - z[:, None, :]], axis=2)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * (k + 1) * sv[:, :1]
+    valid = np.count_nonzero(sv > cutoff, axis=1) == d + 1
+    u, sv, vt = u[valid], sv[valid], vt[valid]
+    scaled = (np.swapaxes(u, 1, 2) @ p[rows[valid], None])[:, :, 0] / sv
+    grads[valid] = (np.swapaxes(vt, 1, 2) @ scaled[:, :, None])[:, 1:, 0]
     return grads, valid
 
 
@@ -164,28 +174,26 @@ def _matching_from_plan(plan: TransportPlan) -> Optional[np.ndarray]:
 
 
 def _foc_edge_residuals(
-    f: SurplusFamily, x, z: np.ndarray, eps: np.ndarray, v: np.ndarray
+    f: SurplusFamily, x, z: np.ndarray, eps: np.ndarray, v: np.ndarray, order: np.ndarray
 ):
     """Consistency of dual differences with the first-order condition.
 
     On nearest-neighbor edges (a, b), compares v_b - v_a against the
     trapezoid line integral of the quality gradient of the surplus at
     the recovered tastes; small residuals mean the recovered potential
-    integrates the inverse demand.
+    integrates the inverse demand.  The nearest neighbor of a is the
+    first entry other than a in its row of the neighbour order.
     """
     m = z.shape[0]
     if m < 2:
         return {"foc_edge_count": 0, "foc_residual_max": 0.0, "foc_residual_mean": 0.0}
     grads = f.grad_z_rows(x, eps, z)
-    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    nearest = np.argmin(dist, axis=1)
-    edges = {(min(a, b), max(a, b)) for a, b in enumerate(nearest)}
-    res = []
-    for a, b in sorted(edges):
-        integral = 0.5 * (grads[a] + grads[b]) @ (z[b] - z[a])
-        res.append(abs((v[b] - v[a]) - integral))
-    res = np.asarray(res)
+    points = np.arange(m)
+    nearest = np.where(order[:, 0] == points, order[:, 1], order[:, 0])
+    a, b = np.unique(np.sort(np.column_stack([points, nearest]), axis=1), axis=0).T
+    # one stacked (1 x d) @ (d x 1) product per edge, as the dot of each edge
+    integral = ((0.5 * (grads[a] + grads[b]))[:, None, :] @ (z[b] - z[a])[:, :, None])[:, 0, 0]
+    res = np.abs((v[b] - v[a]) - integral)
     return {
         "foc_edge_count": int(res.shape[0]),
         "foc_residual_max": float(res.max()),
@@ -356,8 +364,9 @@ def _identify_via_transport(
         raise RuntimeError("optimal plan left a traded quality unmatched")
 
     k = default_neighbor_count(d_z) if k_neighbors is None else int(k_neighbors)
+    order = _neighbour_order(slice_.z_measure.points)
     price_grads, price_valid = local_price_gradients(
-        slice_.z_measure.points, slice_.prices, k
+        slice_.z_measure.points, slice_.prices, k, order
     )
     zeta_grads = f.grad_z_rows(x, inverse_demand, slice_.z_measure.points)
     u_bar_grad = price_grads - zeta_grads
@@ -394,7 +403,7 @@ def _identify_via_transport(
         _solver_diagnostics(eps_spec, n_ref, reference_mode, ref, slice_.z_measure)
     )
     diagnostics.update(
-        _foc_edge_residuals(f, x, slice_.z_measure.points, inverse_demand, duals.v_target)
+        _foc_edge_residuals(f, x, slice_.z_measure.points, inverse_demand, duals.v_target, order)
     )
     return IdentifiedPotential(
         x_value=slice_.x_value,

@@ -536,23 +536,36 @@ class TwistReport:
         return msg
 
 
+# Distances (grid z times taste pairs) per chunk of the twist witness scan.
+_TWIST_CHUNK_CELLS = 1 << 16
+
+
 def _twist_witness(eps_pts, z_pts, grads, tol) -> Optional[tuple]:
     """First grid z at which two distinct tastes share a quality gradient.
 
     grads[k, i] is grad_z zeta(x, eps_i, z_k); at each z the closest pair
     of gradients is the candidate, ties broken to the lowest pair index.
+    Distances are taken for a chunk of z at once over the pairs i < j in
+    row-major order, as the square root of the squared differences summed
+    in axis order, which is how np.linalg.norm sums fewer than 8 axes.
     """
     n_e = eps_pts.shape[0]
     if n_e < 2:
         return None
-    lower = np.tril_indices(n_e)
-    for z, g in zip(z_pts, grads):
-        dist = np.linalg.norm(g[:, None, :] - g[None, :, :], axis=2)
-        dist[lower] = np.inf
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        distinct = not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=tol)
-        if dist[i, j] <= tol and distinct:
-            return eps_pts[i].copy(), eps_pts[j].copy(), z.copy()
+    first, second = np.triu_indices(n_e, 1)
+    chunk = max(1, _TWIST_CHUNK_CELLS // first.size)
+    for k0 in range(0, z_pts.shape[0], chunk):
+        block = grads[k0:k0 + chunk]
+        sq = np.zeros((block.shape[0], first.size))
+        for axis in range(block.shape[2]):
+            diff = block[:, first, axis] - block[:, second, axis]
+            sq += diff * diff
+        dist = np.sqrt(sq)
+        best = np.argmin(dist, axis=1)
+        for k in np.flatnonzero(dist.min(axis=1) <= tol):
+            i, j = first[best[k]], second[best[k]]
+            if not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=tol):
+                return eps_pts[i].copy(), eps_pts[j].copy(), z_pts[k0 + k].copy()
     return None
 
 

@@ -221,10 +221,9 @@ def test_envelope_margin_equals_the_dense_stability_margin(instance, seed):
     assert abs(v[i] + w[j] - (gain[i, g] - cost[j, g]) - margin) <= 1e-12
 
 
-def readme_spec_arrays(n, res, seed):
-    """Consumer gains and producer costs of the README's 2-D bilinear spec
-    on a res x res grid over [1.9, 3.1]^2."""
-    spec = StructuralSpec(
+def readme_spec():
+    """The README's 2-D bilinear spec."""
+    return StructuralSpec(
         u_bar=ScalarFamily.neg_quadratic(np.eye(2), center_offset=[4.0, 4.0], d_a=1),
         cost=ScalarFamily.polynomial(
             [{"coeff": 0.5, "z": [2, 0]}, {"coeff": 0.5, "z": [0, 2]},
@@ -233,6 +232,12 @@ def readme_spec_arrays(n, res, seed):
         ),
         zeta=SurplusFamily.bilinear(2, d_x=1),
     )
+
+
+def readme_spec_arrays(n, res, seed):
+    """Consumer gains and producer costs of the README's 2-D bilinear spec
+    on a res x res grid over [1.9, 3.1]^2."""
+    spec = readme_spec()
     rng = np.random.default_rng(seed)
     x = np.ones((n, 1))
     eps, y = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
@@ -495,6 +500,106 @@ def test_perturbed_price_is_flagged_with_blocker():
     rep = verify_equilibrium(tampered)
     assert not rep.passed
     assert any("consumer" in f or "price split" in f for f in rep.failures)
+
+
+SMALL_MARKETS = {
+    "quadratic-1d": dict(
+        spec=quadratic_spec_1d(), x_spec=POINT_X, eps_spec=UNIT_1D, producer_spec=UNIT_1D,
+        z_grid=build_z_grid([0.0], [3.0], 120),
+    ),
+    "tinbergen-1d": dict(
+        spec=tinbergen_spec(), x_spec=POINT_X, eps_spec=UNIT_1D,
+        producer_spec=DistributionSpec.uniform([0.5], [1.5]),
+        z_grid=build_z_grid([-0.1], [2.5], 140),
+    ),
+    "readme-2d": dict(
+        spec=readme_spec(), x_spec=POINT_X,
+        eps_spec=DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]),
+        producer_spec=DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]),
+        z_grid=build_z_grid([1.9, 1.9], [3.1, 3.1], 16),
+    ),
+}
+
+
+@pytest.mark.parametrize("market", sorted(SMALL_MARKETS))
+def test_simulated_prices_read_the_cost_tensor(market):
+    out = simulate_market(**SMALL_MARKETS[market], n_consumers=23, n_producers=17, seed=2)
+    jj = out.pair_target
+    want = out.producer_cost[jj, out.traded_index] + out.indirect_w[jj]
+    assert out.prices.tobytes() == want.tobytes()
+
+
+def reevaluated_verification(outcome, spec, tol=1e-7):
+    """Reference figures of verify_equilibrium with U and C evaluated again
+    at the traded qualities (eval_rows, pairwise_grid) and stability taken
+    on the dense joint surplus."""
+    v, w = outcome.indirect_v, outcome.indirect_w
+    n, m = v.shape[0], w.shape[0]
+    src, tgt, _ = outcome.matching.support()
+    x, eps, y = outcome.consumer_x, outcome.consumer_eps, outcome.producer_y
+    grid, traded_z = outcome.z_grid, outcome.traded_z
+
+    def utilities(z):  # (n, K)
+        return spec.u_bar.pairwise_grid(x, z) + spec.zeta.pairwise_consumer_grid(x, eps, z)
+
+    s = dense_max_plus(utilities(grid), spec.cost.pairwise_grid(y, grid))
+    u_pairs = spec.u_bar.eval_rows(x[src], traded_z) + spec.zeta.eval_rows(
+        x[src], eps[src], traded_z
+    )
+    c_pairs = spec.cost.eval_rows(y[tgt], traded_z)
+    split = np.concatenate([u_pairs - v[src], c_pairs + w[tgt]]) - np.tile(outcome.prices, 2)
+    figures = {
+        "stability_min_margin": (v[:, None] + w[None, :] - s).min(),
+        "support_equality_max_dev": np.abs(v[src] + w[tgt] - (u_pairs - c_pairs)).max(initial=0.0),
+        "price_split_max_dev": np.abs(split).max(initial=0.0),
+        "clearing_max_dev": outcome.matching.marginal_error(np.full(n, 1 / n), np.full(m, 1 / m)),
+        "consumer_deviation_max_gain": -np.inf,
+        "producer_deviation_max_gain": -np.inf,
+    }
+    if src.size > 1:
+        own = np.arange(src.size)
+        net = utilities(traded_z)[src] - outcome.prices
+        profit = outcome.prices - spec.cost.pairwise_grid(y, traded_z)[tgt]
+        figures["consumer_deviation_max_gain"] = (net.max(axis=1) - net[own, own]).max()
+        figures["producer_deviation_max_gain"] = (profit.max(axis=1) - profit[own, own]).max()
+    within_tol = [figures[k] for k in (
+        "support_equality_max_dev", "price_split_max_dev",
+        "consumer_deviation_max_gain", "producer_deviation_max_gain",
+    )]
+    passed = (
+        figures["stability_min_margin"] >= -tol
+        and figures["clearing_max_dev"] <= 1e-9
+        and max(within_tol) <= tol
+    )
+    return figures, passed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(SMALL_MARKETS)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(["simulated", "certified", "tampered"]),
+    st.integers(0, 2**16),
+)
+def test_grid_verification_matches_reevaluated_primitives(market, n, m, kind, seed):
+    kw = dict(SMALL_MARKETS[market], n_consumers=n, n_producers=m, seed=seed,
+              boundary_threshold=1.0)
+    out = simulate_market(**kw)
+    if kind == "certified":
+        out, facts = certify_dataset(dataset=out.dataset, **kw)
+        assert facts["dataset_matches_replay"]
+    elif kind == "tampered":
+        rng = np.random.default_rng(seed)
+        prices = out.prices.copy()
+        prices[rng.integers(prices.size)] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.3)
+        out = dataclasses.replace(out, prices=prices)
+    rep = verify_equilibrium(out)
+    want, passed = reevaluated_verification(out, kw["spec"])
+    assert rep.passed == passed, rep.failures
+    for name, value in want.items():
+        got = getattr(rep, name)
+        assert got == value or abs(got - value) <= 1e-12, (name, got, value)
 
 
 def test_single_pair_deviations_vacuous():

@@ -4,9 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedonic.equilibrium import build_z_grid, simulate_market
 from hedonic.identify import (
+    _foc_edge_residuals,
+    _neighbour_order,
     _scalar_cross_sign,
     averaged_partial_effects,
     brenier_identify,
@@ -446,6 +450,60 @@ def test_local_gradients_flag_rank_deficiency():
     z = np.column_stack([np.linspace(0, 1, 10), np.zeros(10)])
     grads, valid = local_price_gradients(z, np.linspace(0, 1, 10), k=4)
     assert not np.any(valid)
+
+
+def lstsq_price_gradients(z, p, k):
+    """Reference: one np.linalg.lstsq fit per point."""
+    m, d = z.shape
+    grads = np.full((m, d), np.nan)
+    valid = np.zeros(m, dtype=bool)
+    k = min(k, m - 1)
+    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")
+    for j in range(m):
+        rows = order[j, : k + 1]
+        design = np.column_stack([np.ones(rows.shape[0]), z[rows] - z[j]])
+        sol, _, rank, _ = np.linalg.lstsq(design, p[rows], rcond=None)
+        if rank == d + 1:
+            grads[j] = sol[1:]
+            valid[j] = True
+    return grads, valid
+
+
+def loop_foc_edge_residuals(z, eps, v):
+    """Reference: edges to the argmin of each distance row with the diagonal
+    at +inf, one edge at a time (bilinear surplus, so grad_z = eps)."""
+    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.argmin(dist, axis=1)
+    edges = sorted({(min(a, b), max(a, b)) for a, b in enumerate(nearest)})
+    return [abs((v[b] - v[a]) - 0.5 * (eps[a] + eps[b]) @ (z[b] - z[a])) for a, b in edges]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(2, 24), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_stacked_price_gradient_fits_match_per_point_lstsq(d, m, k, seed):
+    # quarter steps on a small lattice: duplicate points, collinear and
+    # otherwise rank-deficient neighbourhoods are common
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 5, size=(m, d)) / 4.0
+    if seed % 2:
+        z = z + rng.uniform(-0.05, 0.05, size=(m, d))
+    p = (z**2).sum(axis=1) + rng.uniform(-0.1, 0.1, size=m)
+    order = _neighbour_order(z)
+    grads, valid = local_price_gradients(z, p, k, order)
+    want_grads, want_valid = lstsq_price_gradients(z, p, k)
+    assert np.array_equal(valid, want_valid)
+    assert np.all(np.isnan(grads[~valid]))
+    assert np.abs(grads[valid] - want_grads[valid]).max(initial=0.0) <= 1e-12
+
+    eps = rng.uniform(-1, 1, size=(m, d))
+    v = rng.uniform(-1, 1, size=m)
+    foc = _foc_edge_residuals(SurplusFamily.bilinear(d), NO_X, z, eps, v, order)
+    want = loop_foc_edge_residuals(z, eps, v)
+    assert foc["foc_edge_count"] == len(want)
+    assert abs(foc["foc_residual_max"] - max(want)) <= 1e-12
+    assert abs(foc["foc_residual_mean"] - np.mean(want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,13 @@ def _twist_parity_cases():
     even = SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1)
     cases.append(pytest.param(even, NO_X, np.array([[-0.5], [0.2], [0.5]]),
                               np.array([[0.0], [1.0]]), id="even-surplus"))
+    # grad_z = eps z + eps^2: the duplicated taste 0.1 is the closest pair at
+    # z = 0, and 0.25 and -0.75 share the gradient 0.1875 only at z = 0.5
+    crossing = SurplusFamily.polynomial(
+        [{"coeff": 0.5, "eps": [1], "z": [2]}, {"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1
+    )
+    cases.append(pytest.param(crossing, NO_X, np.array([[0.25], [-0.75], [0.1], [0.1]]),
+                              np.array([[0.0], [0.5]]), id="duplicate-then-witness"))
     return cases
 
 
