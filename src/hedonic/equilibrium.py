@@ -14,8 +14,6 @@ the market again.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +24,7 @@ from scipy.sparse.csgraph import maximum_flow
 from .conjugate import bounding_box_mask
 from .measures import DistributionSpec, MarketDataset, from_samples, write_json
 from .ot import DualPair, TransportPlan, solve_exact
-from .surplus import StructuralSpec
+from .surplus import AxisSplit, StructuralSpec
 
 __all__ = [
     "EquilibriumOutcome",
@@ -45,10 +43,11 @@ _MAXPLUS_BLOCK_CELLS = 32768
 # Consumers x producers per tile of the pruned max-plus product: each tile
 # gathers its candidate columns once, and its 16 consumer rows share them.
 _MAXPLUS_TILE = (16, 128)
-# Dense cells n * m * G below which the max-plus product runs on the calling
-# thread: on smaller products the GIL hand-offs between many small numpy
-# calls cost more than splitting the rows saves.
-_MAXPLUS_THREAD_CELLS = 1 << 22
+# Pairs per row chunk of the hull route: a few (n, m)-chunk temporaries of
+# 2^16 doubles (512 KB) each.
+_MAXPLUS_HULL_CELLS = 1 << 16
+# Unit roundoff of float64.
+_UNIT = np.finfo(float).eps / 2
 # Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
 # it per side so that the pairs it joins meet support equality within it.
 _TOL = 1e-7
@@ -67,7 +66,11 @@ def build_z_grid(lo, hi, resolution) -> np.ndarray:
     res = np.broadcast_to(np.asarray(resolution, dtype=int).ravel(), lo.shape)
     if np.any(res < 2):
         raise ValueError("grid resolution must be at least 2 per axis")
-    axes = [np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])]
+    return _product_grid([np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])])
+
+
+def _product_grid(axes) -> np.ndarray:
+    """Row-major product of per-axis values: the last axis varies fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
@@ -92,7 +95,7 @@ class EquilibriumOutcome:
     traded_index: np.ndarray
     prices: np.ndarray
     boundary_fraction: float
-    maxplus: Optional[dict]  # grid_points, cells_dense (n m G), cells_evaluated
+    maxplus: Optional[dict]  # path, grid_points, cells_dense (n m G), cells_evaluated
 
     @property
     def traded_z(self) -> np.ndarray:
@@ -112,11 +115,6 @@ class EquilibriumOutcome:
         return self.matching.support()[0]
 
     @property
-    def pair_target(self) -> np.ndarray:
-        """Producer index of each matched pair (the plan's support columns)."""
-        return self.matching.support()[1]
-
-    @property
     def n_pairs(self) -> int:
         return self.pair_source.shape[0]
 
@@ -125,16 +123,6 @@ class EquilibriumOutcome:
         return MarketDataset(
             self.consumer_x[self.pair_source], self.traded_z, self.prices
         )
-
-
-def _maxplus_workers(n: int) -> int:
-    """Threads for an n-row max-plus product: one per CPU this process may
-    run on, at most one per row."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n))
 
 
 def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
@@ -161,10 +149,8 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     by monotone rounding) a float surplus at g' at least as large.  Real
     values rise strictly along a chain of drops, so every chain ends at a
     point kept for that pair, and the max over the kept points is the dense
-    max.  numpy's max takes the sign of a zero reached as both +0.0 and
-    -0.0 from the zeros' positions, so zero entries are redone over all G
-    points, as the dense product does.  The masks are booleans built in
-    row chunks of about _MAXPLUS_BLOCK_CELLS cells.
+    max.  Zero entries are redone by _dense_entries.  The masks are
+    booleans built in row chunks of about _MAXPLUS_BLOCK_CELLS cells.
 
     Tiles: consumers and producers are ordered by the mean kept grid index
     of their masks and cut into tiles of _MAXPLUS_TILE rows; a tile is
@@ -173,11 +159,7 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     those cost columns in blocks of at most _MAXPLUS_BLOCK_CELLS cells (one
     producer row when a tile keeps more columns); every consumer row of the
     tile then runs np.subtract and max(axis=1) on a block into a reused
-    buffer of the same size.  Row tiles are split into contiguous ranges
-    over _maxplus_workers threads; numpy's subtract and max release the
-    GIL.  With one worker, or below _MAXPLUS_THREAD_CELLS dense cells, the
-    tiles run on the calling thread.  There is no flag: every entry is the
-    max of the same float values for any split or order.
+    buffer of the same size.
     """
     n, g = consumer_gain.shape
     m = producer_cost.shape[0]
@@ -189,50 +171,183 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     tile_rows, tile_cols = _MAXPLUS_TILE
     corder = np.argsort(ckey, kind="stable")
     dorder = np.argsort(dkey, kind="stable")
-    row_tiles = [corder[i:i + tile_rows] for i in range(0, n, tile_rows)]
     col_tiles = [dorder[j:j + tile_cols] for j in range(0, m, tile_cols)]
     col_unions = [dmask[cols].any(axis=0) for cols in col_tiles]
+    buf = np.empty(max(_MAXPLUS_BLOCK_CELLS, g))
+    out = np.empty((tile_rows, tile_cols))
+    cells = 0
+    for i in range(0, n, tile_rows):
+        rows = corder[i:i + tile_rows]
+        row_union = cmask[rows].any(axis=0)
+        for cols, col_union in zip(col_tiles, col_unions):
+            kept = np.flatnonzero(row_union & col_union)
+            k = kept.size
+            gain = consumer_gain[np.ix_(rows, kept)]
+            block = max(1, _MAXPLUS_BLOCK_CELLS // k)
+            res = out[: rows.size, : cols.size]
+            for j0 in range(0, cols.size, block):
+                part = cols[j0:j0 + block]
+                cost = producer_cost[np.ix_(part, kept)]
+                diff = buf[: part.size * k].reshape(part.size, k)
+                for r in range(rows.size):
+                    np.subtract(gain[r], cost, out=diff)
+                    diff.max(axis=1, out=res[r, j0:j0 + part.size])
+            s[np.ix_(rows, cols)] = res
+            cells += rows.size * cols.size * k
+    return s, cells + _dense_entries(s, consumer_gain, producer_cost, *np.nonzero(s == 0))
 
-    def fill(tiles):
-        buf = np.empty(max(_MAXPLUS_BLOCK_CELLS, g))
-        out = np.empty((tile_rows, tile_cols))
-        cells = 0
-        for rows in tiles:
-            row_union = cmask[rows].any(axis=0)
-            for cols, col_union in zip(col_tiles, col_unions):
-                kept = np.flatnonzero(row_union & col_union)
-                k = kept.size
-                gain = consumer_gain[np.ix_(rows, kept)]
-                block = max(1, _MAXPLUS_BLOCK_CELLS // k)
-                res = out[: rows.size, : cols.size]
-                for j0 in range(0, cols.size, block):
-                    part = cols[j0:j0 + block]
-                    cost = producer_cost[np.ix_(part, kept)]
-                    diff = buf[: part.size * k].reshape(part.size, k)
-                    for r in range(rows.size):
-                        np.subtract(gain[r], cost, out=diff)
-                        diff.max(axis=1, out=res[r, j0:j0 + part.size])
-                s[np.ix_(rows, cols)] = res
-                cells += rows.size * cols.size * k
-        return cells
 
-    workers = _maxplus_workers(len(row_tiles))
-    if workers == 1 or n * m * g < _MAXPLUS_THREAD_CELLS:
-        cells = fill(row_tiles)
-    else:
-        bounds = [len(row_tiles) * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, row_tiles[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            cells = sum(future.result() for future in futures)
-    # zero maxima: the sign comes from where the zeros sit among all G points
-    ii, jj = np.nonzero(s == 0)
+def _dense_entries(s, consumer_gain, producer_cost, ii, jj) -> int:
+    """Redo the entries (ii, jj) of s as the dense product computes them,
+    one max over all G differences in grid order, in chunks of about
+    _MAXPLUS_BLOCK_CELLS cells; returns the number of cells evaluated.
+
+    _max_plus redoes every zero entry: numpy's max takes the sign of a
+    zero reached as both +0.0 and -0.0 from the zeros' positions, which a
+    partial scan changes."""
+    g = consumer_gain.shape[1]
     chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
     for k in range(0, ii.size, chunk):
         rows, cols = ii[k:k + chunk], jj[k:k + chunk]
         s[rows, cols] = (consumer_gain[rows] - producer_cost[cols]).max(axis=1)
-    return s, cells + ii.size * g
+    return ii.size * g
+
+
+def _lattice_axes(grid: np.ndarray) -> Optional[list]:
+    """Sorted unique values of each grid axis when the grid is exactly
+    their row-major product (as build_z_grid makes it), else None."""
+    axes = [np.unique(column) for column in grid.T]
+    if grid.shape[0] == 0 or math.prod(t.size for t in axes) != grid.shape[0]:
+        return None
+    return axes if np.array_equal(_product_grid(axes), grid) else None
+
+
+@dataclass(frozen=True)
+class _AxisHull:
+    """Upper hull of the points (t_r, f_r) of one lattice axis.
+
+    point holds the axis index of each hull vertex, left to right, and
+    neg_slopes minus the slope of each hull segment, strictly increasing.
+    For each vertex v, right_slope bounds from above the exact slope
+    (f_r - f_v) / (t_r - t_v) to every point r right of v, and right_gap
+    is the distance to the nearest such point; left_slope bounds the
+    slopes to the points left of v from below, and left_gap is the
+    distance to the nearest of them.  A side without points has slope
+    bound -inf (right) or inf (left) and gap inf, so it always passes.
+    """
+
+    point: np.ndarray
+    neg_slopes: np.ndarray
+    right_slope: np.ndarray
+    right_gap: np.ndarray
+    left_slope: np.ndarray
+    left_gap: np.ndarray
+
+
+def _axis_hull(t: np.ndarray, f: np.ndarray, chunk: int = 64) -> _AxisHull:
+    """Upper hull by a monotone chain over t (strictly increasing), with
+    the slope bounds of every vertex.  A computed slope c = fl(fl(f_r -
+    f_v) / fl(t_r - t_v)) is within 3 roundings of the exact slope, so
+    c + 8u|c| bounds it from above and c - 8u|c| from below."""
+    ts, fs = t.tolist(), f.tolist()
+    hull = []
+    for r in range(len(ts)):
+        while len(hull) >= 2 and (
+            (fs[hull[-1]] - fs[hull[-2]]) / (ts[hull[-1]] - ts[hull[-2]])
+            <= (fs[r] - fs[hull[-1]]) / (ts[r] - ts[hull[-1]])
+        ):
+            hull.pop()
+        hull.append(r)
+    v = np.array(hull)
+    neg_slopes = -(f[v[1:]] - f[v[:-1]]) / (t[v[1:]] - t[v[:-1]])
+    bounds = np.empty((2, v.size))
+    index = np.arange(t.size)
+    for c0 in range(0, v.size, chunk):
+        vv = v[c0:c0 + chunk, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (f - f[vv]) / (t - t[vv])
+        pad = 8 * _UNIT * np.abs(slope)
+        right, left = index > vv, index < vv
+        bounds[0, c0:c0 + chunk] = np.where(right, slope + pad, -np.inf).max(axis=1)
+        bounds[1, c0:c0 + chunk] = np.where(left, slope - pad, np.inf).min(axis=1)
+    after = np.append(t, np.inf)[v + 1] - t[v]
+    before = t[v] - np.insert(t, 0, -np.inf)[v]
+    return _AxisHull(v, neg_slopes, bounds[0], after, bounds[1], before)
+
+
+def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
+    """Max-plus product on a lattice whose U - C is an AxisSplit, and the
+    number of cells it evaluated; S is bit-identical to _max_plus.
+
+    With a_ijk = fl(alpha_ik + beta_jk), the structured value of pair
+    (i, j) at grid point g is the sum over axes k of a_ijk t + f_k(t) at
+    g's axis-k value t, so its max over the lattice is the product of the
+    per-axis maxima.  On axis k the max over the points (t_r, f_k(t_r)) of
+    a t + f lies at the upper-hull vertex v whose segments to its
+    neighbours have slopes on either side of -a: one searchsorted of a
+    against the negated segment slopes.
+
+    Certificate: let delta bound the rounding of the tensor difference
+    T_ij(g) = gain[i, g] - cost[j, g] against the exact sum E_ij(g) of the
+    expanded terms, and delta_k that of a t + f_k(t) against its exact
+    value (AxisSplit's errors bound delta + delta_k).  A tensor argmax g*
+    has E(g*) >= max E - 2 delta, and since max E is the sum of the
+    per-axis maxima, every axis of g* is within 2 delta of its exact axis
+    max, and within 2 (delta + delta_k) of v's computed value.  A point r
+    right of v trails v by (t_r - t_v)(-a - slope(v, r)) >= right_gap *
+    (-a - right_slope), and a point left of v by left_gap * (a +
+    left_slope).  When both exceed twice the bound 2 (delta + delta_k)
+    (the factor 2 covers the rounding of these few operations), v is the
+    only axis-k candidate.  When every axis of a pair passes, the tensor
+    argmax is unique and is the product of the vertices, and S_ij is the
+    gathered gain[i, g*] - cost[j, g*]: the same float the dense max
+    returns, zero signs included, since every other point is strictly
+    below it.  Pairs with an axis that fails (ties, near-ties, near-hull
+    points inside the bound) are redone over all G by _dense_entries.
+    Pairs run in row chunks of about _MAXPLUS_HULL_CELLS, so no temporary
+    exceeds a few of them.
+    """
+    n, g = consumer_gain.shape
+    m = producer_cost.shape[0]
+    hulls = [_axis_hull(t, f) for t, f in zip(axes, split.axis_values)]
+    strides = g // np.cumprod([t.size for t in axes])
+    s = np.empty((n, m))
+    redo = np.empty((n, m), dtype=bool)
+    cols = np.arange(m)
+    chunk = max(1, _MAXPLUS_HULL_CELLS // m)
+    for i0 in range(0, n, chunk):
+        rows = np.arange(i0, min(n, i0 + chunk))
+        index = np.zeros((rows.size, m), dtype=np.intp)
+        ok = np.ones((rows.size, m), dtype=bool)
+        for k, (hull, stride) in enumerate(zip(hulls, strides)):
+            a = split.consumer_slope[rows, k, None] + split.producer_slope[None, :, k]
+            q = np.searchsorted(hull.neg_slopes, a)
+            bound = 4.0 * (split.consumer_error[rows, k, None] + split.producer_error[None, :, k])
+            ok &= hull.right_gap[q] * (-a - hull.right_slope[q]) > bound
+            ok &= hull.left_gap[q] * (a + hull.left_slope[q]) > bound
+            index += hull.point[q] * stride
+        s[rows] = consumer_gain[rows[:, None], index] - producer_cost[cols, index]
+        redo[rows] = ~ok
+    return s, n * m + _dense_entries(s, consumer_gain, producer_cost, *np.nonzero(redo))
+
+
+def _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost):
+    """S_ij = max_g (U_i - C_j)(z_g) by the per-axis hull route when the
+    grid is a lattice and spec.axis_split applies, by _max_plus otherwise;
+    and the maxplus facts of the simulate report."""
+    axes = _lattice_axes(grid)
+    split = None if axes is None else spec.axis_split(x, eps, y, axes)
+    if split is None:
+        surplus, cells = _max_plus(consumer_gain, producer_cost, grid)
+    else:
+        surplus, cells = _axis_hull_max_plus(consumer_gain, producer_cost, axes, split)
+    n, g = consumer_gain.shape
+    return surplus, {
+        "path": "pruned" if split is None else "axis-hull",
+        "grid_points": g,
+        "cells_dense": n * producer_cost.shape[0] * g,
+        "cells_evaluated": cells,
+    }
 
 
 def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
@@ -393,7 +508,7 @@ def simulate_market(
     grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
     x, eps, y = sample_types(x_spec, eps_spec, producer_spec, n_consumers, n_producers, seed)
     consumer_gain, producer_cost = _grid_tensors(spec, x, eps, y, grid)
-    surplus, maxplus_cells = _max_plus(consumer_gain, producer_cost, grid)
+    surplus, maxplus = _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost)
 
     mu = from_samples(np.column_stack([x, eps]))
     nu = from_samples(y)
@@ -422,11 +537,7 @@ def simulate_market(
         traded_index=pair_arg,
         prices=prices,
         boundary_fraction=boundary_fraction,
-        maxplus={
-            "grid_points": grid.shape[0],
-            "cells_dense": n_consumers * n_producers * grid.shape[0],
-            "cells_evaluated": maxplus_cells,
-        },
+        maxplus=maxplus,
     )
 
 

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "AxisSplit",
     "SurplusFamily",
     "ScalarFamily",
     "StructuralSpec",
@@ -155,7 +156,9 @@ class _Core:
     """P(w, u) at u = z - w @ shift.T - offset, with derivatives in w and z.
 
     Gradient and Hessian polynomials and the shift-expanded form used by
-    the matrix evaluation are built once, here.
+    the matrix evaluation are built once, here.  `expanded` holds P as
+    monomials of (w, z), the terms the grid tensors sum; StructuralSpec.
+    axis_split reads its structure and coefficients from those terms.
     """
 
     def __init__(self, poly: dict, d_w: int, d_z: int, shift=None, offset=None):
@@ -510,6 +513,109 @@ class StructuralSpec:
             cost=ScalarFamily.from_config(cfg["cost"]),
             zeta=SurplusFamily.from_config(cfg["zeta"]),
         )
+
+    def axis_split(self, x, eps, y, axes) -> Optional["AxisSplit"]:
+        """U - C of consumers (x, eps) and producers y as an AxisSplit on the
+        lattice of the per-axis values `axes`, or None unless every expanded
+        term of u_bar, zeta and cost that holds a type variable has z-degree
+        at most 1 and every type-free term holds at most one z axis.
+
+        Terms with a type variable and z-degree 1 give the slopes, type-free
+        terms in one z axis give f_k, and the rest are free of z.  Rounding:
+        a tensor entry sums at most T terms (T counted over the three
+        polynomials), each a product of at most D powers and multiplications
+        (D their summed widths), and adds and subtracts once more; a slope
+        or f_k value sums fewer.  Higham's bound gamma_K * sum |term| with
+        K = 4 (T + 8 D + 8), four times that operation count with every
+        power counted as 8 roundings, covers both, and the sums of |term|
+        are taken at the largest |z_k| of each axis.
+        """
+        x, eps, y = _as_rows(x), _as_rows(eps), _as_rows(y)
+        sides = [
+            (self.u_bar._core, x[:, :self.u_bar.d_a], 1.0),
+            (self.zeta._core, self.zeta._w(x, eps), 1.0),
+            (self.cost._core, y[:, :self.cost.d_a], -1.0),
+        ]
+        terms = [_split_terms(core) for core, _, _ in sides]
+        if any(t is None for t in terms):
+            return None
+        t_max = np.array([np.abs(t).max() for t in axes])
+        n_terms = sum(core.expanded.exps.shape[0] for core, _, _ in sides)
+        width = sum(core.d_w + core.d_z for core, _, _ in sides)
+        k = 4 * (n_terms + 8 * width + 8)
+        gamma = k * _UNIT / (1.0 - k * _UNIT)
+
+        values = [np.zeros(t.size) for t in axes]
+        magnitudes = [np.zeros(t.size) for t in axes]
+        slopes, slope_abs, size = [], [], []
+        for (core, w, sign), (slope_terms, axis, power) in zip(sides, terms):
+            e = core.expanded
+            c = e.coeffs[:, 0]
+            mono = _monomial_values(w, e.exps[:, :core.d_w])
+            slopes.append(sign * (mono @ slope_terms))
+            slope_abs.append(np.abs(mono) @ np.abs(slope_terms))
+            z_max = _monomial_values(t_max[None, :], e.exps[:, core.d_w:])[0]
+            size.append(np.abs(mono) @ (np.abs(c) * z_max))
+            for t in np.flatnonzero(power):
+                values[axis[t]] += sign * c[t] * axes[axis[t]] ** power[t]
+                magnitudes[axis[t]] += abs(c[t]) * np.abs(axes[axis[t]]) ** power[t]
+        f_max = np.array([mag.max() for mag in magnitudes])
+        return AxisSplit(
+            consumer_slope=slopes[0] + slopes[1],
+            producer_slope=slopes[2],
+            axis_values=values,
+            consumer_error=gamma * (
+                (size[0] + size[1])[:, None] + (slope_abs[0] + slope_abs[1]) * t_max
+            ),
+            producer_error=gamma * (size[2][:, None] + slope_abs[2] * t_max + f_max),
+        )
+
+
+# Unit roundoff of float64.
+_UNIT = np.finfo(float).eps / 2
+
+
+def _split_terms(core: _Core):
+    """The expanded terms of core by role, or None when a term with a w
+    variable has z-degree above 1 or a w-free term holds two z axes:
+    (slope_terms, axis, power).  slope_terms (T, d_z) holds c at [t, k]
+    for each term c w^e z_k with w-degree above 0; axis and power give the
+    z axis and the degree p >= 1 of each w-free term c z_k^p (power 0 for
+    every other term)."""
+    e = core.expanded
+    w_exp, z_exp = e.exps[:, :core.d_w], e.exps[:, core.d_w:]
+    typed = w_exp.any(axis=1)
+    degree = z_exp.sum(axis=1)
+    if np.any(np.count_nonzero(z_exp, axis=1) > 1) or np.any(typed & (degree > 1)):
+        return None
+    axis = np.argmax(z_exp, axis=1)
+    slope_terms = np.zeros((degree.size, core.d_z))
+    linear = np.flatnonzero(typed & (degree == 1))
+    slope_terms[linear, axis[linear]] = e.coeffs[linear, 0]
+    return slope_terms, axis, np.where(typed, 0, degree)
+
+
+@dataclass(frozen=True)
+class AxisSplit:
+    """U_i(z) - C_j(z) = (consumer_slope_i + producer_slope_j) . z
+    + sum_k f_k(z_k) + (terms free of z) on a quality lattice.
+
+    consumer_slope (n, d) and producer_slope (m, d) hold the slopes, and
+    axis_values[k] f_k at the lattice's axis-k values.  For a
+    consumer i, a producer j and an axis k, consumer_error[i, k] +
+    producer_error[j, k] bounds the sum of two roundings: that of the
+    float U_i - C_j the grid tensors hold, against the exact sum of the
+    expanded terms at any grid point, and that of a t + f_k(t), with a =
+    fl(consumer_slope_ik + producer_slope_jk) and the f_k values here,
+    against the exact slope sum times t plus the exact f_k(t), at any
+    axis-k value t.
+    """
+
+    consumer_slope: np.ndarray
+    producer_slope: np.ndarray
+    axis_values: list
+    consumer_error: np.ndarray
+    producer_error: np.ndarray
 
 
 # ---------------------------------------------------------------------------

@@ -135,20 +135,45 @@ def test_identify_without_n_ref_sizes_each_cell_reference_by_its_rows(tmp_path):
 
 
 def test_simulate_report_counts_max_plus_cells_for_any_thread_split(tmp_path):
-    # 60 consumers make 4 row tiles, split over 1 or 3 threads with no
-    # thread floor
+    # the product runs on the calling thread, so there is no split to vary
     cfg = write_config(tmp_path, {"seed": 3, "simulate": simulate_section(n=60)})
-    facts = []
-    for cpus in (1, 3):
-        out = tmp_path / f"cpus{cpus}"
-        with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))), \
-                mock.patch("hedonic.equilibrium._MAXPLUS_THREAD_CELLS", 0):
-            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        facts.append(json.loads((out / "sim_report.json").read_text())["maxplus"])
-    assert facts[0] == facts[1]
-    assert facts[0]["grid_points"] == 25 * 25
-    assert facts[0]["cells_dense"] == 60 * 60 * 25 * 25
-    assert 0 < facts[0]["cells_evaluated"] < facts[0]["cells_dense"]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    facts = json.loads((tmp_path / "sim_report.json").read_text())["maxplus"]
+    assert facts["grid_points"] == 25 * 25
+    assert facts["cells_dense"] == 60 * 60 * 25 * 25
+    assert 0 < facts["cells_evaluated"] < facts["cells_dense"]
+
+
+# Criterion 6's neg-quad-surplus spec in 2-D: Q couples the two z axes.
+NEG_QUAD_SURPLUS_2D = {
+    "u_bar": {"kind": "polynomial", "d_a": 1, "d_z": 2, "terms": [{"coeff": 0.0}]},
+    "cost": QUADRATIC_2D["cost"],
+    "zeta": {"kind": "neg-quadratic", "q": [[1.0, 0.2], [0.2, 1.0]], "d_x": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "structural, z_lo, z_hi, path",
+    [
+        (QUADRATIC_2D, (1.9, 1.9), (3.1, 3.1), "axis-hull"),
+        (NEG_QUAD_SURPLUS_2D, (-0.6, -0.6), (1.8, 1.8), "pruned"),
+    ],
+)
+def test_simulate_report_records_the_max_plus_path(tmp_path, structural, z_lo, z_hi, path):
+    n, g = 50, 20 * 20
+    sim = dict(simulate_section(n=n, resolution=20, z_lo=z_lo, z_hi=z_hi),
+               structural=structural)
+    cfg = write_config(tmp_path, {"seed": 5, "simulate": sim})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    facts = json.loads((tmp_path / "sim_report.json").read_text())["maxplus"]
+    assert facts["path"] == path
+    assert facts["cells_dense"] == n * n * g
+    if path == "axis-hull":
+        # one gathered difference per pair, plus G for each pair redone densely
+        redone, rest = divmod(facts["cells_evaluated"] - n * n, g)
+        assert rest == 0 and 0 <= redone < n
+    else:
+        assert n * n < facts["cells_evaluated"] < facts["cells_dense"]
 
 
 def test_tiny_grid_aborts_with_exit_3(tmp_path):
@@ -375,6 +400,7 @@ def test_check_with_a_dataset_neither_simulates_nor_solves(tmp_path):
 
     with mock.patch("hedonic.equilibrium.simulate_market", refuse), \
             mock.patch("hedonic.equilibrium._max_plus", refuse), \
+            mock.patch("hedonic.equilibrium._axis_hull_max_plus", refuse), \
             mock.patch("hedonic.equilibrium.solve_exact", refuse), \
             mock.patch("hedonic.ot.solve_exact", refuse):
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,8 +1,8 @@
 """Market construction, verification, and diagnostics tests."""
 
 import dataclasses
+import threading
 import types
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -70,43 +70,25 @@ def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
     st.integers(1, 9),
     st.integers(1, 12),
     st.integers(1, 40),
-    st.sampled_from([1, 2, 3, 7]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(1, 7, 1, 3, 1, True, 0)  # n = 1, G = 1, 3-row blocks leave a remainder
-@example(2, 7, 2, 6, 2, True, 1)  # 3-row blocks, 7 producers
-@example(3, 5, 12, 5, 3, False, 2)  # G above the block: one producer per block
-@example(1, 4, 3, 40, 7, True, 3)  # one row, more CPUs than rows
-@example(5, 3, 4, 8, 7, False, 4)  # fewer rows than CPUs
-@example(8, 6, 5, 11, 3, True, 5)  # 8 rows over 3 workers: 2, 3, 3
-def test_blocked_max_plus_equals_the_dense_max_bitwise(
-    n, m, g, block_cells, cpus, ints, seed
-):
+@example(1, 7, 1, 3, True, 0)  # n = 1, G = 1, 3-row blocks leave a remainder
+@example(2, 7, 2, 6, True, 1)  # 3-row blocks, 7 producers
+@example(3, 5, 12, 5, False, 2)  # G above the block: one producer per block
+@example(1, 4, 3, 40, True, 3)  # one row
+@example(5, 3, 4, 8, False, 4)
+@example(8, 6, 5, 11, True, 5)
+def test_blocked_max_plus_equals_the_dense_max_bitwise(n, m, g, block_cells, ints, seed):
     rng = np.random.default_rng(seed)
     if ints:  # tied integer values
         gain = rng.integers(-3, 4, size=(n, g)).astype(float)
         cost = rng.integers(-3, 4, size=(m, g)).astype(float)
     else:
         gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells), \
-            mock.patch.object(equilibrium.os, "sched_getaffinity",
-                              return_value=set(range(cpus))):
-        assert equilibrium._maxplus_workers(n) == min(cpus, n)
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
         got = _max_plus(gain, cost, None)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
-
-
-@pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
-def test_max_plus_without_an_affinity_call_uses_the_cpu_count(
-    monkeypatch, cpu_count, workers
-):
-    monkeypatch.delattr(equilibrium.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(equilibrium.os, "cpu_count", lambda: cpu_count)
-    assert equilibrium._maxplus_workers(10) == workers
-    rng = np.random.default_rng(workers)
-    gain, cost = rng.normal(size=(10, 30)), rng.normal(size=(4, 30))
-    assert _max_plus(gain, cost, None)[0].tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 @pytest.mark.parametrize("m, g", [(70, 1000), (3, 32768 + 5)])
@@ -165,44 +147,25 @@ def pruned_max_plus_instances(draw, kinds=("lattice", "scattered", "duplicates",
 @given(
     pruned_max_plus_instances(),
     st.sampled_from([1, 7, 500, 32768]),
-    st.sampled_from([1, 2, 3, 7]),
 )
-@example((np.zeros((3, 1)), np.ones((5, 1)), lattice(1)), 7, 3)  # G = 1
-@example((np.zeros((17, 4)), np.zeros((129, 4)), lattice(2, 2)), 32768, 2)  # all zero
+@example((np.zeros((3, 1)), np.ones((5, 1)), lattice(1)), 7)  # G = 1
+@example((np.zeros((17, 4)), np.zeros((129, 4)), lattice(2, 2)), 32768)  # all zero
 @example(  # 1-D chain: every point but the last is dominated
     (np.outer(np.arange(1.0, 18.0), np.arange(300.0)),
      np.outer(np.linspace(0.0, 0.5, 130), np.arange(300.0)), lattice(300)),
-    64, 3,
+    64,
 )
 @example(  # duplicate points with distinct values; 33 rows, 257 producers
     (np.random.default_rng(1).normal(size=(33, 6)),
      np.random.default_rng(2).normal(size=(257, 6)),
      np.repeat(lattice(3), 2, axis=0)),
-    7, 7,
+    7,
 )
-def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells, cpus):
+def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells):
     gain, cost, grid = instance
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells), \
-            mock.patch.object(equilibrium.os, "sched_getaffinity",
-                              return_value=set(range(cpus))):
+    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
         got = _max_plus(gain, cost, grid)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(pruned_max_plus_instances(), st.sampled_from([2, 3, 7]))
-def test_threaded_max_plus_equals_one_worker_bitwise(instance, cpus):
-    # with no thread floor the row tiles are split over the CPUs; every tile
-    # makes the same float operations on any thread
-    gain, cost, grid = instance
-    with mock.patch.object(equilibrium.os, "sched_getaffinity", return_value={0}):
-        serial = equilibrium._max_plus(gain, cost, grid)
-    with mock.patch.object(equilibrium, "_MAXPLUS_THREAD_CELLS", 0), \
-            mock.patch.object(equilibrium.os, "sched_getaffinity",
-                              return_value=set(range(cpus))):
-        threaded = equilibrium._max_plus(gain, cost, grid)
-    assert threaded[0].tobytes() == serial[0].tobytes()
-    assert threaded[1] == serial[1]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -349,35 +312,225 @@ def test_stride_masks_equal_the_lexsort_masks_on_readme_lattices(n, res, seed):
 
 @pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7), (64, 2)])
 def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
-    # 16 rows make one row tile, so one worker whatever the CPU count; 64
-    # rows make four row tiles, but 64 x 64 x 144 cells are below the floor
+    # the product runs on the calling thread whatever CPUs the process has
     gain, cost, grid = readme_spec_arrays(n, 12, seed=n)
-    assert n * n * grid.shape[0] < equilibrium._MAXPLUS_THREAD_CELLS
-    with mock.patch.object(equilibrium.os, "sched_getaffinity",
-                           return_value=set(range(cpus))), \
-            mock.patch.object(equilibrium, "ThreadPoolExecutor",
-                              side_effect=AssertionError("pool started")):
+    with mock.patch("os.sched_getaffinity", return_value=set(range(cpus)), create=True), \
+            mock.patch.object(threading.Thread, "start",
+                              side_effect=AssertionError("thread started")):
         got = _max_plus(gain, cost, grid)[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
-@pytest.mark.parametrize("above", [0, 1])
-def test_max_plus_threads_from_the_floor_up(above):
-    # 64 rows make four row tiles over two CPUs; the floor sits at or just
-    # above the product's 64 x 64 x 144 dense cells
-    gain, cost, grid = readme_spec_arrays(64, 12, seed=1)
-    pools = []
+# ---------------------------------------------------------------------------
+# the per-axis hull route of the max-plus product
+# ---------------------------------------------------------------------------
 
-    def counted(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return ThreadPoolExecutor(*args, **kwargs)
 
-    with mock.patch.object(equilibrium, "_MAXPLUS_THREAD_CELLS", 64 * 64 * 144 + above), \
-            mock.patch.object(equilibrium.os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(equilibrium, "ThreadPoolExecutor", counted):
-        got = _max_plus(gain, cost, grid)[0]
-    assert pools == ([] if above else [2])
-    assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
+def unit_exponent(d, k, power=1):
+    return (power * np.eye(d, dtype=int)[k]).tolist()
+
+
+def axis_power_terms(draw, d, block):
+    """Type-free terms c z_k^p in the polynomial block `block`: concave,
+    convex or flat shapes, some scaled down to 1e-14 so that grid points sit
+    next to the hull without being on it."""
+    terms = []
+    for k in range(d):
+        for _ in range(draw(st.integers(0, 2))):
+            coeff = draw(st.integers(-2, 2)) * draw(st.sampled_from([1.0, 0.5, 1e-14]))
+            terms.append({"coeff": coeff, block: unit_exponent(d, k, draw(st.integers(1, 4)))})
+    return terms or [{"coeff": 0.0}]
+
+
+def hull_spec(draw, d, kind):
+    """A StructuralSpec whose U - C is taste-linear and axis-separable, with
+    zeta of the given kind, x of width 1 and producer types of width d."""
+    u_bar = ScalarFamily.polynomial(
+        axis_power_terms(draw, d, "z")
+        + [{"coeff": draw(st.integers(-1, 1)), "a": [1], "z": unit_exponent(d, 0)},
+           {"coeff": 0.5, "a": [2]}],
+        1, d,
+    )
+    cost = ScalarFamily.polynomial(
+        axis_power_terms(draw, d, "z")
+        + [{"coeff": -1.0, "a": unit_exponent(d, k), "z": unit_exponent(d, k)}
+           for k in range(d)],
+        d, d,
+    )
+    eps_z = [{"coeff": 1.0, "eps": unit_exponent(d, k), "z": unit_exponent(d, k)}
+             for k in range(d)]
+    if kind == "bilinear":
+        zeta = SurplusFamily.bilinear(d, d_x=1)
+    elif kind == "polynomial":
+        zeta = SurplusFamily.polynomial(
+            eps_z + [{"coeff": 0.2, "x": [1], "eps": unit_exponent(d, 0),
+                      "z": unit_exponent(d, d - 1)},
+                     {"coeff": -0.5, "eps": unit_exponent(d, 0, 2)}]
+            + axis_power_terms(draw, d, "z"),
+            1, d,
+        )
+    elif kind == "bilinear-feature":
+        # features z_k with loadings eps_k + x / 4, and a type-free z_0^2
+        phi = [[{"coeff": 1.0, "z": unit_exponent(d, k)}] for k in range(d)]
+        psi = [[{"coeff": 1.0, "eps": unit_exponent(d, k)}, {"coeff": 0.25, "x": [1]}]
+               for k in range(d)]
+        phi.append([{"coeff": -1.0, "z": unit_exponent(d, 0, 2)}])
+        psi.append([{"coeff": 0.5}])
+        zeta = SurplusFamily.bilinear_feature(phi, psi, 1, d)
+    else:  # neg-quadratic: -q/2 (z - eps)^2 in 1-D
+        zeta = SurplusFamily.neg_quadratic([[draw(st.sampled_from([0.5, 1.0, 2.0]))]], d_x=1)
+    return StructuralSpec(u_bar=u_bar, cost=cost, zeta=zeta)
+
+
+@st.composite
+def hull_markets(draw):
+    """(spec, x, eps, y, grid): row-major lattices in 1-3 D of 1-8 points per
+    axis, on dyadic steps (exact values, so exact ties) or on steps of 1/3;
+    integer types (slopes on hull segment slopes, signed zeros) or uniform
+    ones; n and m from 1."""
+    kind = draw(st.sampled_from(["bilinear", "bilinear-feature", "polynomial", "neg-quadratic"]))
+    d = 1 if kind == "neg-quadratic" else draw(st.integers(1, 3))
+    res = draw(st.lists(st.integers(1, 8 if d < 3 else 4), min_size=d, max_size=d))
+    step = draw(st.sampled_from([1.0, 0.5, 1.0 / 3.0]))
+    grid = lattice(*res) * step + draw(st.sampled_from([0.0, -1.0, 0.25]))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        def types(k, w):
+            return rng.integers(-3, 4, size=(k, w)) * draw(st.sampled_from([1.0, 0.5, -0.0]))
+    else:
+        def types(k, w):
+            return rng.uniform(-2.0, 2.0, size=(k, w))
+    return hull_spec(draw, d, kind), types(n, 1), types(n, d), types(m, d), grid
+
+
+def hull_route(spec, x, eps, y, grid):
+    """(S, maxplus facts, gain, cost) of simulate's max-plus dispatch."""
+    gain, cost = equilibrium._grid_tensors(spec, x, eps, y, grid)
+    s, facts = equilibrium._joint_surplus(spec, x, eps, y, grid, gain, cost)
+    return s, facts, gain, cost
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hull_markets())
+def test_axis_hull_route_equals_the_pruned_max_plus_bitwise(market):
+    s, facts, gain, cost = hull_route(*market)
+    assert facts["path"] == "axis-hull"
+    pruned = _max_plus(gain, cost, market[4])[0]
+    assert s.tobytes() == pruned.tobytes() == dense_max_plus(gain, cost).tobytes()
+    n, m = s.shape
+    redone, rest = divmod(facts["cells_evaluated"] - n * m, facts["grid_points"])
+    assert rest == 0 and 0 <= redone <= n * m
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (9, 1), (9, 9)])
+def test_axis_hull_route_on_exact_segment_slopes(n, m):
+    # U - C = (eps + y) z - z^2 on z = 0..7: the hull segment from t to
+    # t + 1 has slope -(2t + 1), so an odd integer eps + y ties two points
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.polynomial([{"coeff": -0.5, "z": [2]}], 1, 1),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "z": [2]}, {"coeff": -1.0, "a": [1], "z": [1]}], 1, 1
+        ),
+        zeta=SurplusFamily.bilinear(1, d_x=1),
+    )
+    eps = np.arange(n, dtype=float)[:, None]
+    y = np.arange(m, dtype=float)[:, None] + 1.0
+    grid = lattice(8)
+    s, facts, gain, cost = hull_route(spec, np.ones((n, 1)), eps, y, grid)
+    assert facts["path"] == "axis-hull"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+    # every pair with an odd slope inside the grid is a tie, redone densely
+    ties = ((eps + y.T) % 2 == 1) & (eps + y.T < 15)
+    assert facts["cells_evaluated"] >= n * m + ties.sum() * grid.shape[0]
+
+
+@pytest.mark.parametrize("step", [0.1, 1.0 / 3.0, 0.3, 0.7])
+def test_axis_hull_route_on_rounding_level_ties(step):
+    # U - C = (eps + y) z - z^2 with eps + y = fl(t_q + t_q+1): the points t_q
+    # and t_q+1 tie up to rounding, and the hull's float slopes may put the
+    # tie on either side of the pair's slope
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.polynomial([{"coeff": -0.5, "z": [2]}], 1, 1),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "z": [2]}, {"coeff": -1.0, "a": [1], "z": [1]}], 1, 1
+        ),
+        zeta=SurplusFamily.bilinear(1, d_x=1),
+    )
+    t = np.arange(12) * step + 1.0
+    eps = (t[:-1] + t[1:])[:, None]
+    y = np.array([0.0, 2.0**-50, -(2.0**-50), 1e-13, -1e-13])[:, None]
+    s, facts, gain, cost = hull_route(spec, np.ones((eps.shape[0], 1)), eps, y, t[:, None])
+    assert facts["path"] == "axis-hull"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+@pytest.mark.parametrize("name", ["flat", "convex", "near-flat"])
+def test_axis_hull_route_on_collinear_and_near_hull_points(name):
+    # f = 0 makes every grid point collinear; a convex f leaves only the two
+    # end points on the hull; f = 1e-15 z^2 puts every point within rounding
+    # of the chord between them
+    coeff = {"flat": 0.0, "convex": 1.0, "near-flat": 1e-15}[name]
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.polynomial([{"coeff": coeff, "z": [2, 0]},
+                                       {"coeff": coeff, "z": [0, 2]}], 1, 2),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": -1.0, "a": [1, 0], "z": [1, 0]},
+             {"coeff": -1.0, "a": [0, 1], "z": [0, 1]}], 2, 2
+        ),
+        zeta=SurplusFamily.bilinear(2, d_x=1),
+    )
+    rng = np.random.default_rng(3)
+    eps = np.vstack([rng.uniform(-1.0, 1.0, size=(10, 2)), np.zeros((2, 2))])
+    y = np.vstack([rng.uniform(-1.0, 1.0, size=(7, 2)), -eps[:2]])
+    s, facts, gain, cost = hull_route(spec, np.ones((12, 1)), eps, y, lattice(6, 5) / 4)
+    assert facts["path"] == "axis-hull"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+def permuted_lattice():
+    grid = lattice(4, 3)
+    return grid[np.lexsort(grid.T[::-1])[::-1]]  # every point, in reverse order
+
+
+@pytest.mark.parametrize(
+    "case", ["scattered", "duplicate-rows", "reversed", "cross-z", "a-z-squared"]
+)
+def test_max_plus_dispatch_takes_the_pruned_route(case):
+    rng = np.random.default_rng(len(case))
+    spec, grid = readme_spec(), lattice(5, 4) / 2
+    if case == "scattered":
+        grid = rng.normal(size=(20, 2))
+    elif case == "duplicate-rows":
+        grid = np.repeat(lattice(3, 3), 2, axis=0)
+    elif case == "reversed":
+        grid = permuted_lattice()
+    elif case == "cross-z":  # -1/2 (z - eps)' Q (z - eps) with Q off-diagonal
+        spec = dataclasses.replace(
+            spec, zeta=SurplusFamily.neg_quadratic([[1.0, 0.2], [0.2, 1.0]], d_x=1)
+        )
+    else:  # tinbergen's y z^2 / 2 cost
+        spec = StructuralSpec(
+            u_bar=ScalarFamily.zero(1, 2),
+            cost=ScalarFamily.polynomial(
+                [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]},
+                 {"coeff": 0.5, "a": [0, 1], "z": [0, 2]}], 2, 2
+            ),
+            zeta=SurplusFamily.bilinear(2, d_x=1),
+        )
+    x, eps, y = np.ones((6, 1)), rng.uniform(size=(6, 2)), rng.uniform(size=(5, 2))
+    s, facts, gain, cost = hull_route(spec, x, eps, y, grid)
+    assert facts["path"] == "pruned"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+def test_lattice_axes_accept_only_the_row_major_product():
+    axes = equilibrium._lattice_axes(lattice(3, 4, 2))
+    assert [t.tolist() for t in axes] == [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0]]
+    assert equilibrium._lattice_axes(build_z_grid([0.0], [1.0], 7))[0].size == 7
+    assert equilibrium._lattice_axes(permuted_lattice()) is None
+    assert equilibrium._lattice_axes(lattice(3, 3)[:-1]) is None  # a point short
+    assert equilibrium._lattice_axes(np.repeat(lattice(3), 2, axis=0)) is None
 
 
 def test_tinbergen_market_matches_analytic_quality():
@@ -393,7 +546,7 @@ def test_tinbergen_market_matches_analytic_quality():
         seed=5,
     )
     eps = out.consumer_eps[out.pair_source, 0]
-    y = out.producer_y[out.pair_target, 0]
+    y = out.producer_y[out.matching.support()[1], 0]
     step = 2.6 / 1300
     assert np.abs(out.traded_z[:, 0] - eps / y).max() <= step
     assert verify_equilibrium(out).passed
@@ -467,7 +620,7 @@ def test_cost_constant_shift_moves_prices_only():
     out_a = simulate_market(base, **kw)
     out_b = simulate_market(shifted, **kw)
     assert np.array_equal(out_a.pair_source, out_b.pair_source)
-    assert np.array_equal(out_a.pair_target, out_b.pair_target)
+    assert np.array_equal(out_a.matching.support()[1], out_b.matching.support()[1])
     assert np.array_equal(out_a.traded_z, out_b.traded_z)
     assert np.abs((out_b.prices - out_a.prices) - shift).max() <= 1e-9
 
@@ -524,7 +677,7 @@ SMALL_MARKETS = {
 @pytest.mark.parametrize("market", sorted(SMALL_MARKETS))
 def test_simulated_prices_read_the_cost_tensor(market):
     out = simulate_market(**SMALL_MARKETS[market], n_consumers=23, n_producers=17, seed=2)
-    jj = out.pair_target
+    jj = out.matching.support()[1]
     want = out.producer_cost[jj, out.traded_index] + out.indirect_w[jj]
     assert out.prices.tobytes() == want.tobytes()
 

@@ -1,5 +1,6 @@
 """Surplus family evaluation, analytic gradients, and the twist check."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -444,3 +445,61 @@ def test_batched_twist_matches_per_pair_scan(f, x, eps_pts, z_pts):
     assert abs(rep.min_singular_value - min_sv) <= 1e-12
     assert abs(rep.inverse_cross_bound - max_inv) <= 1e-12
     assert abs(rep.quality_hessian_bound - max_hzz) <= 1e-6 * abs(max_hzz)
+
+
+# ---------------------------------------------------------------------------
+# Taste-linear, axis-separable split of U - C
+# ---------------------------------------------------------------------------
+
+
+def _readme_structural():
+    return StructuralSpec(
+        u_bar=ScalarFamily.neg_quadratic(np.eye(2), center_offset=[4.0, 4.0], d_a=1),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "z": [2, 0]}, {"coeff": 0.5, "z": [0, 2]},
+             {"coeff": -1.0, "a": [1, 0], "z": [1, 0]},
+             {"coeff": -1.0, "a": [0, 1], "z": [0, 1]}], 2, 2
+        ),
+        zeta=SurplusFamily.bilinear(2, d_x=1),
+    )
+
+
+def test_axis_split_reads_slopes_and_axis_terms_off_the_expanded_terms():
+    # U - C = -|z - 4|^2 / 2 + eps . z - |z|^2 / 2 + y . z: slopes eps and y,
+    # and f_k(t) = 4 t - t^2 on each axis
+    spec = _readme_structural()
+    rng = np.random.default_rng(0)
+    x, eps, y = np.ones((5, 1)), rng.uniform(size=(5, 2)), rng.uniform(size=(4, 2))
+    axes = [np.linspace(1.9, 3.1, 7), np.linspace(2.0, 3.0, 5)]
+    split = spec.axis_split(x, eps, y, axes)
+    assert np.array_equal(split.consumer_slope, eps)
+    assert np.array_equal(split.producer_slope, y)
+    for t, f in zip(axes, split.axis_values):
+        assert np.allclose(f, 4.0 * t - t**2, rtol=0.0, atol=1e-14)
+
+    # U - C on the grid less the split's part is free of z, within the bounds
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(x, eps, grid)
+    cost = spec.cost.pairwise_grid(y, grid)
+    slopes = split.consumer_slope[:, None, :] + split.producer_slope[None, :, :]
+    f = sum(np.meshgrid(*split.axis_values, indexing="ij")).ravel()
+    rest = gain[:, None, :] - cost[None, :, :] - (slopes @ grid.T + f)
+    error = split.consumer_error[:, None, :] + split.producer_error[None, :, :]
+    assert np.all(np.ptp(rest, axis=2) <= 4 * error.max(axis=2))
+    assert 0 < error.max() < 1e-10
+
+
+@pytest.mark.parametrize("case", ["a-z-squared", "cross-quadratic", "z1-z2-term"])
+def test_axis_split_is_none_off_the_taste_linear_separable_case(case):
+    spec = _readme_structural()
+    if case == "a-z-squared":
+        spec = dataclasses.replace(spec, cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]}], 2, 2))
+    elif case == "cross-quadratic":
+        spec = dataclasses.replace(
+            spec, zeta=SurplusFamily.neg_quadratic([[1.0, 0.2], [0.2, 1.0]], d_x=1))
+    else:
+        spec = dataclasses.replace(spec, u_bar=ScalarFamily.polynomial(
+            [{"coeff": 0.1, "z": [1, 1]}], 1, 2))
+    axes = [np.linspace(0.0, 1.0, 3)] * 2
+    assert spec.axis_split(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 2)), axes) is None
