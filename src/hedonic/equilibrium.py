@@ -244,11 +244,12 @@ class _AxisHull:
     left_gap: np.ndarray
 
 
-def _axis_hull(t: np.ndarray, f: np.ndarray, chunk: int = 64) -> _AxisHull:
+def _axis_hull(t: np.ndarray, f: np.ndarray) -> _AxisHull:
     """Upper hull by a monotone chain over t (strictly increasing), with
     the slope bounds of every vertex.  A computed slope c = fl(fl(f_r -
     f_v) / fl(t_r - t_v)) is within 3 roundings of the exact slope, so
-    c + 8u|c| bounds it from above and c - 8u|c| from below."""
+    c + 8u|c| bounds it from above and c - 8u|c| from below.  The slopes
+    are taken for 64 vertices at a time."""
     ts, fs = t.tolist(), f.tolist()
     hull = []
     for r in range(len(ts)):
@@ -262,14 +263,14 @@ def _axis_hull(t: np.ndarray, f: np.ndarray, chunk: int = 64) -> _AxisHull:
     neg_slopes = -(f[v[1:]] - f[v[:-1]]) / (t[v[1:]] - t[v[:-1]])
     bounds = np.empty((2, v.size))
     index = np.arange(t.size)
-    for c0 in range(0, v.size, chunk):
-        vv = v[c0:c0 + chunk, None]
+    for c0 in range(0, v.size, 64):
+        vv = v[c0:c0 + 64, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = (f - f[vv]) / (t - t[vv])
         pad = 8 * _UNIT * np.abs(slope)
         right, left = index > vv, index < vv
-        bounds[0, c0:c0 + chunk] = np.where(right, slope + pad, -np.inf).max(axis=1)
-        bounds[1, c0:c0 + chunk] = np.where(left, slope - pad, np.inf).min(axis=1)
+        bounds[0, c0:c0 + 64] = np.where(right, slope + pad, -np.inf).max(axis=1)
+        bounds[1, c0:c0 + 64] = np.where(left, slope - pad, np.inf).min(axis=1)
     after = np.append(t, np.inf)[v + 1] - t[v]
     before = t[v] - np.insert(t, 0, -np.inf)[v]
     return _AxisHull(v, neg_slopes, bounds[0], after, bounds[1], before)
