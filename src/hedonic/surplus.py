@@ -357,10 +357,6 @@ class SurplusFamily:
         """d^2 zeta / d eps_a d z_b per row, shape (n, d_z, d_z)."""
         return self._hessian_rows(x, eps, z)[0]
 
-    def hess_zz_rows(self, x, eps, z) -> np.ndarray:
-        """d^2 zeta / d z_a d z_b per row, shape (n, d_z, d_z)."""
-        return self._hessian_rows(x, eps, z)[1]
-
     def cross_hessian(self, x, eps, z) -> np.ndarray:
         """Mixed second derivatives d^2 zeta / d eps_a d z_b, a d_z x d_z matrix."""
         return self._hessian_rows(x, eps, z)[0][0]
@@ -516,58 +512,95 @@ class StructuralSpec:
 
     def axis_split(self, x, eps, y, axes) -> Optional["AxisSplit"]:
         """U - C of consumers (x, eps) and producers y as an AxisSplit on the
-        lattice of the per-axis values `axes`, or None unless every expanded
-        term of u_bar, zeta and cost that holds a type variable has z-degree
-        at most 1 and every type-free term holds at most one z axis.
+        lattice of the per-axis values `axes`, or None off its structure rule.
 
-        Terms with a type variable and z-degree 1 give the slopes, type-free
-        terms in one z axis give f_k, and the rest are free of z.  Rounding:
-        a tensor entry sums at most T terms (T counted over the three
-        polynomials), each a product of at most D powers and multiplications
-        (D their summed widths), and adds and subtracts once more; a slope
-        or f_k value sums fewer.  Higham's bound gamma_K * sum |term| with
-        K = 4 (T + 8 D + 8), four times that operation count with every
-        power counted as 8 roundings, covers both, and the sums of |term|
-        are taken at the largest |z_k| of each axis.
+        The rule, on the expanded terms of u_bar, zeta and cost: no term
+        holds two z axes, and on each axis k the terms of z_k-degree 2 or
+        more are either all type-free (gamma_k = 1), or all carry the same
+        type monomial of one side, in x and eps for consumers or in y for
+        producers.  Then gamma_k is that monomial's value for each agent of
+        that side; it must be finite, nonzero and of one sign over those
+        agents, and a negative sign is folded into f_k.  Terms of z-degree 1
+        give the slopes when they hold a type variable or their axis is
+        scaled, and f_k otherwise; the terms of higher degree give f_k
+        (without their type monomial), and the rest are free of z.
+
+        Rounding: a tensor entry sums at most T terms (T counted over the
+        three polynomials), each a product of at most D powers and
+        multiplications (D their summed widths), and adds and subtracts once
+        more; a slope, an f_k value or a gamma_k sums fewer.  Higham's bound
+        gamma_K * sum |term| with K = 4 (T + 8 D + 8), four times that
+        operation count with every power counted as 8 roundings, covers
+        each, and the sums of |term| are taken at the largest |z_k| of each
+        axis.  The f_k part of a t + gamma_k f_k(t) errs by at most
+        gamma_K max |f_k terms| on a type-free axis, put in the producers'
+        error; on a scaled axis it errs by |gamma_k| times the error of f_k
+        plus the error of gamma_k times |f_k|, at most 2 gamma_K |gamma_k|
+        max |f_k terms| (the factor 4 in K covers the second-order part),
+        put in the scaled side's error.
         """
         x, eps, y = _as_rows(x), _as_rows(eps), _as_rows(y)
-        sides = [
-            (self.u_bar._core, x[:, :self.u_bar.d_a], 1.0),
-            (self.zeta._core, self.zeta._w(x, eps), 1.0),
-            (self.cost._core, y[:, :self.cost.d_a], -1.0),
+        sides = [  # (core, w, sign, the leading columns of w that hold x or y)
+            (self.u_bar._core, x[:, :self.u_bar.d_a], 1.0, self.u_bar.d_a),
+            (self.zeta._core, self.zeta._w(x, eps), 1.0, self.zeta.d_x),
+            (self.cost._core, y[:, :self.cost.d_a], -1.0, self.cost.d_a),
         ]
-        terms = [_split_terms(core) for core, _, _ in sides]
-        if any(t is None for t in terms):
+        terms = [_split_terms(core) for core, _, _, _ in sides]
+        scales = None if any(t is None for t in terms) else _axis_scales(sides, terms, len(axes))
+        if scales is None:
             return None
+        scaled = np.array([s is not None for s in scales])
         t_max = np.array([np.abs(t).max() for t in axes])
-        n_terms = sum(core.expanded.exps.shape[0] for core, _, _ in sides)
-        width = sum(core.d_w + core.d_z for core, _, _ in sides)
+        n_terms = sum(core.expanded.exps.shape[0] for core, _, _, _ in sides)
+        width = sum(core.d_w + core.d_z for core, _, _, _ in sides)
         k = 4 * (n_terms + 8 * width + 8)
         gamma = k * _UNIT / (1.0 - k * _UNIT)
 
         values = [np.zeros(t.size) for t in axes]
         magnitudes = [np.zeros(t.size) for t in axes]
         slopes, slope_abs, size = [], [], []
-        for (core, w, sign), (slope_terms, axis, power) in zip(sides, terms):
+        for (core, w, sign, _), (typed, axis, degree) in zip(sides, terms):
             e = core.expanded
             c = e.coeffs[:, 0]
             mono = _monomial_values(w, e.exps[:, :core.d_w])
+            slope = (degree == 1) & (typed | scaled[axis])
+            slope_terms = np.zeros((c.size, len(axes)))
+            slope_terms[slope, axis[slope]] = c[slope]
             slopes.append(sign * (mono @ slope_terms))
             slope_abs.append(np.abs(mono) @ np.abs(slope_terms))
             z_max = _monomial_values(t_max[None, :], e.exps[:, core.d_w:])[0]
             size.append(np.abs(mono) @ (np.abs(c) * z_max))
-            for t in np.flatnonzero(power):
-                values[axis[t]] += sign * c[t] * axes[axis[t]] ** power[t]
-                magnitudes[axis[t]] += abs(c[t]) * np.abs(axes[axis[t]]) ** power[t]
+            for t in np.flatnonzero((degree > 0) & ~slope):
+                values[axis[t]] += sign * c[t] * axes[axis[t]] ** degree[t]
+                magnitudes[axis[t]] += abs(c[t]) * np.abs(axes[axis[t]]) ** degree[t]
         f_max = np.array([mag.max() for mag in magnitudes])
+
+        consumer_slope = slopes[0] + slopes[1]
+        n, m = consumer_slope.shape[0], y.shape[0]
+        consumer_f, producer_f = np.zeros((n, len(axes))), np.tile(f_max, (m, 1))
+        axis_scale = []
+        for ax, scale in enumerate(scales):
+            if scale is not None:
+                sign, g = scale
+                if g[0] < 0:
+                    g, values[ax] = -g, -values[ax]
+                if sign > 0:
+                    scale = (np.broadcast_to(g, (n,)).copy(), np.ones(m))
+                    consumer_f[:, ax], producer_f[:, ax] = 2.0 * scale[0] * f_max[ax], 0.0
+                else:
+                    scale = (np.ones(n), g)
+                    producer_f[:, ax] = 2.0 * g * f_max[ax]
+            axis_scale.append(scale)
         return AxisSplit(
-            consumer_slope=slopes[0] + slopes[1],
+            consumer_slope=consumer_slope,
             producer_slope=slopes[2],
             axis_values=values,
+            axis_scale=axis_scale,
             consumer_error=gamma * (
                 (size[0] + size[1])[:, None] + (slope_abs[0] + slope_abs[1]) * t_max
+                + consumer_f
             ),
-            producer_error=gamma * (size[2][:, None] + slope_abs[2] * t_max + f_max),
+            producer_error=gamma * (size[2][:, None] + slope_abs[2] * t_max + producer_f),
         )
 
 
@@ -576,44 +609,75 @@ _UNIT = np.finfo(float).eps / 2
 
 
 def _split_terms(core: _Core):
-    """The expanded terms of core by role, or None when a term with a w
-    variable has z-degree above 1 or a w-free term holds two z axes:
-    (slope_terms, axis, power).  slope_terms (T, d_z) holds c at [t, k]
-    for each term c w^e z_k with w-degree above 0; axis and power give the
-    z axis and the degree p >= 1 of each w-free term c z_k^p (power 0 for
-    every other term)."""
+    """(typed, axis, degree) of the expanded terms of core, or None when a
+    term holds two z axes: whether each term holds a w variable, the one z
+    axis it holds (0 when it holds none) and its z-degree."""
     e = core.expanded
-    w_exp, z_exp = e.exps[:, :core.d_w], e.exps[:, core.d_w:]
-    typed = w_exp.any(axis=1)
-    degree = z_exp.sum(axis=1)
-    if np.any(np.count_nonzero(z_exp, axis=1) > 1) or np.any(typed & (degree > 1)):
+    z_exp = e.exps[:, core.d_w:]
+    if np.any(np.count_nonzero(z_exp, axis=1) > 1):
         return None
-    axis = np.argmax(z_exp, axis=1)
-    slope_terms = np.zeros((degree.size, core.d_z))
-    linear = np.flatnonzero(typed & (degree == 1))
-    slope_terms[linear, axis[linear]] = e.coeffs[linear, 0]
-    return slope_terms, axis, np.where(typed, 0, degree)
+    return e.exps[:, :core.d_w].any(axis=1), np.argmax(z_exp, axis=1), z_exp.sum(axis=1)
+
+
+def _axis_scales(sides, terms, d: int) -> Optional[list]:
+    """Per axis, None when its terms of z-degree 2 or more are type-free,
+    or (sign, gamma) when they all carry one type monomial: the side's
+    sign (+1 consumers, -1 producers) and the monomial's values over that
+    side's agents.  None for the whole list when an axis mixes typed and
+    type-free terms, two monomials or the two sides, or a gamma is zero,
+    not finite or of both signs.  Consumer monomials are compared by their
+    x and eps exponents, so u_bar's and zeta's terms in the same x match."""
+    kinds = [{} for _ in range(d)]
+    for (core, w, sign, d_type), (typed, axis, degree) in zip(sides, terms):
+        exps = core.expanded.exps[:, :core.d_w]
+        for t in np.flatnonzero(degree >= 2):
+            key = None
+            if typed[t]:
+                key = (sign, _trimmed(exps[t, :d_type]), _trimmed(exps[t, d_type:]))
+            kinds[axis[t]].setdefault(key, (w, exps[t]))
+    scales = []
+    for kind in kinds:
+        if len(kind) > 1:
+            return None
+        key, (w, e) = next(iter(kind.items()), (None, (None, None)))
+        if key is not None:
+            g = _monomial_values(w, e[None, :])[:, 0]
+            if not (np.all(np.isfinite(g)) and (np.all(g > 0) or np.all(g < 0))):
+                return None
+            key = (key[0], g)
+        scales.append(key)
+    return scales
+
+
+def _trimmed(e: np.ndarray) -> tuple:
+    """An exponent block without its trailing zeros."""
+    return tuple(int(v) for v in np.trim_zeros(e, "b"))
 
 
 @dataclass(frozen=True)
 class AxisSplit:
     """U_i(z) - C_j(z) = (consumer_slope_i + producer_slope_j) . z
-    + sum_k f_k(z_k) + (terms free of z) on a quality lattice.
+    + sum_k gamma_ijk f_k(z_k) + (terms free of z) on a quality lattice.
 
     consumer_slope (n, d) and producer_slope (m, d) hold the slopes, and
-    axis_values[k] f_k at the lattice's axis-k values.  For a
-    consumer i, a producer j and an axis k, consumer_error[i, k] +
-    producer_error[j, k] bounds the sum of two roundings: that of the
-    float U_i - C_j the grid tensors hold, against the exact sum of the
-    expanded terms at any grid point, and that of a t + f_k(t), with a =
-    fl(consumer_slope_ik + producer_slope_jk) and the f_k values here,
-    against the exact slope sum times t plus the exact f_k(t), at any
-    axis-k value t.
+    axis_values[k] f_k at the lattice's axis-k values.  axis_scale[k] is
+    None when gamma_ijk = 1 (the axis-k curvature is type-free), and
+    otherwise the pair (consumer scale (n,), producer scale (m,)) whose
+    product is gamma_ijk > 0: one side's type monomial, its sign folded
+    into f_k, and all ones on the other side.  For a consumer i, a
+    producer j and an axis k, consumer_error[i, k] + producer_error[j, k]
+    bounds the sum of two roundings: that of the float U_i - C_j the grid
+    tensors hold, against the exact sum of the expanded terms at any grid
+    point, and that of a t + gamma_ijk f_k(t), with a =
+    fl(consumer_slope_ik + producer_slope_jk) and the gamma and f_k values
+    here, against the exact slope sum times t plus the exact gamma_ijk
+    f_k(t), at any axis-k value t.
     """
 
     consumer_slope: np.ndarray
     producer_slope: np.ndarray
     axis_values: list
+    axis_scale: list
     consumer_error: np.ndarray
     producer_error: np.ndarray
 

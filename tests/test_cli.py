@@ -152,17 +152,33 @@ NEG_QUAD_SURPLUS_2D = {
 }
 
 
+# Criterion 6's tinbergen spec in 2-D: the producer type y_k scales axis k's
+# curvature, so its producers are drawn positive.
+TINBERGEN_2D = {
+    "u_bar": NEG_QUAD_SURPLUS_2D["u_bar"],
+    "cost": {
+        "kind": "polynomial", "d_a": 2, "d_z": 2,
+        "terms": [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]},
+                  {"coeff": 0.5, "a": [0, 1], "z": [0, 2]}],
+    },
+    "zeta": QUADRATIC_2D["zeta"],
+}
+TINBERGEN_PRODUCERS = {"kind": "uniform", "lo": [0.5, 0.5], "hi": [1.5, 1.5]}
+
+
 @pytest.mark.parametrize(
     "structural, z_lo, z_hi, path",
     [
         (QUADRATIC_2D, (1.9, 1.9), (3.1, 3.1), "axis-hull"),
         (NEG_QUAD_SURPLUS_2D, (-0.6, -0.6), (1.8, 1.8), "pruned"),
+        (TINBERGEN_2D, (-0.2, -0.2), (2.4, 2.4), "axis-hull"),
     ],
 )
 def test_simulate_report_records_the_max_plus_path(tmp_path, structural, z_lo, z_hi, path):
     n, g = 50, 20 * 20
+    producers = TINBERGEN_PRODUCERS if structural is TINBERGEN_2D else UNIT_BOX_2D
     sim = dict(simulate_section(n=n, resolution=20, z_lo=z_lo, z_hi=z_hi),
-               structural=structural)
+               structural=structural, producer_spec=producers)
     cfg = write_config(tmp_path, {"seed": 5, "simulate": sim})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     facts = json.loads((tmp_path / "sim_report.json").read_text())["maxplus"]

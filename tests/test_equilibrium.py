@@ -330,32 +330,64 @@ def unit_exponent(d, k, power=1):
     return (power * np.eye(d, dtype=int)[k]).tolist()
 
 
-def axis_power_terms(draw, d, block):
-    """Type-free terms c z_k^p in the polynomial block `block`: concave,
-    convex or flat shapes, some scaled down to 1e-14 so that grid points sit
-    next to the hull without being on it."""
+def axis_power_terms(draw, d, k, powers=(1, 4)):
+    """Type-free terms c z_k^p, p drawn from the inclusive range `powers`:
+    concave, convex or flat shapes, some scaled down to 1e-14 so that grid
+    points sit next to the hull without being on it."""
     terms = []
-    for k in range(d):
-        for _ in range(draw(st.integers(0, 2))):
-            coeff = draw(st.integers(-2, 2)) * draw(st.sampled_from([1.0, 0.5, 1e-14]))
-            terms.append({"coeff": coeff, block: unit_exponent(d, k, draw(st.integers(1, 4)))})
-    return terms or [{"coeff": 0.0}]
+    for _ in range(draw(st.integers(0, 2))):
+        coeff = draw(st.integers(-2, 2)) * draw(st.sampled_from([1.0, 0.5, 1e-14]))
+        terms.append({"coeff": coeff, "z": unit_exponent(d, k, draw(st.integers(*powers)))})
+    return terms
+
+
+def scaled_curvature_term(draw, d, k, types):
+    """c w^e z_k^q for the type monomial w^e whose exponent blocks are
+    `types` (block name to exponents), with q in 2..4."""
+    coeff = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0]))
+    return dict(types, coeff=coeff, z=unit_exponent(d, k, draw(st.integers(2, 4))))
 
 
 def hull_spec(draw, d, kind):
-    """A StructuralSpec whose U - C is taste-linear and axis-separable, with
-    zeta of the given kind, x of width 1 and producer types of width d."""
+    """A StructuralSpec that takes the hull route, with zeta of the given
+    kind, x of width 1 and producer types of width 2 d: y_k sets axis k's
+    producer slope and y_{d+k} may scale its curvature.
+
+    Each axis's terms of z-degree 2 or more are either type-free ("free"),
+    or all carry one type monomial of one side: x^p in u_bar, and in zeta
+    too when zeta is polynomial ("consumer"), or y_{d+k}^p in cost
+    ("producer").  The bilinear-feature and neg-quadratic zetas hold a
+    type-free z_0^2, so their axis 0 is free."""
+    curvature = [draw(st.sampled_from(["free", "consumer", "producer"])) for _ in range(d)]
+    if kind in ("bilinear-feature", "neg-quadratic"):
+        curvature[0] = "free"
+    powers = [draw(st.integers(1, 2)) for _ in range(d)]
+
+    u_bar_terms, cost_terms, zeta_terms = [], [], []
+    for k in range(d):
+        # a scaled axis may still hold type-free linear terms
+        free = (1, 4) if curvature[k] == "free" else (1, 1)
+        u_bar_terms += axis_power_terms(draw, d, k, free)
+        cost_terms += axis_power_terms(draw, d, k, free)
+        zeta_terms += axis_power_terms(draw, d, k, free)
+        if curvature[k] == "consumer":
+            u_bar_terms.append(scaled_curvature_term(draw, d, k, {"a": [powers[k]]}))
+            if kind == "polynomial" and draw(st.booleans()):
+                zeta_terms.append(scaled_curvature_term(draw, d, k, {"x": [powers[k]]}))
+        elif curvature[k] == "producer":
+            cost_terms.append(
+                scaled_curvature_term(draw, d, k, {"a": unit_exponent(2 * d, d + k, powers[k])}))
     u_bar = ScalarFamily.polynomial(
-        axis_power_terms(draw, d, "z")
+        u_bar_terms
         + [{"coeff": draw(st.integers(-1, 1)), "a": [1], "z": unit_exponent(d, 0)},
            {"coeff": 0.5, "a": [2]}],
         1, d,
     )
     cost = ScalarFamily.polynomial(
-        axis_power_terms(draw, d, "z")
-        + [{"coeff": -1.0, "a": unit_exponent(d, k), "z": unit_exponent(d, k)}
+        cost_terms
+        + [{"coeff": -1.0, "a": unit_exponent(2 * d, k), "z": unit_exponent(d, k)}
            for k in range(d)],
-        d, d,
+        2 * d, d,
     )
     eps_z = [{"coeff": 1.0, "eps": unit_exponent(d, k), "z": unit_exponent(d, k)}
              for k in range(d)]
@@ -366,7 +398,7 @@ def hull_spec(draw, d, kind):
             eps_z + [{"coeff": 0.2, "x": [1], "eps": unit_exponent(d, 0),
                       "z": unit_exponent(d, d - 1)},
                      {"coeff": -0.5, "eps": unit_exponent(d, 0, 2)}]
-            + axis_power_terms(draw, d, "z"),
+            + zeta_terms,
             1, d,
         )
     elif kind == "bilinear-feature":
@@ -379,7 +411,7 @@ def hull_spec(draw, d, kind):
         zeta = SurplusFamily.bilinear_feature(phi, psi, 1, d)
     else:  # neg-quadratic: -q/2 (z - eps)^2 in 1-D
         zeta = SurplusFamily.neg_quadratic([[draw(st.sampled_from([0.5, 1.0, 2.0]))]], d_x=1)
-    return StructuralSpec(u_bar=u_bar, cost=cost, zeta=zeta)
+    return StructuralSpec(u_bar=u_bar, cost=cost, zeta=zeta), curvature
 
 
 @st.composite
@@ -387,7 +419,9 @@ def hull_markets(draw):
     """(spec, x, eps, y, grid): row-major lattices in 1-3 D of 1-8 points per
     axis, on dyadic steps (exact values, so exact ties) or on steps of 1/3;
     integer types (slopes on hull segment slopes, signed zeros) or uniform
-    ones; n and m from 1."""
+    ones; n and m from 1.  A type that scales an axis's curvature is one
+    scale from 1e-3 to 1e3, of one sign for every agent, times integers
+    1-4 or uniform values in [0.5, 2]."""
     kind = draw(st.sampled_from(["bilinear", "bilinear-feature", "polynomial", "neg-quadratic"]))
     d = 1 if kind == "neg-quadratic" else draw(st.integers(1, 3))
     res = draw(st.lists(st.integers(1, 8 if d < 3 else 4), min_size=d, max_size=d))
@@ -395,13 +429,22 @@ def hull_markets(draw):
     grid = lattice(*res) * step + draw(st.sampled_from([0.0, -1.0, 0.25]))
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    integer = draw(st.booleans())
+    if integer:
         def types(k, w):
             return rng.integers(-3, 4, size=(k, w)) * draw(st.sampled_from([1.0, 0.5, -0.0]))
     else:
         def types(k, w):
             return rng.uniform(-2.0, 2.0, size=(k, w))
-    return hull_spec(draw, d, kind), types(n, 1), types(n, d), types(m, d), grid
+
+    def scale_types(k):
+        scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.0, 1e3])) * draw(st.sampled_from([1, -1]))
+        return scale * (rng.integers(1, 5, size=k) if integer else rng.uniform(0.5, 2.0, size=k))
+
+    spec, curvature = hull_spec(draw, d, kind)
+    x = scale_types(n)[:, None] if "consumer" in curvature else types(n, 1)
+    y = np.hstack([types(m, d), np.column_stack([scale_types(m) for _ in range(d)])])
+    return spec, x, types(n, d), y, grid
 
 
 def hull_route(spec, x, eps, y, grid):
@@ -493,12 +536,27 @@ def permuted_lattice():
     return grid[np.lexsort(grid.T[::-1])[::-1]]  # every point, in reverse order
 
 
+def tinbergen_2d_cost(*extra):
+    """Tinbergen's cost y . z^2 / 2 in 2-D, plus the terms `extra`."""
+    return ScalarFamily.polynomial(
+        [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]},
+         {"coeff": 0.5, "a": [0, 1], "z": [0, 2]}, *extra], 2, 2
+    )
+
+
 @pytest.mark.parametrize(
-    "case", ["scattered", "duplicate-rows", "reversed", "cross-z", "a-z-squared"]
+    "case",
+    ["scattered", "duplicate-rows", "reversed", "cross-z", "a-z-squared",
+     "sign-changing-scale", "both-sides", "two-monomials", "typed-and-free"],
 )
 def test_max_plus_dispatch_takes_the_pruned_route(case):
     rng = np.random.default_rng(len(case))
     spec, grid = readme_spec(), lattice(5, 4) / 2
+    x, eps, y = np.ones((6, 1)), rng.uniform(size=(6, 2)), rng.uniform(0.5, 1.5, size=(5, 2))
+    tinbergen = StructuralSpec(
+        u_bar=ScalarFamily.zero(1, 2), cost=tinbergen_2d_cost(),
+        zeta=SurplusFamily.bilinear(2, d_x=1),
+    )
     if case == "scattered":
         grid = rng.normal(size=(20, 2))
     elif case == "duplicate-rows":
@@ -509,19 +567,80 @@ def test_max_plus_dispatch_takes_the_pruned_route(case):
         spec = dataclasses.replace(
             spec, zeta=SurplusFamily.neg_quadratic([[1.0, 0.2], [0.2, 1.0]], d_x=1)
         )
-    else:  # tinbergen's y z^2 / 2 cost
-        spec = StructuralSpec(
-            u_bar=ScalarFamily.zero(1, 2),
-            cost=ScalarFamily.polynomial(
-                [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]},
-                 {"coeff": 0.5, "a": [0, 1], "z": [0, 2]}], 2, 2
-            ),
-            zeta=SurplusFamily.bilinear(2, d_x=1),
-        )
-    x, eps, y = np.ones((6, 1)), rng.uniform(size=(6, 2)), rng.uniform(size=(5, 2))
+    elif case in ("a-z-squared", "sign-changing-scale"):
+        # tinbergen's y z^2 / 2 cost, with a producer of scale y_0 = 0, or
+        # scales y_1 of both signs
+        spec = tinbergen
+        if case == "a-z-squared":
+            y[2, 0] = 0.0
+        else:
+            y[:2, 1] *= -1.0
+    elif case == "both-sides":  # x z_0^2 in u_bar and y_0 z_0^2 in cost
+        spec = dataclasses.replace(tinbergen, u_bar=ScalarFamily.polynomial(
+            [{"coeff": -0.5, "a": [1], "z": [2, 0]}], 1, 2))
+    elif case == "two-monomials":  # y_0 z_0^2 and y_1 z_0^2
+        spec = dataclasses.replace(tinbergen, cost=tinbergen_2d_cost(
+            {"coeff": 0.25, "a": [0, 1], "z": [2, 0]}))
+    else:  # y_0 z_0^2 in cost and a type-free z_0^2 in u_bar
+        spec = dataclasses.replace(tinbergen, u_bar=ScalarFamily.polynomial(
+            [{"coeff": -0.5, "z": [2, 0]}], 1, 2))
     s, facts, gain, cost = hull_route(spec, x, eps, y, grid)
     assert facts["path"] == "pruned"
     assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+@pytest.mark.parametrize("d, res", [(1, 140), (2, 15)])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, -1e3])
+def test_axis_hull_route_on_tinbergen_markets(d, res, scale):
+    # eps . z - y . z^2 / 2 with producer types y of one sign: y_k scales
+    # axis k's curvature, and a negative scale is folded into f_k
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.zero(1, d),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "a": unit_exponent(d, k), "z": unit_exponent(d, k, 2)}
+             for k in range(d)], d, d),
+        zeta=SurplusFamily.bilinear(d, d_x=1),
+    )
+    rng = np.random.default_rng(res)
+    eps, y = rng.uniform(size=(30, d)) * scale, rng.uniform(0.5, 1.5, size=(20, d)) * scale
+    grid = build_z_grid([-0.1] * d, [2.5] * d, res)
+    s, facts, gain, cost = hull_route(spec, np.ones((30, 1)), eps, y, grid)
+    assert facts["path"] == "axis-hull"
+    pruned = _max_plus(gain, cost, grid)[0]
+    assert s.tobytes() == pruned.tobytes() == dense_max_plus(gain, cost).tobytes()
+    assert facts["cells_evaluated"] < 30 * 20 * grid.shape[0] / 10
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.37, 1e3])
+@pytest.mark.parametrize("step", [0.1, 1.0 / 3.0, 0.7])
+def test_axis_hull_route_on_scaled_rounding_level_ties(scale, step):
+    # U - C = 1 + eps z - y z^2 / 2 with eps = y (t_q + t_q+1) / 2 nudged by
+    # 0 to 2^27 ulps: once a = eps is divided by the scale y, t_q and t_q+1
+    # tie or nearly tie, and the constant 1 rounds the tensor far above
+    # the y-scaled gaps when y is small, so the certificate must weigh the
+    # margins by y
+    spec = dataclasses.replace(
+        tinbergen_spec(), u_bar=ScalarFamily.polynomial([{"coeff": 1.0}], 1, 1))
+    t = np.arange(12) * step + 1.0
+    y = scale * np.array([1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-45, 3.0])
+    ulps = 2.0 ** np.arange(0, 30, 3)
+    nudge = 1.0 + np.concatenate([-ulps, [0.0], ulps]) * 2.0**-52
+    eps = np.multiply.outer(np.outer((t[:-1] + t[1:]) / 2, y), nudge).reshape(-1, 1)
+    n = eps.shape[0]
+    s, facts, gain, cost = hull_route(spec, np.ones((n, 1)), eps, y[:, None], t[:, None])
+    assert facts["path"] == "axis-hull"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+
+
+def test_axis_hull_route_redoes_pairs_whose_scaled_slope_overflows():
+    # a / y = 1e10 / 1e-300 overflows to inf: the pair's margins come out nan,
+    # without a warning, and every pair is redone over the whole grid
+    eps, y = np.array([[1e10], [2e10]]), np.array([[1e-300], [3e-300], [1e-299]])
+    grid = lattice(9) / 4
+    s, facts, gain, cost = hull_route(tinbergen_spec(), np.ones((2, 1)), eps, y, grid)
+    assert facts["path"] == "axis-hull"
+    assert s.tobytes() == dense_max_plus(gain, cost).tobytes()
+    assert facts["cells_evaluated"] == 6 + 6 * grid.shape[0]
 
 
 def test_lattice_axes_accept_only_the_row_major_product():

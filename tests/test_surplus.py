@@ -357,7 +357,7 @@ def test_derivatives_match_central_differences(f, seed):
     assert _worst_rel(f.grad_z_rows(x, eps, z), fd_z) <= 1e-6
     assert _worst_rel(f.grad_eps_rows(x, eps, z), fd_eps) <= 1e-6
     assert _worst_rel(f.cross_hessian_rows(x, eps, z), fd_cross) <= 1e-6
-    assert _worst_rel(f.hess_zz_rows(x, eps, z), fd_zz) <= 1e-6
+    assert _worst_rel(f._hessian_rows(x, eps, z)[1], fd_zz) <= 1e-6
 
 
 @PROPERTY
@@ -464,6 +464,23 @@ def _readme_structural():
     )
 
 
+def _split_spread(spec, split, x, eps, y, axes):
+    """Per pair, the spread over the lattice of `axes` of U - C less the
+    split's slopes and scaled f_k (which leaves the terms free of z), and
+    the largest of the pair's summed error bounds."""
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(x, eps, grid)
+    cost = spec.cost.pairwise_grid(y, grid)
+    slopes = split.consumer_slope[:, None, :] + split.producer_slope[None, :, :]
+    structured = slopes @ grid.T
+    for k, (t, f, scale) in enumerate(zip(axes, split.axis_values, split.axis_scale)):
+        gamma = 1.0 if scale is None else np.outer(*scale)[:, :, None]
+        structured = structured + gamma * f[np.searchsorted(t, grid[:, k])]
+    rest = gain[:, None, :] - cost[None, :, :] - structured
+    error = split.consumer_error[:, None, :] + split.producer_error[None, :, :]
+    return np.ptp(rest, axis=2), error.max(axis=2)
+
+
 def test_axis_split_reads_slopes_and_axis_terms_off_the_expanded_terms():
     # U - C = -|z - 4|^2 / 2 + eps . z - |z|^2 / 2 + y . z: slopes eps and y,
     # and f_k(t) = 4 t - t^2 on each axis
@@ -474,27 +491,59 @@ def test_axis_split_reads_slopes_and_axis_terms_off_the_expanded_terms():
     split = spec.axis_split(x, eps, y, axes)
     assert np.array_equal(split.consumer_slope, eps)
     assert np.array_equal(split.producer_slope, y)
+    assert split.axis_scale == [None, None]
     for t, f in zip(axes, split.axis_values):
         assert np.allclose(f, 4.0 * t - t**2, rtol=0.0, atol=1e-14)
 
     # U - C on the grid less the split's part is free of z, within the bounds
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    gain = spec.u_bar.pairwise_grid(x, grid) + spec.zeta.pairwise_consumer_grid(x, eps, grid)
-    cost = spec.cost.pairwise_grid(y, grid)
-    slopes = split.consumer_slope[:, None, :] + split.producer_slope[None, :, :]
-    f = sum(np.meshgrid(*split.axis_values, indexing="ij")).ravel()
-    rest = gain[:, None, :] - cost[None, :, :] - (slopes @ grid.T + f)
-    error = split.consumer_error[:, None, :] + split.producer_error[None, :, :]
-    assert np.all(np.ptp(rest, axis=2) <= 4 * error.max(axis=2))
+    spread, error = _split_spread(spec, split, x, eps, y, axes)
+    assert np.all(spread <= 4 * error)
+    assert 0 < error.max() < 1e-10
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_axis_split_reads_type_scaled_curvature(sign):
+    # U - C = x (0.25 - 0.5) z_0^2 + 0.5 z_0 + eps . z + y_0 z_0 - y_1 z_1^2 / 2
+    # with x and y_1 of one sign: x scales axis 0 (u_bar's and zeta's terms
+    # in x match) and y_1 axis 1; a negative sign is folded into f_k
+    spec = StructuralSpec(
+        u_bar=ScalarFamily.polynomial(
+            [{"coeff": -0.5, "a": [1], "z": [2, 0]}, {"coeff": 0.5, "z": [1, 0]}], 1, 2),
+        cost=ScalarFamily.polynomial(
+            [{"coeff": 0.5, "a": [0, 1], "z": [0, 2]},
+             {"coeff": -1.0, "a": [1, 0], "z": [1, 0]}], 2, 2),
+        zeta=SurplusFamily.polynomial(
+            [{"coeff": 0.25, "x": [1], "z": [2, 0]},
+             {"coeff": 1.0, "eps": [1, 0], "z": [1, 0]},
+             {"coeff": 1.0, "eps": [0, 1], "z": [0, 1]}], 1, 2),
+    )
+    rng = np.random.default_rng(1)
+    x, eps = sign * rng.uniform(0.5, 2.0, size=(5, 1)), rng.uniform(size=(5, 2))
+    y = np.column_stack([rng.uniform(size=4), sign * rng.uniform(0.5, 2.0, size=4)])
+    axes = [np.linspace(-1.0, 2.0, 7), np.linspace(0.0, 3.0, 5)]
+    split = spec.axis_split(x, eps, y, axes)
+    # the type-free 0.5 z_0 of the scaled axis 0 joins the consumer slope
+    assert np.array_equal(split.consumer_slope, eps + [0.5, 0.0])
+    assert np.array_equal(split.producer_slope, np.column_stack([y[:, 0], np.zeros(4)]))
+    (x_scale, ones_m), (ones_n, y_scale) = split.axis_scale
+    assert np.array_equal(x_scale, np.abs(x[:, 0])) and np.array_equal(ones_m, np.ones(4))
+    assert np.array_equal(y_scale, np.abs(y[:, 1])) and np.array_equal(ones_n, np.ones(5))
+    assert np.array_equal(split.axis_values[0], sign * -0.25 * axes[0] ** 2)
+    assert np.array_equal(split.axis_values[1], sign * -0.5 * axes[1] ** 2)
+    spread, error = _split_spread(spec, split, x, eps, y, axes)
+    assert np.all(spread <= 4 * error)
     assert 0 < error.max() < 1e-10
 
 
 @pytest.mark.parametrize("case", ["a-z-squared", "cross-quadratic", "z1-z2-term"])
 def test_axis_split_is_none_off_the_taste_linear_separable_case(case):
-    spec = _readme_structural()
+    spec, y = _readme_structural(), np.ones((2, 2))
     if case == "a-z-squared":
-        spec = dataclasses.replace(spec, cost=ScalarFamily.polynomial(
-            [{"coeff": 0.5, "a": [1, 0], "z": [2, 0]}], 2, 2))
+        # tinbergen's y z^2 / 2 cost on axis 0, with a producer type y_0 = 0
+        spec = dataclasses.replace(
+            spec, u_bar=ScalarFamily.zero(1, 2),
+            cost=ScalarFamily.polynomial([{"coeff": 0.5, "a": [1, 0], "z": [2, 0]}], 2, 2))
+        y[1, 0] = 0.0
     elif case == "cross-quadratic":
         spec = dataclasses.replace(
             spec, zeta=SurplusFamily.neg_quadratic([[1.0, 0.2], [0.2, 1.0]], d_x=1))
@@ -502,4 +551,4 @@ def test_axis_split_is_none_off_the_taste_linear_separable_case(case):
         spec = dataclasses.replace(spec, u_bar=ScalarFamily.polynomial(
             [{"coeff": 0.1, "z": [1, 1]}], 1, 2))
     axes = [np.linspace(0.0, 1.0, 3)] * 2
-    assert spec.axis_split(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 2)), axes) is None
+    assert spec.axis_split(np.ones((2, 1)), np.ones((2, 2)), y, axes) is None
