@@ -281,15 +281,17 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     number of cells it evaluated; S is bit-identical to _max_plus.
 
     With a_ijk = fl(alpha_ik + beta_jk) and gamma_ijk > 0 the axis-k
-    scale (1 on a type-free axis), the structured value of pair (i, j) at
-    grid point g is the sum over axes k of a_ijk t + gamma_ijk f_k(t) at
-    g's axis-k value t, so its max over the lattice is the sum of the
-    per-axis maxima.  On axis k that max is gamma times the max of
-    (a / gamma) t + f_k(t) over the points (t_r, f_k(t_r)), which lies at
-    the upper-hull vertex v whose segments to its neighbours have slopes
-    on either side of -a / gamma: one searchsorted of a_hat =
-    fl(a / gamma) against the negated segment slopes (a_hat = a when
-    gamma = 1).
+    scale (the product of the split's consumer and producer scales, 1 on
+    a type-free axis), the structured value of pair (i, j) at grid point
+    g is the sum over axes k of a_ijk t + gamma_ijk f_k(t) at g's axis-k
+    value t, so its max over the lattice is the sum of the per-axis
+    maxima.  On axis k that max is gamma times the max of (a / gamma) t +
+    f_k(t) over the points (t_r, f_k(t_r)), which lies at the upper-hull
+    vertex v whose segments to its neighbours have slopes on either side
+    of -a / gamma: one searchsorted of a_hat = fl(a / gamma) against the
+    negated segment slopes.  With gamma = 1, a_hat = a and every product
+    with gamma is exact, so a type-free axis computes the same floats as
+    a product without gamma.
 
     Certificate: let delta bound the rounding of the tensor difference
     T_ij(g) = gain[i, g] - cost[j, g] against the exact sum E_ij(g) of the
@@ -299,15 +301,18 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     the per-axis maxima, every axis of g* is within 2 delta of its exact
     axis max, and within 2 (delta + delta_k) of v's computed value.  A
     point r right of v trails v by gamma (t_r - t_v)(-a / gamma -
-    slope(v, r)) >= gamma * right_gap * (-a_hat - pad - right_slope), and
-    a point left of v by gamma * left_gap * (a_hat - pad + left_slope),
-    where pad = 2u |a_hat| covers the rounding of a_hat (no pad when gamma
-    = 1).  When both exceed twice the bound 2 (delta + delta_k) (the factor
-    2 covers the rounding of these few operations), v is the only axis-k
-    candidate.  When every axis of a pair passes, the tensor argmax is
-    unique and is the product of the vertices, and S_ij is the gathered
-    gain[i, g*] - cost[j, g*]: the same float the dense max returns, zero
-    signs included, since every other point is strictly below it.  Pairs
+    slope(v, r)) >= gamma * right_gap * (-a / gamma - right_slope), and a
+    point left of v by gamma * left_gap * (a / gamma + left_slope).  When
+    both, computed with a_hat for a / gamma, exceed twice the bound
+    2 (delta + delta_k), v is the only axis-k candidate: the factor 2
+    covers the rounding of these few operations and that of a_hat, which
+    moves a margin by at most gamma * gap * u |a / gamma| <= 2u t_max |a|
+    (t_max the largest |t| on the axis), under a seventieth of the bound,
+    since AxisSplit's errors hold gamma_K |slopes| t_max with K >= 36.
+    When every axis of a pair passes, the tensor argmax is unique and is
+    the product of the vertices, and S_ij is the gathered gain[i, g*] -
+    cost[j, g*]: the same float the dense max returns, zero signs
+    included, since every other point is strictly below it.  Pairs
     with an axis that fails (ties, near-ties, near-hull points inside the
     bound, or an a_hat that overflows) are redone over all G by
     _dense_entries.  Pairs run in row chunks of about _MAXPLUS_HULL_CELLS,
@@ -325,24 +330,18 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
         rows = np.arange(i0, min(n, i0 + chunk))
         index = np.zeros((rows.size, m), dtype=np.intp)
         ok = np.ones((rows.size, m), dtype=bool)
-        for k, (hull, stride, scale) in enumerate(zip(hulls, strides, split.axis_scale)):
+        for k, (hull, stride, (c_scale, p_scale)) in enumerate(
+                zip(hulls, strides, split.axis_scale)):
             a = split.consumer_slope[rows, k, None] + split.producer_slope[None, :, k]
             bound = 4.0 * (split.consumer_error[rows, k, None] + split.producer_error[None, :, k])
-            if scale is None:
-                q = np.searchsorted(hull.neg_slopes, a)
-                ok &= hull.right_gap[q] * (-a - hull.right_slope[q]) > bound
-                ok &= hull.left_gap[q] * (a + hull.left_slope[q]) > bound
-            else:
-                # an a_hat that overflows to +-inf gets a nan or -inf margin,
-                # so its pair is redone
-                gamma = scale[0][rows, None] * scale[1][None, :]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    a_hat = a / gamma
-                    pad = 2.0 * _UNIT * np.abs(a_hat)
-                    q = np.searchsorted(hull.neg_slopes, a_hat)
-                    right = gamma * hull.right_gap[q] * (-a_hat - pad - hull.right_slope[q])
-                    left = gamma * hull.left_gap[q] * (a_hat - pad + hull.left_slope[q])
-                ok &= (right > bound) & (left > bound)
+            gamma = c_scale[rows, None] * p_scale[None, :]
+            # an a_hat that overflows to +-inf gets a nan or -inf margin, so
+            # its pair is redone
+            with np.errstate(over="ignore", invalid="ignore"):
+                a_hat = a / gamma
+                q = np.searchsorted(hull.neg_slopes, a_hat)
+                ok &= gamma * hull.right_gap[q] * (-a_hat - hull.right_slope[q]) > bound
+                ok &= gamma * hull.left_gap[q] * (a_hat + hull.left_slope[q]) > bound
             index += hull.point[q] * stride
         s[rows] = consumer_gain[rows[:, None], index] - producer_cost[cols, index]
         redo[rows] = ~ok

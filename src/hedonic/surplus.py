@@ -549,7 +549,7 @@ class StructuralSpec:
         scales = None if any(t is None for t in terms) else _axis_scales(sides, terms, len(axes))
         if scales is None:
             return None
-        scaled = np.array([s is not None for s in scales])
+        scaled = np.array([is_scaled for is_scaled, _, _ in scales])
         t_max = np.array([np.abs(t).max() for t in axes])
         n_terms = sum(core.expanded.exps.shape[0] for core, _, _, _ in sides)
         width = sum(core.d_w + core.d_z for core, _, _, _ in sides)
@@ -577,20 +577,17 @@ class StructuralSpec:
 
         consumer_slope = slopes[0] + slopes[1]
         n, m = consumer_slope.shape[0], y.shape[0]
-        consumer_f, producer_f = np.zeros((n, len(axes))), np.tile(f_max, (m, 1))
+        f_error = [np.zeros((n, len(axes))), np.tile(f_max, (m, 1))]
         axis_scale = []
-        for ax, scale in enumerate(scales):
-            if scale is not None:
-                sign, g = scale
-                if g[0] < 0:
-                    g, values[ax] = -g, -values[ax]
-                if sign > 0:
-                    scale = (np.broadcast_to(g, (n,)).copy(), np.ones(m))
-                    consumer_f[:, ax], producer_f[:, ax] = 2.0 * scale[0] * f_max[ax], 0.0
-                else:
-                    scale = (np.ones(n), g)
-                    producer_f[:, ax] = 2.0 * g * f_max[ax]
-            axis_scale.append(scale)
+        for ax, (is_scaled, side, g) in enumerate(scales):
+            if np.any(g < 0):
+                g, values[ax] = -g, -values[ax]
+            scale = [np.ones(n), np.ones(m)]
+            scale[side] = scale[side] * g
+            if is_scaled:
+                f_error[1][:, ax] = 0.0
+                f_error[side][:, ax] = 2.0 * scale[side] * f_max[ax]
+            axis_scale.append(tuple(scale))
         return AxisSplit(
             consumer_slope=consumer_slope,
             producer_slope=slopes[2],
@@ -598,9 +595,9 @@ class StructuralSpec:
             axis_scale=axis_scale,
             consumer_error=gamma * (
                 (size[0] + size[1])[:, None] + (slope_abs[0] + slope_abs[1]) * t_max
-                + consumer_f
+                + f_error[0]
             ),
-            producer_error=gamma * (size[2][:, None] + slope_abs[2] * t_max + producer_f),
+            producer_error=gamma * (size[2][:, None] + slope_abs[2] * t_max + f_error[1]),
         )
 
 
@@ -620,13 +617,14 @@ def _split_terms(core: _Core):
 
 
 def _axis_scales(sides, terms, d: int) -> Optional[list]:
-    """Per axis, None when its terms of z-degree 2 or more are type-free,
-    or (sign, gamma) when they all carry one type monomial: the side's
-    sign (+1 consumers, -1 producers) and the monomial's values over that
-    side's agents.  None for the whole list when an axis mixes typed and
-    type-free terms, two monomials or the two sides, or a gamma is zero,
-    not finite or of both signs.  Consumer monomials are compared by their
-    x and eps exponents, so u_bar's and zeta's terms in the same x match."""
+    """Per axis, (scaled, side, gamma): whether its terms of z-degree 2 or
+    more all carry one type monomial, the side that holds it (0 consumers,
+    1 producers) and the monomial's values over that side's agents; a
+    type-free axis gets (False, 1, 1.0).  None when an axis mixes typed
+    and type-free terms, two monomials or the two sides, or a gamma is
+    zero, not finite or of both signs.  Consumer monomials are compared by
+    their x and eps exponents, so u_bar's and zeta's terms in the same x
+    match."""
     kinds = [{} for _ in range(d)]
     for (core, w, sign, d_type), (typed, axis, degree) in zip(sides, terms):
         exps = core.expanded.exps[:, :core.d_w]
@@ -640,12 +638,13 @@ def _axis_scales(sides, terms, d: int) -> Optional[list]:
         if len(kind) > 1:
             return None
         key, (w, e) = next(iter(kind.items()), (None, (None, None)))
-        if key is not None:
-            g = _monomial_values(w, e[None, :])[:, 0]
-            if not (np.all(np.isfinite(g)) and (np.all(g > 0) or np.all(g < 0))):
-                return None
-            key = (key[0], g)
-        scales.append(key)
+        if key is None:
+            scales.append((False, 1, 1.0))
+            continue
+        g = _monomial_values(w, e[None, :])[:, 0]
+        if not (np.all(np.isfinite(g)) and (np.all(g > 0) or np.all(g < 0))):
+            return None
+        scales.append((True, int(key[0] < 0), g))
     return scales
 
 
@@ -661,9 +660,9 @@ class AxisSplit:
 
     consumer_slope (n, d) and producer_slope (m, d) hold the slopes, and
     axis_values[k] f_k at the lattice's axis-k values.  axis_scale[k] is
-    None when gamma_ijk = 1 (the axis-k curvature is type-free), and
-    otherwise the pair (consumer scale (n,), producer scale (m,)) whose
-    product is gamma_ijk > 0: one side's type monomial, its sign folded
+    the pair (consumer scale (n,), producer scale (m,)) whose product is
+    gamma_ijk > 0: all ones on both sides when the axis-k curvature is
+    type-free, and otherwise one side's type monomial, its sign folded
     into f_k, and all ones on the other side.  For a consumer i, a
     producer j and an axis k, consumer_error[i, k] + producer_error[j, k]
     bounds the sum of two roundings: that of the float U_i - C_j the grid

@@ -474,8 +474,7 @@ def _split_spread(spec, split, x, eps, y, axes):
     slopes = split.consumer_slope[:, None, :] + split.producer_slope[None, :, :]
     structured = slopes @ grid.T
     for k, (t, f, scale) in enumerate(zip(axes, split.axis_values, split.axis_scale)):
-        gamma = 1.0 if scale is None else np.outer(*scale)[:, :, None]
-        structured = structured + gamma * f[np.searchsorted(t, grid[:, k])]
+        structured = structured + np.outer(*scale)[:, :, None] * f[np.searchsorted(t, grid[:, k])]
     rest = gain[:, None, :] - cost[None, :, :] - structured
     error = split.consumer_error[:, None, :] + split.producer_error[None, :, :]
     return np.ptp(rest, axis=2), error.max(axis=2)
@@ -491,7 +490,9 @@ def test_axis_split_reads_slopes_and_axis_terms_off_the_expanded_terms():
     split = spec.axis_split(x, eps, y, axes)
     assert np.array_equal(split.consumer_slope, eps)
     assert np.array_equal(split.producer_slope, y)
-    assert split.axis_scale == [None, None]
+    for consumer_scale, producer_scale in split.axis_scale:
+        assert np.array_equal(consumer_scale, np.ones(5))
+        assert np.array_equal(producer_scale, np.ones(4))
     for t, f in zip(axes, split.axis_values):
         assert np.allclose(f, 4.0 * t - t**2, rtol=0.0, atol=1e-14)
 
