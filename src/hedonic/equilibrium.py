@@ -326,23 +326,39 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     redo = np.empty((n, m), dtype=bool)
     cols = np.arange(m)
     chunk = max(1, _MAXPLUS_HULL_CELLS // m)
+    # searchsorted runs two to three times faster on keys that grow along
+    # memory.  a_hat grows with the consumer slope for each producer on an
+    # axis whose scale the producers carry, and with the producer slope for
+    # each consumer on the others, so each axis takes its pairs sorted on
+    # that side (side 0 or 1 of the chunk) and puts its results back.
+    by_consumer = [np.any(p_scale != 1.0) for _, p_scale in split.axis_scale]
+    producer_order = [np.argsort(split.producer_slope[:, k], kind="stable") for k in range(len(axes))]
     for i0 in range(0, n, chunk):
         rows = np.arange(i0, min(n, i0 + chunk))
         index = np.zeros((rows.size, m), dtype=np.intp)
         ok = np.ones((rows.size, m), dtype=bool)
         for k, (hull, stride, (c_scale, p_scale)) in enumerate(
                 zip(hulls, strides, split.axis_scale)):
-            a = split.consumer_slope[rows, k, None] + split.producer_slope[None, :, k]
-            bound = 4.0 * (split.consumer_error[rows, k, None] + split.producer_error[None, :, k])
-            gamma = c_scale[rows, None] * p_scale[None, :]
+            if by_consumer[k]:
+                order = np.argsort(split.consumer_slope[rows, k], kind="stable")
+                ii, jj, side = rows[order], cols, 0
+            else:
+                order = producer_order[k]
+                ii, jj, side = rows, order, 1
+            a = split.consumer_slope[ii, k, None] + split.producer_slope[None, jj, k]
+            bound = 4.0 * (split.consumer_error[ii, k, None] + split.producer_error[None, jj, k])
+            gamma = c_scale[ii, None] * p_scale[None, jj]
             # an a_hat that overflows to +-inf gets a nan or -inf margin, so
             # its pair is redone
             with np.errstate(over="ignore", invalid="ignore"):
                 a_hat = a / gamma
-                q = np.searchsorted(hull.neg_slopes, a_hat)
-                ok &= gamma * hull.right_gap[q] * (-a_hat - hull.right_slope[q]) > bound
-                ok &= gamma * hull.left_gap[q] * (a_hat + hull.left_slope[q]) > bound
-            index += hull.point[q] * stride
+                keys = np.moveaxis(a_hat, side, -1)
+                q = np.moveaxis(np.searchsorted(hull.neg_slopes, keys), -1, side)
+                passed = gamma * hull.right_gap[q] * (-a_hat - hull.right_slope[q]) > bound
+                passed &= gamma * hull.left_gap[q] * (a_hat + hull.left_slope[q]) > bound
+            back = np.argsort(order)
+            ok &= np.take(passed, back, axis=side)
+            index += np.take(hull.point[q] * stride, back, axis=side)
         s[rows] = consumer_gain[rows[:, None], index] - producer_cost[cols, index]
         redo[rows] = ~ok
     return s, n * m + _dense_entries(s, consumer_gain, producer_cost, *np.nonzero(redo))
