@@ -23,7 +23,8 @@ from hedonic.ot import (
     _copy_counts,
     _duals_from_support,
     _exact_lp,
-    _lexicographic_ref,
+    _PRICING_ULPS,
+    _lexicographic_order,
     _pin,
     _replicated_matching,
     barycentric_projection,
@@ -593,14 +594,21 @@ def test_largest_remainder_copies_equal_the_rint_rule_when_exact(instance):
         assert np.array_equal(counts, reference)
 
 
-def lp_from_matching(mu_w, nu_w, s):
-    """_exact_lp with the dual guess solve_exact hands it: the support of one
-    replicated assignment over largest-remainder copies of max(n, m) * weights."""
+def chain_tol(s):
+    """The dual chains' stop that solve_exact derives from the surplus."""
+    return _PRICING_ULPS * np.spacing(np.abs(s).max())
+
+
+def lp_from_matching(mu, nu, s):
+    """_exact_lp with the dual guess, target order and tolerance solve_exact
+    hands it: the support of one replicated assignment over largest-remainder
+    copies of max(n, m) * weights."""
     m = s.shape[1]
-    counts = (_copy_counts(w, max(s.shape))[0] for w in (mu_w, nu_w))
-    src, dst = _replicated_matching(s, *counts)
+    order, tol = _lexicographic_order(nu.points), chain_tol(s)
+    counts = (_copy_counts(w.weights, max(s.shape))[0] for w in (mu, nu))
+    src, dst = _replicated_matching(s, *counts, order, tol)
     keys = np.unique(src * m + dst)
-    return _exact_lp(mu_w, nu_w, s, keys // m, keys % m)
+    return _exact_lp(mu.weights, nu.weights, s, keys // m, keys % m, order, tol)
 
 
 @st.composite
@@ -624,7 +632,7 @@ def test_lp_and_replicated_assignment_agree(instance):
     assert _copy_counts(nu.weights, size)[1]
     assert exact_solver_path(mu.weights, nu.weights) == "replicated"
     plan, duals = solve_exact(mu, nu, s)
-    rows, cols, mass = lp_from_matching(mu.weights, nu.weights, s)
+    rows, cols, mass = lp_from_matching(mu, nu, s)
     lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     assert abs(lp_plan.objective - plan.objective) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
@@ -649,7 +657,7 @@ def test_lp_path_is_basic_and_its_duals_are_optimal(instance):
     n, m = s.shape
     assert not _copy_counts(mu.weights, max(n, m))[1]
     assert exact_solver_path(mu.weights, nu.weights) == "lp"
-    rows, cols, mass = lp_from_matching(mu.weights, nu.weights, s)
+    rows, cols, mass = lp_from_matching(mu, nu, s)
     lp_plan = TransportPlan(rows, cols, mass, s.shape, np.sum(mass * s[rows, cols]))
     # crossover ran: a basic solution has at most n + m - 1 nonzeros
     assert lp_plan.mass.size <= n + m - 1
@@ -675,8 +683,9 @@ def test_lp_duals_are_rebuilt_from_the_support_without_highs_row_duals(instance)
         plan, duals = solve_exact(mu, nu, s)
     assert len(results) == 1
     assert_optimal_duals(mu, nu, s, plan, duals)
-    ref = _lexicographic_ref(nu.points)
-    w, v = _pin(*_duals_from_support(s, plan.rows, plan.cols, ref), ref)
+    order = _lexicographic_order(nu.points)
+    w, v, _ = _duals_from_support(s, plan.rows, plan.cols, order[0], order, chain_tol(s))
+    w, v = _pin(w, v, order[0])
     assert duals.w_source.tobytes() == w.tobytes()
     assert duals.v_target.tobytes() == v.tobytes()
 
@@ -770,10 +779,10 @@ def test_shortlisted_lp_lists_every_pair_of_an_unreached_target(seed):
     nu = from_samples(rng.normal(size=(6, 2)), nu_w)
     unreached = []
 
-    def counted(surplus, ii, jj, ref):
-        w, v = _duals_from_support(surplus, ii, jj, ref)
+    def counted(surplus, ii, jj, ref, order, tol):
+        w, v, rounds = _duals_from_support(surplus, ii, jj, ref, order, tol)
         unreached.append(int(np.isneginf(v).sum()))
-        return w, v
+        return w, v, rounds
 
     with (
         mock.patch("hedonic.ot._SHORTLIST_WIDTH", 1),
@@ -806,7 +815,8 @@ def test_shortlisted_lp_prices_in_pairs_over_several_rounds():
 
 
 # ---------------------------------------------------------------------------
-# dual reconstruction: the worklist against the full Jacobi sweep
+# dual reconstruction: the ordered pass and the worklist against the full
+# Jacobi sweep
 # ---------------------------------------------------------------------------
 
 
@@ -829,12 +839,22 @@ def sweep_duals(surplus, ii, jj, ref):
     return w, v, rounds
 
 
-def assert_duals_match_the_sweep(s, plan, ref):
-    w, v = _duals_from_support(s, plan.rows, plan.cols, ref)
-    w_ref, v_ref, rounds = sweep_duals(s, plan.rows, plan.cols, ref)
-    assert w.tobytes() == w_ref.tobytes()
-    assert v.tobytes() == v_ref.tobytes()
-    return rounds
+def assert_duals_match_the_sweep(mu, nu, s, plan, ref, order):
+    """_duals_from_support against the full sweep.  With an integer-valued
+    surplus every sum is exact and nothing creeps, so w and v match bit for
+    bit; otherwise every v lies within m * _PRICING_ULPS ulps of max|S| of
+    the sweep's and the pair pinned at `ref` is optimal.  Returns the
+    worklist's and the sweep's round counts."""
+    tol = chain_tol(s)
+    w, v, rounds = _duals_from_support(s, plan.rows, plan.cols, ref, order, tol)
+    w_ref, v_ref, sweep_rounds = sweep_duals(s, plan.rows, plan.cols, ref)
+    if np.array_equal(s, np.rint(s)):
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+    else:
+        assert np.abs(v - v_ref).max() <= nu.n * tol
+        assert_optimal_duals(mu, nu, s, plan, DualPair(*_pin(w, v, ref), ref))
+    return rounds, sweep_rounds
 
 
 @PROPERTY
@@ -842,12 +862,40 @@ def assert_duals_match_the_sweep(s, plan, ref):
 def test_worklist_duals_match_the_full_sweep_bitwise(instance, lp_instance):
     # tied integer surpluses (zero-length cycles), duplicate points and
     # zero-copy targets, on supports from every solve_exact path, and the
-    # basic support of an LP with positive irrational weights
+    # basic support of an LP with positive irrational weights; the integer
+    # and bilinear surpluses on integer points round no sum, so they match
+    # bitwise, and the continuous ones match to the stop tolerance
     for mu, nu, s in (instance[:3], lp_instance):
         plan, _ = solve_exact(mu, nu, s)
-        # every pin, so massless ones start the chains at the first support target
+        lexicographic = _lexicographic_order(nu.points)
+        # every pin, so massless ones start the chains at the first support
+        # target, with the ordered pass along and against the points' order
         for ref in range(nu.n):
-            assert_duals_match_the_sweep(s, plan, ref)
+            for order in (lexicographic, lexicographic[::-1]):
+                assert_duals_match_the_sweep(mu, nu, s, plan, ref, order)
+
+
+def test_ordered_pass_skips_a_reached_target_without_a_support_pair():
+    # target 1 carries no pair but is reached from target 0's row before its
+    # turn in the order; on the restricted matrix, with the unlisted pairs
+    # at -inf as _exact_lp builds it, targets 2 and 3 stay unreached
+    s = np.array([[5.0, 1.0, 0.0, 0.0], [0.0, 1.0, 5.0, 0.0], [0.0, 0.0, 0.0, 5.0]])
+    ii, jj = np.array([0, 1, 2]), np.array([0, 2, 3])
+    listed = np.zeros(s.shape, dtype=bool)
+    listed[ii, jj] = listed[0, 1] = True
+    restricted = np.where(listed, s, -np.inf)
+    order = np.arange(4)
+    # an unreached target makes -inf - (-inf) in w
+    with np.errstate(invalid="ignore"):
+        for surplus, expected in (
+            (s, [0.0, -4.0, -5.0, -5.0]),
+            (restricted, [0.0, -4.0, -np.inf, -np.inf]),
+        ):
+            w, v, rounds = _duals_from_support(surplus, ii, jj, 0, order, chain_tol(s))
+            w_ref, v_ref, _ = sweep_duals(surplus, ii, jj, 0)
+            assert v.tobytes() == v_ref.tobytes() == np.array(expected).tobytes()
+            assert np.array_equal(w, w_ref, equal_nan=True)
+            assert rounds == 0
 
 
 def readme_identification_instance():
@@ -872,27 +920,46 @@ def tied_integer_instance():
 
 
 def direct_assignment(mu, nu, s):
-    """Support (i, j) and objective of one plain linear_sum_assignment on the
-    replicated N x N matrix, with no warm start."""
+    """Plan of one plain linear_sum_assignment on the replicated N x N
+    matrix, with no warm start; each matched pair of copies carries 1 / N."""
     size = max(s.shape)
     rows = np.repeat(np.arange(mu.n), _copy_counts(mu.weights, size)[0])
     cols = np.repeat(np.arange(nu.n), _copy_counts(nu.weights, size)[0])
     r, c = linear_sum_assignment(-s[np.ix_(rows, cols)])
-    keys = np.unique(rows[r] * nu.n + cols[c])
-    return keys // nu.n, keys % nu.n, s[rows[r], cols[c]].sum() / size
+    keys, copies = np.unique(rows[r] * nu.n + cols[c], return_counts=True)
+    objective = s[rows[r], cols[c]].sum() / size
+    return TransportPlan(keys // nu.n, keys % nu.n, copies / size, s.shape, objective)
 
 
 def test_worklist_duals_match_the_sweep_when_a_float_instance_hits_the_cap():
     mu, nu, s = readme_identification_instance()
     plan, duals = solve_exact(mu, nu, s)
     assert exact_solver_path(mu.weights, nu.weights) == "replicated"
-    ref = _lexicographic_ref(nu.points)
-    assert_duals_match_the_sweep(s, plan, ref)
-    # the warm-started matching's chains settle early; on the matching of a
-    # direct solve of the same matrix creeping targets keep them running
-    ii, jj, _ = direct_assignment(mu, nu, s)
-    direct = TransportPlan(ii, jj, np.ones(ii.size), s.shape, 0.0)
-    assert assert_duals_match_the_sweep(s, direct, ref) == nu.n + 1
+    order = _lexicographic_order(nu.points)
+    assert_duals_match_the_sweep(mu, nu, s, plan, order[0], order)
+    # on the matching of a direct solve of the same matrix creeping targets
+    # keep the sweep running to the cap; the worklist stops well short of it
+    direct = direct_assignment(mu, nu, s)
+    rounds, sweep_rounds = assert_duals_match_the_sweep(mu, nu, s, direct, order[0], order)
+    assert sweep_rounds == nu.n + 1
+    assert rounds <= nu.n // 4
+    assert_optimal_duals(mu, nu, s, plan, duals)
+
+
+def test_ordered_pass_follows_the_chains_of_an_assortative_market():
+    # supermodular S = x z on scalar types: the matching is assortative and a
+    # chain follows the order of the target points, which are listed in
+    # shuffled index order, so only the ordered pass walks each chain at once
+    rng = np.random.default_rng(5)
+    mu = from_samples(rng.normal(size=(400, 1)))
+    z = np.linspace(-2.0, 2.0, 400) + rng.normal(0, 1e-3, 400)
+    nu = from_samples(rng.permutation(z)[:, None])
+    s = surplus_matrix(mu, nu, SurplusFamily.bilinear(1))
+    plan, duals = solve_exact(mu, nu, s)
+    order = _lexicographic_order(nu.points)
+    rounds, sweep_rounds = assert_duals_match_the_sweep(mu, nu, s, plan, order[0], order)
+    assert rounds <= 3
+    assert sweep_rounds >= 200
     assert_optimal_duals(mu, nu, s, plan, duals)
 
 
@@ -952,6 +1019,5 @@ def test_warm_started_assignment_matches_a_direct_solve(make, levels):
     with counted_assignments() as sizes:
         plan, duals = solve_exact(mu, nu, s)
     assert sizes == levels == coarse_levels(max(s.shape), 64)
-    _, _, value = direct_assignment(mu, nu, s)
-    assert abs(plan.objective - value) <= 1e-12
+    assert abs(plan.objective - direct_assignment(mu, nu, s).objective) <= 1e-12
     assert_optimal_duals(mu, nu, s, plan, duals)
