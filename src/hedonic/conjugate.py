@@ -15,7 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteMeasure, from_samples, read_float_table, write_float_table
+from .measures import (
+    DiscreteMeasure,
+    coordinate_header,
+    from_samples,
+    product_grid,
+    read_float_table,
+    write_float_table,
+)
 from .surplus import SurplusFamily
 
 # Gains this many ulps of max(|S| + |V|) below a boundary argmax still tie
@@ -156,19 +163,18 @@ def eps_grid_from_gradients(
     span = np.where(hi > lo, hi - lo, 1.0)
     lo = lo - padding * span
     hi = hi + padding * span
-    axes = [np.linspace(lo[k], hi[k], resolution) for k in range(g.shape[1])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return product_grid([np.linspace(lo[k], hi[k], resolution) for k in range(g.shape[1])])
 
 
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """Header c_1..c_d,value."""
-    header = [f"c_{k+1}" for k in range(gf.grid.dim)] + ["value"]
-    write_float_table(path, header, gf.grid.points, gf.values)
+    write_float_table(path, coordinate_header(gf.grid.dim) + ["value"], gf.grid.points, gf.values)
 
 
 def read_grid_function_csv(path) -> GridFunction:
+    """Inverse of write_grid_function_csv: the header must be exactly
+    c_1..c_d,value."""
     header, arr = read_float_table(path, "grid-function")
-    if not header or header[-1] != "value":
+    if header != coordinate_header(len(header) - 1) + ["value"]:
         raise ValueError(f"unrecognized grid-function header {header}")
     return GridFunction(from_samples(arr[:, :-1]), arr[:, -1])

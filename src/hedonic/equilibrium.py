@@ -22,9 +22,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .conjugate import bounding_box_mask
-from .measures import DistributionSpec, MarketDataset, from_samples, write_json
+from .measures import DistributionSpec, MarketDataset, from_samples, product_grid, write_json
 from .ot import DualPair, TransportPlan, solve_exact
-from .surplus import AxisSplit, StructuralSpec
+from .surplus import _UNIT, AxisSplit, StructuralSpec
 
 __all__ = [
     "EquilibriumOutcome",
@@ -46,8 +46,6 @@ _MAXPLUS_TILE = (16, 128)
 # Pairs per row chunk of the hull route: a few (n, m)-chunk temporaries of
 # 2^16 doubles (512 KB) each.
 _MAXPLUS_HULL_CELLS = 1 << 16
-# Unit roundoff of float64.
-_UNIT = np.finfo(float).eps / 2
 # Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
 # it per side so that the pairs it joins meet support equality within it.
 _TOL = 1e-7
@@ -66,13 +64,7 @@ def build_z_grid(lo, hi, resolution) -> np.ndarray:
     res = np.broadcast_to(np.asarray(resolution, dtype=int).ravel(), lo.shape)
     if np.any(res < 2):
         raise ValueError("grid resolution must be at least 2 per axis")
-    return _product_grid([np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])])
-
-
-def _product_grid(axes) -> np.ndarray:
-    """Row-major product of per-axis values: the last axis varies fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return product_grid([np.linspace(lo[k], hi[k], res[k]) for k in range(lo.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class EquilibriumOutcome:
         )
 
 
-def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
+def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: list):
     """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), and the
     number of cells it evaluated.
 
@@ -133,10 +125,9 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     certificate cannot exclude; S is bit-identical to the dense product.
 
     Partners: every point g is paired with g + s for each of the strides s
-    of _grid_strides, the axis neighbours on a build_z_grid lattice.  The
-    partner choice sets only how much is pruned, never the result, so any
-    grid works, scattered or with duplicate points; off a lattice the
-    masks may prune less.
+    (_partner_strides: the axis neighbours on a lattice, the next index on
+    any other grid).  The partner choice sets only how much is pruned,
+    never the result.
 
     Masks: point g leaves consumer row i's mask when, for some partner g',
     the rounded step gain[i, g'] - gain[i, g] is above every producer's
@@ -166,7 +157,7 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
     s = np.empty((n, m))
     if n == 0 or m == 0:
         return s, 0
-    (cmask, ckey), (dmask, dkey) = _candidate_masks(consumer_gain, producer_cost, grid)
+    (cmask, ckey), (dmask, dkey) = _candidate_masks(consumer_gain, producer_cost, strides)
 
     tile_rows, tile_cols = _MAXPLUS_TILE
     corder = np.argsort(ckey, kind="stable")
@@ -219,7 +210,22 @@ def _lattice_axes(grid: np.ndarray) -> Optional[list]:
     axes = [np.unique(column) for column in grid.T]
     if grid.shape[0] == 0 or math.prod(t.size for t in axes) != grid.shape[0]:
         return None
-    return axes if np.array_equal(_product_grid(axes), grid) else None
+    return axes if np.array_equal(product_grid(axes), grid) else None
+
+
+def _lattice_strides(axes) -> np.ndarray:
+    """Index step of each axis in the row-major product of axes."""
+    sizes = [t.size for t in axes]
+    return math.prod(sizes) // np.cumprod(sizes)
+
+
+def _partner_strides(axes) -> list:
+    """Partner strides of the pruned max-plus scan: the lattice strides of
+    the axes of more than one value, or [1] (consecutive indices) when
+    there are none or the grid is no lattice (axes None)."""
+    if axes is None:
+        return [1]
+    return [int(s) for s, t in zip(_lattice_strides(axes), axes) if t.size > 1] or [1]
 
 
 @dataclass(frozen=True)
@@ -321,7 +327,7 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     n, g = consumer_gain.shape
     m = producer_cost.shape[0]
     hulls = [_axis_hull(t, f) for t, f in zip(axes, split.axis_values)]
-    strides = g // np.cumprod([t.size for t in axes])
+    strides = _lattice_strides(axes)
     s = np.empty((n, m))
     redo = np.empty((n, m), dtype=bool)
     cols = np.arange(m)
@@ -371,7 +377,7 @@ def _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost):
     axes = _lattice_axes(grid)
     split = None if axes is None else spec.axis_split(x, eps, y, axes)
     if split is None:
-        surplus, cells = _max_plus(consumer_gain, producer_cost, grid)
+        surplus, cells = _max_plus(consumer_gain, producer_cost, _partner_strides(axes))
     else:
         surplus, cells = _axis_hull_max_plus(consumer_gain, producer_cost, axes, split)
     n, g = consumer_gain.shape
@@ -383,12 +389,10 @@ def _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost):
     }
 
 
-def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid):
+def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: list):
     """(mask, key) of the consumer rows and of the producer rows: the grid
     points each row keeps (see _max_plus) and its mean kept grid index."""
-    g = consumer_gain.shape[1]
-    chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
-    strides = _grid_strides(grid, g)
+    chunk = max(1, _MAXPLUS_BLOCK_CELLS // consumer_gain.shape[1])
     gain_range = _step_range(consumer_gain, strides, chunk)
     cost_range = _step_range(producer_cost, strides, chunk)
     # a consumer drops a point when its gain step to a partner is above
@@ -401,22 +405,6 @@ def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, grid)
             producer_cost, strides, [(-low, -high) for high, low in gain_range], -1.0, chunk
         ),
     )
-
-
-def _grid_strides(grid, g: int) -> list:
-    """Partner strides of the max-plus masks: for each grid axis, the index
-    of the first row whose coordinate on that axis differs from row 0's,
-    without repeats.  On a row-major lattice these are the axis strides
-    ([r, 1] on an r x r grid); a scattered grid usually gets [1], and so
-    does a grid of one point or none."""
-    if grid is None:
-        return [1]
-    strides = []
-    for column in np.asarray(grid).reshape(g, -1).T:
-        moved = np.flatnonzero(column != column[0])
-        if moved.size and moved[0] not in strides:
-            strides.append(int(moved[0]))
-    return strides or [1]
 
 
 def _steps(block: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
@@ -831,7 +819,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     producer_dev = -np.inf
     if n_pairs > 1:
         net_all = u_traded - outcome.prices[None, :]
-        gain = net_all[src].max(axis=1) - (u_pairs - outcome.prices)
+        gain = net_all.max(axis=1)[src] - (u_pairs - outcome.prices)
         consumer_dev = float(gain.max())
         if consumer_dev > tol:
             t = int(np.argmax(gain))
@@ -840,7 +828,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
                 f"{consumer_dev:.3e} by switching traded quality"
             )
         profit_all = outcome.prices[None, :] - c_traded
-        gain_p = profit_all[tgt].max(axis=1) - (outcome.prices - c_pairs)
+        gain_p = profit_all.max(axis=1)[tgt] - (outcome.prices - c_pairs)
         producer_dev = float(gain_p.max())
         if producer_dev > tol:
             t = int(np.argmax(gain_p))

@@ -37,6 +37,7 @@ from .measures import (
     empirical_cdf_quantile,
     from_samples,
     partition_by_x,
+    product_grid,
     reference_lattice,
     sample_reference,
     write_float_table,
@@ -210,14 +211,8 @@ def _scalar_cross_sign(
     f: SurplusFamily, x, eps_values: np.ndarray, z_values: np.ndarray
 ) -> float:
     """+1 / -1 for a sign-definite scalar cross derivative; raises otherwise."""
-    eps_grid, z_grid = np.meshgrid(
-        np.linspace(eps_values.min(), eps_values.max(), 9),
-        np.linspace(z_values.min(), z_values.max(), 9),
-        indexing="ij",
-    )
-    signs = f.cross_hessian_rows(
-        x, eps_grid.reshape(-1, 1), z_grid.reshape(-1, 1)
-    )[:, 0, 0]
+    eps_z = product_grid([np.linspace(v.min(), v.max(), 9) for v in (eps_values, z_values)])
+    signs = f.cross_hessian_rows(x, eps_z[:, :1], eps_z[:, 1:])[:, 0, 0]
     if np.all(signs > 1e-12):
         return 1.0
     if np.all(signs < -1e-12):
@@ -263,13 +258,9 @@ def scalar_identify(
             q = cdf
         else:
             q = 1.0 - cdf + w[order]
-        eps_of_z_sorted = np.array(
-            [empirical_cdf_quantile(eps_vals, ref.weights, qi) for qi in q]
-        )
+        eps_of_z_sorted = empirical_cdf_quantile(eps_vals, ref.weights, q)
     else:
-        eps_of_z_sorted = np.array(
-            [empirical_cdf_quantile(eps_vals, ref.weights, 0.5)]
-        )
+        eps_of_z_sorted = empirical_cdf_quantile(eps_vals, ref.weights, [0.5])
         sign = 1.0
 
     # integrate the first-order condition from the smallest traded quality

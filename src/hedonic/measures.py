@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "MarketDataset",
     "ConditionalSlice",
     "DistributionSpec",
+    "product_grid",
     "PriceConflictError",
     "from_samples",
     "partition_by_x",
@@ -293,44 +294,62 @@ def partition_by_x(
 # Reference distributions for the a-priori specified taste law
 # ---------------------------------------------------------------------------
 
-_MARGINAL_KINDS = ("uniform", "normal")
+
+def _box(lo, hi):
+    """Corners of a box as float vectors; they must share a shape, lo < hi."""
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    if lo.shape != hi.shape:
+        raise ValueError("box corners must share a shape")
+    if np.any(lo >= hi):
+        raise ValueError("degenerate box: lo >= hi")
+    return lo, hi
+
+
+def product_grid(axes) -> np.ndarray:
+    """Row-major product of per-axis values, one point per row: the last
+    axis varies fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A priori reference distribution: uniform box, standard Gaussian
-    (optionally box-truncated), product of named 1-D marginals, or a
-    point mass (used for degenerate observable types).
+    """A priori reference distribution: a product of 1-D marginals, one per
+    axis, each the image of a uniform draw q in [0, 1] under its map:
+
+    - ("uniform", lo, hi): lo + (hi - lo) q;
+    - ("normal", mu, sigma, a, b): mu + sigma ndtri(a + (b - a) q), with
+      [a, b] the standard normal CDF of the truncation interval ([0, 1]
+      without one);
+    - ("point", value): value (a degenerate axis).
+
+    The constructors build uniform boxes, standard Gaussians (optionally
+    box-truncated), products of named 1-D marginals and point masses (used
+    for degenerate observable types).
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    marginals: tuple
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def uniform(lo, hi) -> "DistributionSpec":
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        if lo.shape != hi.shape:
-            raise ValueError("box corners must share a shape")
-        if np.any(lo >= hi):
-            raise ValueError("degenerate box: lo >= hi")
-        return DistributionSpec("uniform", {"lo": lo, "hi": hi})
+        lo, hi = _box(lo, hi)
+        return DistributionSpec(tuple(("uniform", float(a), float(b)) for a, b in zip(lo, hi)))
 
     @staticmethod
     def gaussian(dim: int, lo=None, hi=None) -> "DistributionSpec":
-        params: dict = {"dim": int(dim)}
+        dim = int(dim)
         if (lo is None) != (hi is None):
             raise ValueError("truncation needs both lo and hi")
-        if lo is not None:
-            lo = np.asarray(lo, dtype=float).ravel()
-            hi = np.asarray(hi, dtype=float).ravel()
-            if lo.shape[0] != dim or hi.shape[0] != dim:
-                raise ValueError("truncation box must match dim")
-            if np.any(lo >= hi):
-                raise ValueError("degenerate box: lo >= hi")
-            params["lo"], params["hi"] = lo, hi
-        return DistributionSpec("gaussian", params)
+        if lo is None:
+            return DistributionSpec((("normal", 0.0, 1.0, 0.0, 1.0),) * dim)
+        lo, hi = _box(lo, hi)
+        if lo.shape[0] != dim:
+            raise ValueError("truncation box must match dim")
+        return DistributionSpec(
+            tuple(("normal", 0.0, 1.0, float(ndtr(a)), float(ndtr(b))) for a, b in zip(lo, hi))
+        )
 
     @staticmethod
     def product(marginals: Sequence[dict]) -> "DistributionSpec":
@@ -340,70 +359,51 @@ class DistributionSpec:
             if kind == "uniform":
                 if not m["lo"] < m["hi"]:
                     raise ValueError("degenerate box: lo >= hi")
-                cleaned.append({"kind": "uniform", "lo": float(m["lo"]), "hi": float(m["hi"])})
+                cleaned.append(("uniform", float(m["lo"]), float(m["hi"])))
             elif kind == "normal":
                 sigma = float(m.get("sigma", 1.0))
                 if sigma <= 0:
                     raise ValueError("normal marginal needs sigma > 0")
-                cleaned.append({"kind": "normal", "mu": float(m.get("mu", 0.0)), "sigma": sigma})
+                cleaned.append(("normal", float(m.get("mu", 0.0)), sigma, 0.0, 1.0))
             else:
                 raise ValueError(f"unknown marginal kind {kind!r}")
         if not cleaned:
             raise ValueError("product spec needs at least one marginal")
-        return DistributionSpec("product", {"marginals": cleaned})
+        return DistributionSpec(tuple(cleaned))
 
     @staticmethod
     def point(value) -> "DistributionSpec":
         v = np.asarray(value, dtype=float).ravel()
-        return DistributionSpec("point", {"value": v})
+        return DistributionSpec(tuple(("point", float(t)) for t in v))
 
     # -- basic queries -------------------------------------------------
     @property
     def dim(self) -> int:
-        if self.kind == "uniform":
-            return self.params["lo"].shape[0]
-        if self.kind == "gaussian":
-            return self.params["dim"]
-        if self.kind == "product":
-            return len(self.params["marginals"])
-        if self.kind == "point":
-            return self.params["value"].shape[0]
-        raise ValueError(f"unknown spec kind {self.kind!r}")
+        return len(self.marginals)
 
     @property
     def is_absolutely_continuous(self) -> bool:
-        return self.kind in ("uniform", "gaussian", "product")
+        return "point" not in (m[0] for m in self.marginals)
 
     # -- per-axis quantile functions ------------------------------------
     def _axis_ppf(self, axis: int, q: np.ndarray) -> np.ndarray:
-        if self.kind == "uniform":
-            lo, hi = self.params["lo"][axis], self.params["hi"][axis]
+        kind, *p = self.marginals[axis]
+        if kind == "uniform":
+            lo, hi = p
             return lo + (hi - lo) * q
-        if self.kind == "gaussian":
-            if "lo" in self.params:
-                a = ndtr(self.params["lo"][axis])
-                b = ndtr(self.params["hi"][axis])
-                return ndtri(a + (b - a) * q)
-            return ndtri(q)
-        if self.kind == "product":
-            m = self.params["marginals"][axis]
-            if m["kind"] == "uniform":
-                return m["lo"] + (m["hi"] - m["lo"]) * q
-            return m["mu"] + m["sigma"] * ndtri(q)
-        if self.kind == "point":
-            return np.full_like(np.asarray(q, dtype=float), self.params["value"][axis])
-        raise ValueError(self.kind)
+        if kind == "normal":
+            mu, sigma, a, b = p
+            return mu + sigma * ndtri(a + (b - a) * q)
+        return np.full_like(np.asarray(q, dtype=float), p[0])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n independent draws, deterministic given rng state."""
+        """n independent draws, deterministic given rng state; a point spec
+        draws nothing."""
         if n < 1:
             raise ValueError("need n >= 1 draws")
         d = self.dim
-        if self.kind == "point":
-            return np.tile(self.params["value"], (n, 1))
-        u = rng.random((n, d))
-        cols = [self._axis_ppf(k, u[:, k]) for k in range(d)]
-        return np.column_stack(cols)
+        u = rng.random((n, d)) if self.is_absolutely_continuous else np.zeros((n, d))
+        return np.column_stack([self._axis_ppf(k, u[:, k]) for k in range(d)])
 
     def lattice_shape(self, n: int) -> tuple:
         """Per-axis node counts of `lattice(n)`.
@@ -417,7 +417,7 @@ class DistributionSpec:
         if n < 1:
             raise ValueError("need n >= 1 lattice points")
         d = self.dim
-        if self.kind == "point":
+        if not self.is_absolutely_continuous:
             return (1,) * d
         balanced = [k for k in _ordered_factorizations(n, d, 1) if k[-1] <= 2 * k[0]]
         if balanced:
@@ -431,11 +431,7 @@ class DistributionSpec:
         n-point lattice makes n * weights integral for exact transport.
         """
         shape = self.lattice_shape(n)
-        if self.kind == "point":
-            return np.tile(self.params["value"], (1, 1))
-        axes = [self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return product_grid([self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)])
 
     # -- config -------------------------------------------------------
     @staticmethod
@@ -501,17 +497,19 @@ def _check_prob_vector(weights: np.ndarray) -> np.ndarray:
     return w / s
 
 
-def empirical_cdf_quantile(values, weights, q: float) -> float:
-    """Left-continuous generalized inverse F^{-1}(q) of the weighted CDF."""
-    if not 0.0 <= q <= 1.0:
+def empirical_cdf_quantile(values, weights, q):
+    """Left-continuous generalized inverse F^{-1}(q) of the weighted CDF, at
+    each q of an array (one sort for all), or a float for a scalar q."""
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise ValueError("q must lie in [0, 1]")
     v = np.asarray(values, dtype=float).ravel()
     w = _check_prob_vector(weights)
     if v.shape != w.shape:
         raise ValueError("values and weights must align")
     vs, cum = _sorted_cdf(v, w)
-    idx = int(np.searchsorted(cum, q, side="left"))
-    return float(vs[min(idx, vs.shape[0] - 1)])
+    out = vs[np.minimum(np.searchsorted(cum, q_arr, side="left"), vs.shape[0] - 1)]
+    return float(out) if out.ndim == 0 else out
 
 
 def empirical_cdf(values, weights, at) -> np.ndarray:
@@ -578,14 +576,19 @@ def read_dataset_csv(path) -> MarketDataset:
     return MarketDataset(arr[:, :d_x], arr[:, d_x : d_x + d_z], arr[:, -1])
 
 
+def coordinate_header(d: int) -> list:
+    """c_1..c_d."""
+    return [f"c_{k+1}" for k in range(d)]
+
+
 def write_measure_csv(measure: DiscreteMeasure, path) -> None:
     """Header w,c_1..c_d."""
-    header = ["w"] + [f"c_{k+1}" for k in range(measure.dim)]
-    write_float_table(path, header, measure.weights, measure.points)
+    write_float_table(path, ["w"] + coordinate_header(measure.dim), measure.weights, measure.points)
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
+    """Inverse of write_measure_csv: the header must be exactly w,c_1..c_d."""
     header, arr = read_float_table(path, "measure")
-    if not header or header[0] != "w":
+    if header != ["w"] + coordinate_header(len(header) - 1):
         raise ValueError(f"unrecognized measure header {header}")
     return DiscreteMeasure(arr[:, 1:], arr[:, 0])

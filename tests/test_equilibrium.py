@@ -61,7 +61,7 @@ def test_pairwise_max_surplus_matches_the_dense_max_plus_product():
     # integer values make ties and equal maxima common
     gain = rng.integers(-3, 4, size=(7, 40)).astype(float)
     cost = rng.integers(-3, 4, size=(5, 40)).astype(float)
-    assert np.array_equal(_max_plus(gain, cost, None)[0], dense_max_plus(gain, cost))
+    assert np.array_equal(_max_plus(gain, cost, [1])[0], dense_max_plus(gain, cost))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -87,7 +87,7 @@ def test_blocked_max_plus_equals_the_dense_max_bitwise(n, m, g, block_cells, int
     else:
         gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
     with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
-        got = _max_plus(gain, cost, None)[0]
+        got = _max_plus(gain, cost, [1])[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -96,12 +96,18 @@ def test_blocked_max_plus_at_the_module_block_size(m, g):
     # 32 producers per block with a remainder of 6; a grid above the block
     rng = np.random.default_rng(g)
     gain, cost = rng.normal(size=(2, g)), rng.normal(size=(m, g))
-    assert _max_plus(gain, cost, None)[0].tobytes() == dense_max_plus(gain, cost).tobytes()
+    assert _max_plus(gain, cost, [1])[0].tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 def lattice(*res):
     axes = [np.arange(r, dtype=float) for r in res]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(res))
+
+
+def partner_strides(grid):
+    """The partner strides _joint_surplus gives the pruned max-plus scan on
+    grid; without a grid, consecutive indices."""
+    return equilibrium._partner_strides(None if grid is None else equilibrium._lattice_axes(grid))
 
 
 @st.composite
@@ -164,7 +170,7 @@ def pruned_max_plus_instances(draw, kinds=("lattice", "scattered", "duplicates",
 def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells):
     gain, cost, grid = instance
     with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
-        got = _max_plus(gain, cost, grid)[0]
+        got = _max_plus(gain, cost, partner_strides(grid))[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -217,7 +223,7 @@ def test_candidate_masks_keep_every_dense_argmax(case):
     else:
         grid = lattice(9, 8) if case == "normal-lattice" else rng.normal(size=(72, 3))
         gain, cost = rng.normal(size=(30, 72)), rng.normal(size=(40, 72))
-    (cmask, _), (dmask, _) = equilibrium._candidate_masks(gain, cost, grid)
+    (cmask, _), (dmask, _) = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
     arg = np.argmax(gain[:, None, :] - cost[None, :, :], axis=2)  # first index
     rows, cols = np.indices(arg.shape)
     assert np.all(cmask[rows, arg] & dmask[cols, arg])
@@ -226,7 +232,8 @@ def test_candidate_masks_keep_every_dense_argmax(case):
         kept_cells = cmask.sum(axis=0) @ dmask.sum(axis=0)
         assert kept_cells < 0.5 * dense_cells
         # tiles evaluate the unions of their rows' masks: at least the kept cells
-        assert kept_cells <= equilibrium._max_plus(gain, cost, grid)[1] < dense_cells
+        cells = equilibrium._max_plus(gain, cost, partner_strides(grid))[1]
+        assert kept_cells <= cells < dense_cells
 
 
 def lexsort_candidate_masks(gain, cost, grid):
@@ -277,13 +284,12 @@ def lexsort_candidate_masks(gain, cost, grid):
         (lattice(3, 4, 5), [20, 5, 1]),
         (lattice(1, 6), [1]),  # an axis of one point has no stride
         (lattice(6, 1), [1]),
-        (np.repeat(lattice(3), 2, axis=0), [2]),  # duplicate points
+        (np.repeat(lattice(3), 2, axis=0), [1]),  # duplicate points: no lattice
         (np.random.default_rng(0).normal(size=(30, 2)), [1]),  # scattered
     ],
 )
 def test_grid_strides_are_the_lattice_axis_strides(grid, strides):
-    g = 60 if grid is None else grid.shape[0]
-    assert equilibrium._grid_strides(grid, g) == strides
+    assert partner_strides(grid) == strides
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -296,7 +302,7 @@ def test_stride_masks_keep_every_point_the_lexsort_masks_keep(instance, block_ce
     gain, cost, grid = instance
     assume(grid is None or grid.shape[1] <= 2)
     with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
-        got = equilibrium._candidate_masks(gain, cost, grid)
+        got = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
     for (mask, _), (ref, _) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
         assert np.all(mask | ~ref)
 
@@ -304,7 +310,7 @@ def test_stride_masks_keep_every_point_the_lexsort_masks_keep(instance, block_ce
 @pytest.mark.parametrize("n, res, seed", [(80, 30, 4), (100, 30, 7), (64, 45, 2)])
 def test_stride_masks_equal_the_lexsort_masks_on_readme_lattices(n, res, seed):
     gain, cost, grid = readme_spec_arrays(n, res, seed)
-    got = equilibrium._candidate_masks(gain, cost, grid)
+    got = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
     for (mask, key), (ref, ref_key) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
         assert np.array_equal(mask, ref)
         assert key.tobytes() == ref_key.tobytes()
@@ -317,7 +323,7 @@ def test_max_plus_with_one_worker_starts_no_thread(n, cpus):
     with mock.patch("os.sched_getaffinity", return_value=set(range(cpus)), create=True), \
             mock.patch.object(threading.Thread, "start",
                               side_effect=AssertionError("thread started")):
-        got = _max_plus(gain, cost, grid)[0]
+        got = _max_plus(gain, cost, partner_strides(grid))[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
@@ -459,7 +465,7 @@ def hull_route(spec, x, eps, y, grid):
 def test_axis_hull_route_equals_the_pruned_max_plus_bitwise(market):
     s, facts, gain, cost = hull_route(*market)
     assert facts["path"] == "axis-hull"
-    pruned = _max_plus(gain, cost, market[4])[0]
+    pruned = _max_plus(gain, cost, partner_strides(market[4]))[0]
     assert s.tobytes() == pruned.tobytes() == dense_max_plus(gain, cost).tobytes()
     n, m = s.shape
     redone, rest = divmod(facts["cells_evaluated"] - n * m, facts["grid_points"])
@@ -606,7 +612,7 @@ def test_axis_hull_route_on_tinbergen_markets(d, res, scale):
     grid = build_z_grid([-0.1] * d, [2.5] * d, res)
     s, facts, gain, cost = hull_route(spec, np.ones((30, 1)), eps, y, grid)
     assert facts["path"] == "axis-hull"
-    pruned = _max_plus(gain, cost, grid)[0]
+    pruned = _max_plus(gain, cost, partner_strides(grid))[0]
     assert s.tobytes() == pruned.tobytes() == dense_max_plus(gain, cost).tobytes()
     assert facts["cells_evaluated"] < 30 * 20 * grid.shape[0] / 10
 

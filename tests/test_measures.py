@@ -1,5 +1,6 @@
 """Measures, partitioning, reference sampling, and quantile tests."""
 
+import dataclasses
 import itertools
 import os
 import tempfile
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr, ndtri
 
+from hedonic.conjugate import read_grid_function_csv
 from hedonic.measures import (
     PRICE_MERGE_TOL,
     DiscreteMeasure,
     DistributionSpec,
     MarketDataset,
     PriceConflictError,
+    _ordered_factorizations,
     empirical_cdf,
     empirical_cdf_quantile,
     from_samples,
@@ -372,6 +376,142 @@ def test_point_spec_is_degenerate():
     assert not spec.is_absolutely_continuous
 
 
+@dataclasses.dataclass(frozen=True)
+class KindDispatchSpec:
+    """Reference: the DistributionSpec of earlier versions, which dispatched
+    every method on a spec kind and a params dict."""
+
+    kind: str
+    params: dict
+
+    @staticmethod
+    def from_config(cfg):
+        kind = cfg["kind"]
+        if kind == "uniform":
+            lo, hi = np.asarray(cfg["lo"], float).ravel(), np.asarray(cfg["hi"], float).ravel()
+            return KindDispatchSpec("uniform", {"lo": lo, "hi": hi})
+        if kind == "gaussian":
+            params = {"dim": int(cfg["dim"])}
+            if cfg.get("lo") is not None:
+                params["lo"] = np.asarray(cfg["lo"], float).ravel()
+                params["hi"] = np.asarray(cfg["hi"], float).ravel()
+            return KindDispatchSpec("gaussian", params)
+        if kind == "product":
+            marginals = [
+                {"kind": "uniform", "lo": float(m["lo"]), "hi": float(m["hi"])}
+                if m["kind"] == "uniform"
+                else {"kind": "normal", "mu": float(m.get("mu", 0.0)),
+                      "sigma": float(m.get("sigma", 1.0))}
+                for m in cfg["marginals"]
+            ]
+            return KindDispatchSpec("product", {"marginals": marginals})
+        return KindDispatchSpec("point", {"value": np.asarray(cfg["value"], float).ravel()})
+
+    @property
+    def dim(self):
+        if self.kind == "uniform":
+            return self.params["lo"].shape[0]
+        if self.kind == "gaussian":
+            return self.params["dim"]
+        if self.kind == "product":
+            return len(self.params["marginals"])
+        return self.params["value"].shape[0]
+
+    @property
+    def is_absolutely_continuous(self):
+        return self.kind in ("uniform", "gaussian", "product")
+
+    def _axis_ppf(self, axis, q):
+        if self.kind == "uniform":
+            lo, hi = self.params["lo"][axis], self.params["hi"][axis]
+            return lo + (hi - lo) * q
+        if self.kind == "gaussian":
+            if "lo" in self.params:
+                a = ndtr(self.params["lo"][axis])
+                b = ndtr(self.params["hi"][axis])
+                return ndtri(a + (b - a) * q)
+            return ndtri(q)
+        if self.kind == "product":
+            m = self.params["marginals"][axis]
+            if m["kind"] == "uniform":
+                return m["lo"] + (m["hi"] - m["lo"]) * q
+            return m["mu"] + m["sigma"] * ndtri(q)
+        return np.full_like(np.asarray(q, dtype=float), self.params["value"][axis])
+
+    def sample(self, n, rng):
+        d = self.dim
+        if self.kind == "point":
+            return np.tile(self.params["value"], (n, 1))
+        u = rng.random((n, d))
+        return np.column_stack([self._axis_ppf(k, u[:, k]) for k in range(d)])
+
+    def lattice_shape(self, n):
+        d = self.dim
+        if self.kind == "point":
+            return (1,) * d
+        balanced = [k for k in _ordered_factorizations(n, d, 1) if k[-1] <= 2 * k[0]]
+        if balanced:
+            return min(balanced, key=lambda k: (k[-1] / k[0], k))
+        return (max(1, int(round(n ** (1.0 / d)))),) * d
+
+    def lattice(self, n):
+        shape = self.lattice_shape(n)
+        if self.kind == "point":
+            return np.tile(self.params["value"], (1, 1))
+        axes = [self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.column_stack([m.ravel() for m in mesh])
+
+
+@st.composite
+def spec_configs(draw):
+    """Configs of every spec kind, d = 1..3: uniform boxes, truncated and
+    plain Gaussians, products mixing uniform and normal marginals, points."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "truncated", "gaussian", "product", "point"]))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    lo = draw(st.lists(coord, min_size=d, max_size=d))
+    width = draw(st.lists(st.floats(0.01, 4.0), min_size=d, max_size=d))
+    hi = [a + w for a, w in zip(lo, width)]
+    if kind == "uniform":
+        return {"kind": "uniform", "lo": lo, "hi": hi}
+    if kind == "truncated":
+        return {"kind": "gaussian", "dim": d, "lo": lo, "hi": hi}
+    if kind == "gaussian":
+        return {"kind": "gaussian", "dim": d}
+    if kind == "point":
+        return {"kind": "point", "value": lo}
+    marginals = []
+    for a, b in zip(lo, hi):
+        if draw(st.booleans()):
+            marginals.append({"kind": "uniform", "lo": a, "hi": b})
+        else:
+            marginals.append({"kind": "normal", "mu": a, "sigma": b - a})
+    return {"kind": "product", "marginals": marginals}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    spec_configs(),
+    st.one_of(st.sampled_from([1, 2, 3, 7, 13, 97, 4, 16, 24, 64, 100, 200, 343]),
+              st.integers(1, 400)),
+    st.integers(0, 2**32 - 1),
+)
+@example({"kind": "gaussian", "dim": 1}, 7, 0)  # the median node is ndtri(0.5) = +0.0
+@example({"kind": "point", "value": [2.0, -0.0]}, 5, 1)
+@example({"kind": "product", "marginals": [{"kind": "normal"}, {"kind": "uniform", "lo": -1,
+                                                                "hi": 1}]}, 9, 2)
+def test_marginal_spec_equals_the_kind_dispatch_spec_bitwise(cfg, n, seed):
+    spec, ref = DistributionSpec.from_config(cfg), KindDispatchSpec.from_config(cfg)
+    assert spec.dim == ref.dim
+    assert spec.is_absolutely_continuous == ref.is_absolutely_continuous
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_bits(spec.sample(n, rng), ref.sample(n, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert spec.lattice_shape(n) == ref.lattice_shape(n)
+    assert_same_bits(spec.lattice(n), ref.lattice(n))
+
+
 # ---------------------------------------------------------------------------
 # empirical quantiles
 # ---------------------------------------------------------------------------
@@ -404,6 +544,25 @@ def test_quantile_inverts_cdf_on_support():
         f_vals = empirical_cdf(v, w, v)
         back = np.array([empirical_cdf_quantile(v, w, q) for q in f_vals])
         assert np.array_equal(back, v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30), st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(1, 0, 0)
+def test_quantile_of_an_array_equals_the_per_q_loop_bitwise(n, k, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-3, 4, size=n).astype(float)  # ties
+    w = rng.integers(0, 3, size=n).astype(float)  # zero weights
+    w[rng.integers(n)] += 1.0
+    w /= w.sum()
+    # random levels, both ends, and the CDF's own steps, where the inverse jumps
+    q = np.clip(np.concatenate([rng.random(k), [0.0, 1.0], np.cumsum(w)]), 0.0, 1.0)
+    got = empirical_cdf_quantile(v, w, q)
+    want = np.array([empirical_cdf_quantile(v, w, t) for t in q])
+    assert_same_bits(got, want)
+    assert all(type(empirical_cdf_quantile(v, w, t)) is float for t in q)
+    with pytest.raises(ValueError):
+        empirical_cdf_quantile(v, w, np.append(q, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +598,16 @@ def test_measure_csv_round_trip(tmp_path):
         (read_dataset_csv, "z_1,x_1,p\n1,2,3\n4,5,6\n"),
         (read_dataset_csv, "x_1,z_2,z_1,p\n1,2,3,4\n5,6,7,8\n"),
         (read_measure_csv, "w,c_1,c_2\n0.5,1\n0.5,2\n"),
+        (read_measure_csv, "w,c_2,c_1\n0.5,1,2\n0.5,3,4\n"),
+        (read_measure_csv, "w,foo\n0.5,1\n0.5,2\n"),
+        (read_grid_function_csv, "c_2,c_1,value\n1,2,3\n4,5,6\n"),
     ],
-    ids=["dataset-short-rows", "dataset-z-before-x", "dataset-swapped-z", "measure-short-rows"],
+    ids=["dataset-short-rows", "dataset-z-before-x", "dataset-swapped-z", "measure-short-rows",
+         "measure-swapped-c", "measure-unknown-column", "grid-function-swapped-c"],
 )
 def test_csv_layout_that_would_be_misread_rejected(tmp_path, reader, text):
-    # read by position, these would give p as z_2, z as x, swapped z axes
-    # and a 1-D measure
+    # read by position, these would give p as z_2, z as x, swapped z axes,
+    # a 1-D measure, swapped coordinate axes and an unnamed coordinate
     path = tmp_path / "table.csv"
     path.write_text(text)
     with pytest.raises(ValueError):
