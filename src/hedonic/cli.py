@@ -150,7 +150,7 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
     k_neighbors = section.get("k_neighbors")
 
     if pipeline == "simeq":
-        maps = ident.simultaneous_equations_identify(
+        cells = ident.simultaneous_equations_identify(
             dataset,
             eps_spec,
             dataset.n if n_ref is None else int(n_ref),
@@ -159,52 +159,46 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
             widths=part.get("widths"),
             reference_mode=mode,
         )
-        diag = []
-        for k, est in enumerate(maps):
-            path = _out_path(out_dir, f"{prefix}_cell{k:03d}.csv")
-            _write_forward_map_csv(est, path)
-            diag.append(dict(est.diagnostics, x_value=est.x_value.tolist()))
-        measures.write_json(
-            {"config": section, "seed": seed, "cells": diag},
-            _out_path(out_dir, f"{prefix}_diagnostics.json"),
+        write_cell, wrote = _write_forward_map_csv, "forward-map cells"
+    else:
+        slices = measures.partition_by_x(
+            dataset, part.get("scheme", "exact"), part.get("widths")
         )
-        print(f"identify: wrote {len(maps)} forward-map cells")
-        return EXIT_OK
+        children = np.random.SeedSequence(seed).spawn(len(slices))
+        zeta = None if pipeline == "brenier" else SurplusFamily.from_config(section["zeta"])
 
-    slices = measures.partition_by_x(
-        dataset, part.get("scheme", "exact"), part.get("widths")
-    )
-    children = np.random.SeedSequence(seed).spawn(len(slices))
-    diag = []
-    for k, slice_ in enumerate(slices):
-        child_seed = int(children[k].generate_state(1)[0])
-        # by default each cell's reference has one point per dataset row of
-        # the cell, so its transport takes the replicated assignment path
-        cell_ref = slice_.n_rows if n_ref is None else int(n_ref)
-        if pipeline == "scalar":
-            zeta = SurplusFamily.from_config(section["zeta"])
-            pot = ident.scalar_identify(
-                slice_, eps_spec, zeta, n_ref=cell_ref, seed=child_seed,
-                reference_mode=mode,
-            )
-        elif pipeline == "brenier":
-            pot = ident.brenier_identify(
-                slice_, eps_spec, cell_ref, seed=child_seed, reference_mode=mode,
-                k_neighbors=k_neighbors,
-            )
-        else:
-            zeta = SurplusFamily.from_config(section["zeta"])
-            pot = ident.general_identify(
+        def identify_cell(k, slice_):
+            child_seed = int(children[k].generate_state(1)[0])
+            # by default each cell's reference has one point per dataset row of
+            # the cell, so its transport takes the replicated assignment path
+            cell_ref = slice_.n_rows if n_ref is None else int(n_ref)
+            if pipeline == "scalar":
+                return ident.scalar_identify(
+                    slice_, eps_spec, zeta, cell_ref, seed=child_seed,
+                    reference_mode=mode,
+                )
+            if pipeline == "brenier":
+                return ident.brenier_identify(
+                    slice_, eps_spec, cell_ref, seed=child_seed, reference_mode=mode,
+                    k_neighbors=k_neighbors,
+                )
+            return ident.general_identify(
                 slice_, eps_spec, zeta, cell_ref, seed=child_seed,
                 reference_mode=mode, k_neighbors=k_neighbors,
             )
-        ident.write_potential_csv(pot, _out_path(out_dir, f"{prefix}_cell{k:03d}.csv"))
-        diag.append(dict(pot.diagnostics, x_value=pot.x_value.tolist()))
+
+        # a generator, so each cell's CSV is written before the next is solved
+        cells = (identify_cell(k, slice_) for k, slice_ in enumerate(slices))
+        write_cell, wrote = ident.write_potential_csv, f"cells via {pipeline}"
+    diag = []
+    for k, cell in enumerate(cells):
+        write_cell(cell, _out_path(out_dir, f"{prefix}_cell{k:03d}.csv"))
+        diag.append(dict(cell.diagnostics, x_value=cell.x_value.tolist()))
     measures.write_json(
         {"config": section, "seed": seed, "cells": diag},
         _out_path(out_dir, f"{prefix}_diagnostics.json"),
     )
-    print(f"identify: wrote {len(slices)} cells via {pipeline}")
+    print(f"identify: wrote {len(diag)} {wrote}")
     return EXIT_OK
 
 

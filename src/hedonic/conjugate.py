@@ -113,15 +113,12 @@ def zeta_conjugate(
 
 
 def double_conjugate(
-    v: GridFunction, f: SurplusFamily, x, eps_grid, z_grid=None
+    v: GridFunction, f: SurplusFamily, x, eps_grid
 ) -> GridFunction:
     """V^{zeta zeta} on V's own grid; satisfies V^{zeta zeta} <= V pointwise."""
-    z_pts = _as_points(z_grid) if z_grid is not None else v.grid.points
-    if z_pts.shape != v.grid.points.shape or not np.array_equal(z_pts, v.grid.points):
-        raise ValueError("double conjugate must be taken on V's own grid")
     conj = zeta_conjugate(v, f, x, eps_grid)
     eps_pts = conj.grid.points
-    s = f.pairwise(x, eps_pts, z_pts)  # (n_eps, n_z)
+    s = f.pairwise(x, eps_pts, v.grid.points)  # (n_eps, n_z)
     gains = s - conj.values[:, None]
     arg = np.argmax(gains, axis=0)
     vals = np.take_along_axis(gains, arg[None, :], axis=0)[0]
@@ -130,14 +127,14 @@ def double_conjugate(
 
 
 def is_zeta_convex(
-    v: GridFunction, f: SurplusFamily, x, eps_grid, z_grid=None, tol: float = 1e-7
+    v: GridFunction, f: SurplusFamily, x, eps_grid, tol: float = 1e-7
 ):
     """True iff the surplus-convex envelope matches V within tol.
 
     Returns (flag, max deviation); the deviation is max |V^{zz} - V|
     over the grid.
     """
-    env = double_conjugate(v, f, x, eps_grid, z_grid)
+    env = double_conjugate(v, f, x, eps_grid)
     dev = float(np.abs(env.values - v.values).max())
     return dev <= tol, dev
 

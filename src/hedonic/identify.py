@@ -15,6 +15,10 @@ Four routes, all per x-cell:
 * simultaneous-equations recovery of a forward map z = h(x, eps) as a
   gradient of a convex function.
 
+Every route discretizes its reference taste law through one gate, which
+refuses a law with a point axis (it has no density to transport), and the
+three transport routes share one exact-transport core.
+
 Averaged partial effects (the mean observed price gradient per cell)
 are available without fixing the whole taste law.
 """
@@ -41,7 +45,6 @@ from .measures import (
     reference_lattice,
     sample_reference,
     write_float_table,
-    write_json,
 )
 from .ot import (
     TransportPlan,
@@ -62,7 +65,6 @@ __all__ = [
     "averaged_partial_effects",
     "local_price_gradients",
     "write_potential_csv",
-    "write_diagnostics_json",
 ]
 
 
@@ -98,26 +100,35 @@ class ForwardMapEstimate:
 
 def _reference_measure(
     eps_spec: DistributionSpec, n_ref: int, seed: int, mode: str
-) -> DiscreteMeasure:
+) -> tuple[DiscreteMeasure, Optional[list]]:
+    """The discretized reference taste law and, for a lattice, its per-axis
+    counts (None for a sample)."""
+    if not eps_spec.is_absolutely_continuous:
+        raise ValueError("reference taste law must be absolutely continuous")
     if mode == "sample":
-        return sample_reference(eps_spec, n_ref, seed)
+        return sample_reference(eps_spec, n_ref, seed), None
     if mode == "lattice":
-        return reference_lattice(eps_spec, n_ref)
+        return reference_lattice(eps_spec, n_ref), list(eps_spec.lattice_shape(n_ref))
     raise ValueError(f"unknown reference mode {mode!r}")
 
 
-def _solver_diagnostics(
-    eps_spec: DistributionSpec,
-    n_ref: int,
-    mode: str,
-    ref: DiscreteMeasure,
-    nu: DiscreteMeasure,
-) -> dict:
-    """The exact solver's path and, for a lattice reference, its per-axis counts."""
-    out = {"solver_path": exact_solver_path(ref.weights, nu.weights)}
-    if mode == "lattice":
-        out["reference_shape"] = list(eps_spec.lattice_shape(n_ref))
-    return out
+def _transport_reference(
+    ref: DiscreteMeasure, shape: Optional[list], f: SurplusFamily, slice_: ConditionalSlice
+):
+    """Exact transport from the reference to one cell's traded qualities
+    under f: (surplus matrix, plan, duals, the solve's diagnostics)."""
+    nu = slice_.z_measure
+    s = surplus_matrix(ref, nu, f, slice_.x_value)
+    plan, duals = solve_exact(ref, nu, s)
+    diagnostics = {
+        "n_ref": int(ref.n),
+        "plan_objective": plan.objective,
+        "duality_gap": float(abs(plan.objective - duals.objective(ref.weights, nu.weights))),
+        "solver_path": exact_solver_path(ref.weights, nu.weights),
+    }
+    if shape is not None:
+        diagnostics["reference_shape"] = shape
+    return s, plan, duals, diagnostics
 
 
 def default_neighbor_count(d_z: int) -> int:
@@ -227,7 +238,7 @@ def scalar_identify(
     slice_: ConditionalSlice,
     eps_spec: DistributionSpec,
     f: SurplusFamily,
-    n_ref: Optional[int] = None,
+    n_ref: int,
     seed: int = 0,
     reference_mode: str = "sample",
 ) -> IdentifiedPotential:
@@ -244,9 +255,7 @@ def scalar_identify(
     z = slice_.z_measure.points[:, 0]
     w = slice_.z_measure.weights
     m = z.shape[0]
-    if n_ref is None:
-        n_ref = m
-    ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    ref, _ = _reference_measure(eps_spec, n_ref, seed, reference_mode)
     eps_vals = ref.points[:, 0]
 
     order = np.argsort(z, kind="stable")
@@ -324,15 +333,17 @@ def _identify_via_transport(
     seed: int,
     reference_mode: str,
     k_neighbors: Optional[int],
-    pipeline: str,
 ) -> IdentifiedPotential:
     d_z = slice_.z_measure.dim
     if f.d_z != d_z:
         raise ValueError("surplus family dimension must match the data")
-    ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    ref, shape = _reference_measure(eps_spec, n_ref, seed, reference_mode)
     x = slice_.x_value
 
-    if f.kind == "bilinear":
+    # a bilinear surplus is the Brenier route: twist holds exactly, so it
+    # goes unchecked, and the diagnostics name that route
+    bilinear = f.kind == "bilinear"
+    if bilinear:
         twist_info = {"checked": False, "note": "bilinear surplus: twist holds exactly"}
     else:
         stride_e = max(1, ref.n // 40)
@@ -348,8 +359,7 @@ def _identify_via_transport(
             "inverse_cross_bound": report.inverse_cross_bound,
         }
 
-    s = surplus_matrix(ref, slice_.z_measure, f, x)
-    plan, duals = solve_exact(ref, slice_.z_measure, s)
+    s, plan, duals, solved = _transport_reference(ref, shape, f, slice_)
     inverse_demand, valid_cols = barycentric_projection(plan, ref.points)
     if not np.all(valid_cols):
         raise RuntimeError("optimal plan left a traded quality unmatched")
@@ -363,19 +373,15 @@ def _identify_via_transport(
     u_bar_grad = price_grads - zeta_grads
     u_bar_grad[~price_valid] = np.nan
 
-    gap = abs(plan.objective - duals.objective(ref.weights, slice_.z_measure.weights))
     v_grid = GridFunction(slice_.z_measure, duals.v_target)
     zconv_ok, zconv_dev = is_zeta_convex(v_grid, f, x, ref.points, tol=1e-7)
     conj = zeta_conjugate(v_grid, f, x, ref.points)
     matching = _matching_from_plan(plan)
     diagnostics = {
-        "pipeline": pipeline,
-        "n_ref": int(ref.n),
+        "pipeline": "brenier" if bilinear else "general",
         "seed": int(seed),
         "reference_mode": reference_mode,
         "twist": twist_info,
-        "plan_objective": plan.objective,
-        "duality_gap": float(gap),
         "dual_feasibility_margin": duals.feasibility_margin(s),
         "support_size": int(plan.support()[0].shape[0]),
         "zeta_convex_on_support": bool(zconv_ok),
@@ -389,10 +395,8 @@ def _identify_via_transport(
             "lo": slice_.z_measure.points.min(axis=0).tolist(),
             "hi": slice_.z_measure.points.max(axis=0).tolist(),
         },
+        **solved,
     }
-    diagnostics.update(
-        _solver_diagnostics(eps_spec, n_ref, reference_mode, ref, slice_.z_measure)
-    )
     diagnostics.update(
         _foc_edge_residuals(f, x, slice_.z_measure.points, inverse_demand, duals.v_target, order)
     )
@@ -422,11 +426,9 @@ def brenier_identify(
     traded-quality measure under the inner-product surplus; inverse
     demand is the barycentric projection of the optimal plan.
     """
-    if not eps_spec.is_absolutely_continuous:
-        raise ValueError("reference taste law must be absolutely continuous")
     f = SurplusFamily.bilinear(slice_.z_measure.dim)
     return _identify_via_transport(
-        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors, "brenier"
+        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors
     )
 
 
@@ -444,9 +446,8 @@ def general_identify(
     Refuses (with a witness) when the sampled injectivity diagnostic
     fails.  With a bilinear family this is exactly the Brenier route.
     """
-    pipeline = "brenier" if f.kind == "bilinear" else "general"
     return _identify_via_transport(
-        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors, pipeline
+        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors
     )
 
 
@@ -464,40 +465,25 @@ def simultaneous_equations_identify(
     Per x-cell, couples the reference taste sample with the observed
     outcomes under the inner-product surplus and projects forward:
     h(eps_i) is the mass-weighted mean outcome of reference point i.
-    Prices in the dataset are ignored.
+    Every cell shares one reference.  Prices in the dataset are ignored.
     """
-    if not eps_spec.is_absolutely_continuous:
-        raise ValueError("reference taste law must be absolutely continuous")
+    ref, shape = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    f = SurplusFamily.bilinear(dataset.d_z)
     out = []
     for slice_ in partition_by_x(dataset, scheme, widths):
-        ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
-        f = SurplusFamily.bilinear(slice_.z_measure.dim)
-        s = surplus_matrix(ref, slice_.z_measure, f, slice_.x_value)
-        plan, duals = solve_exact(ref, slice_.z_measure, s)
+        _, plan, _, solved = _transport_reference(ref, shape, f, slice_)
         # forward barycentric projection: mean outcome per reference point
         z_hat, matched = barycentric_projection(
             plan.transpose(), slice_.z_measure.points
         )
         if not np.all(matched):
             raise RuntimeError("optimal plan left a reference point unmatched")
-        diagnostics = {
-            "pipeline": "simeq",
-            "n_ref": int(ref.n),
-            "seed": int(seed),
-            "plan_objective": plan.objective,
-            "duality_gap": float(
-                abs(plan.objective - duals.objective(ref.weights, slice_.z_measure.weights))
-            ),
-        }
-        diagnostics.update(
-            _solver_diagnostics(eps_spec, n_ref, reference_mode, ref, slice_.z_measure)
-        )
         out.append(
             ForwardMapEstimate(
                 x_value=slice_.x_value,
                 eps_points=ref.points,
                 z_hat=z_hat,
-                diagnostics=diagnostics,
+                diagnostics={"pipeline": "simeq", "seed": int(seed), **solved},
             )
         )
     return out
@@ -547,7 +533,3 @@ def write_potential_csv(pot: IdentifiedPotential, path) -> None:
     write_float_table(
         path, header, pot.z_points, pot.v_values, pot.inverse_demand, pot.u_bar_grad
     )
-
-
-def write_diagnostics_json(diagnostics, path) -> None:
-    write_json(diagnostics, path)

@@ -220,6 +220,27 @@ def test_scalar_pipeline_on_2d_data_exits_1(tmp_path):
     assert main(["identify", "--config", cfg_path, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("pipeline", ["scalar", "brenier", "general", "simeq"])
+def test_every_pipeline_refuses_a_point_reference_law(tmp_path, pipeline, capsys):
+    (tmp_path / "dataset.csv").write_text("x_1,z_1,p\n1,0.5,0.3\n1,1.0,0.6\n1,1.5,1.1\n")
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 0,
+            "identify": {
+                "pipeline": pipeline,
+                "dataset": str(tmp_path / "dataset.csv"),
+                "eps_spec": {"kind": "point", "value": [0.5]},
+                "zeta": {"kind": "bilinear", "dim": 1, "d_x": 1},
+                "outputs": {"prefix": "ident"},
+            },
+        },
+    )
+    assert main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "absolutely continuous" in capsys.readouterr().err
+    assert not (tmp_path / "ident_cell000.csv").exists()
+
+
 def test_non_injective_surplus_exits_4(tmp_path):
     # 1-D market, then identification under zeta = z * eps^2 with a
     # symmetric reference lattice: +-eps collide, twist check refuses

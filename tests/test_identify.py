@@ -18,7 +18,6 @@ from hedonic.identify import (
     local_price_gradients,
     scalar_identify,
     simultaneous_equations_identify,
-    write_diagnostics_json,
     write_potential_csv,
 )
 from hedonic.measures import (
@@ -27,6 +26,7 @@ from hedonic.measures import (
     MarketDataset,
     from_samples,
     partition_by_x,
+    write_json,
 )
 from hedonic.surplus import ScalarFamily, StructuralSpec, SurplusFamily, TwistViolationError
 
@@ -95,7 +95,9 @@ def test_scalar_rejects_multivariate_quality():
     rng = np.random.default_rng(0)
     sl = make_slice(rng.random((5, 2)), rng.random(5))
     with pytest.raises(ValueError, match="d_z = 1"):
-        scalar_identify(sl, DistributionSpec.uniform([0, 0], [1, 1]), SurplusFamily.bilinear(2))
+        scalar_identify(
+            sl, DistributionSpec.uniform([0, 0], [1, 1]), SurplusFamily.bilinear(2), n_ref=5
+        )
 
 
 def test_scalar_rejects_sign_changing_cross_derivative():
@@ -144,10 +146,20 @@ def test_brenier_single_point_slice():
     assert np.all(pot.inverse_demand >= 0.0) and np.all(pot.inverse_demand <= 1.0)
 
 
-def test_brenier_rejects_atomic_reference():
-    sl = make_slice([[0.5]], [1.0])
+@pytest.mark.parametrize("route", ["scalar", "brenier", "general", "simeq"])
+def test_every_route_rejects_an_atomic_reference(route):
+    ds = MarketDataset(np.ones((3, 1)), np.array([[0.5], [1.0], [1.5]]), np.array([1.0, 1.2, 1.5]))
+    sl = partition_by_x(ds, "exact")[0]
+    point = DistributionSpec.point([0.0])
     with pytest.raises(ValueError, match="absolutely continuous"):
-        brenier_identify(sl, DistributionSpec.point([0.0]), n_ref=5)
+        if route == "scalar":
+            scalar_identify(sl, point, BILINEAR_1D, n_ref=5)
+        elif route == "brenier":
+            brenier_identify(sl, point, n_ref=5)
+        elif route == "general":
+            general_identify(sl, point, BILINEAR_1D, n_ref=5)
+        else:
+            simultaneous_equations_identify(ds, point, n_ref=5)
 
 
 def test_inverse_demand_stays_in_reference_hull():
@@ -521,5 +533,5 @@ def test_potential_csv_and_diagnostics_export(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == "z_1,z_2,v,eps_1,eps_2,ubar_grad_1,ubar_grad_2"
     json_path = tmp_path / "diag.json"
-    write_diagnostics_json(pot.diagnostics, json_path)
+    write_json(pot.diagnostics, json_path)
     assert json_path.read_text().startswith("{")
