@@ -82,7 +82,8 @@ def _resolve_simulate(section: dict, seed: int) -> dict:
 
 
 def _market(resolved: dict) -> dict:
-    """Keyword arguments of the market a resolved simulate section describes."""
+    """Keyword arguments of simulate_market and certify_dataset for the
+    market a resolved simulate section describes."""
     grid_cfg = resolved["z_grid"]
     return {
         "spec": StructuralSpec.from_config(resolved["structural"]),
@@ -93,18 +94,13 @@ def _market(resolved: dict) -> dict:
         "n_producers": resolved["n_producers"],
         "z_grid": eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"]),
         "seed": resolved["seed"],
+        "boundary_threshold": resolved["boundary_threshold"],
     }
-
-
-def _run_simulation(resolved: dict) -> eq.EquilibriumOutcome:
-    return eq.simulate_market(
-        **_market(resolved), boundary_threshold=resolved["boundary_threshold"]
-    )
 
 
 def cmd_simulate(config: dict, seed: int, out_dir: str) -> int:
     resolved = _resolve_simulate(config["simulate"], seed)
-    outcome = _run_simulation(resolved)
+    outcome = eq.simulate_market(**_market(resolved))
     report = eq.verify_equilibrium(outcome)
     measures.write_dataset_csv(
         outcome.dataset, _out_path(out_dir, resolved["outputs"]["dataset"])
@@ -318,15 +314,13 @@ def _check_equilibrium(section: dict, seed: int) -> dict:
     resolved = _resolve_simulate(section["simulate"], seed)
     if "dataset" in section:
         ds = measures.read_dataset_csv(section["dataset"])
-        outcome, facts = eq.certify_dataset(
-            **_market(resolved), dataset=ds, boundary_threshold=resolved["boundary_threshold"]
-        )
+        outcome, facts = eq.certify_dataset(**_market(resolved), dataset=ds)
         checks = {"method": "certificate", **facts}
         if outcome is None:
             checks["passed"] = False
             return checks
     else:
-        outcome = _run_simulation(resolved)
+        outcome = eq.simulate_market(**_market(resolved))
         checks = {"method": "simulate"}
     report = eq.verify_equilibrium(outcome)
     checks["verification"] = report.to_dict()
@@ -377,9 +371,7 @@ def _check_plan(section: dict) -> dict:
             feas = duals.feasibility_margin(s)
             slack = duals.slackness_error(plan, s)
             v_grid = conj.GridFunction(nu, duals.v_target)
-            zconv_ok, zconv_dev = conj.is_zeta_convex(
-                v_grid, family, x, mu.points, tol=1e-7
-            )
+            zconv_ok, zconv_dev = conj.is_zeta_convex(v_grid, family, x, mu.points)
             checks["duals"] = {
                 "feasibility_margin": feas,
                 "slackness_error": slack,
@@ -416,7 +408,7 @@ def _check_twist_section(section: dict) -> dict:
 
 def cmd_check(config: dict, seed: int, out_dir: str) -> int:
     section = config["check"]
-    results = {"seed": seed}
+    results = {"config": section, "seed": seed}
     passed = True
     if "equilibrium" in section:
         results["equilibrium"] = _check_equilibrium(section["equilibrium"], seed)

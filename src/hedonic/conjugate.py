@@ -28,6 +28,8 @@ from .surplus import SurplusFamily
 # Gains this many ulps of max(|S| + |V|) below a boundary argmax still tie
 # with it: such an interior quality clears the truncation warning.
 _TIE_ULPS = 4
+# Tolerance of is_zeta_convex.
+_ZETA_CONVEX_TOL = 1e-7
 
 __all__ = [
     "GridFunction",
@@ -126,17 +128,15 @@ def double_conjugate(
     return GridFunction(v.grid, vals, arg, boundary)
 
 
-def is_zeta_convex(
-    v: GridFunction, f: SurplusFamily, x, eps_grid, tol: float = 1e-7
-):
-    """True iff the surplus-convex envelope matches V within tol.
+def is_zeta_convex(v: GridFunction, f: SurplusFamily, x, eps_grid):
+    """True iff the surplus-convex envelope matches V within _ZETA_CONVEX_TOL.
 
     Returns (flag, max deviation); the deviation is max |V^{zz} - V|
     over the grid.
     """
     env = double_conjugate(v, f, x, eps_grid)
     dev = float(np.abs(env.values - v.values).max())
-    return dev <= tol, dev
+    return dev <= _ZETA_CONVEX_TOL, dev
 
 
 def legendre(v: GridFunction, eps_grid) -> GridFunction:

@@ -14,7 +14,7 @@ the market again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -490,17 +490,35 @@ def _grid_tensors(spec: StructuralSpec, x, eps, y, grid):
     return consumer_gain, producer_cost
 
 
-def _boundary_fraction(grid, traded_index, mass) -> float:
-    """Share of matched mass trading a quality on the grid's bounding box."""
-    if mass.size == 0:
-        return 0.0
-    return float(mass[bounding_box_mask(grid)[traded_index]].sum() / mass.sum())
-
-
-def _boundary_message(fraction: float, threshold: float) -> str:
-    return (
-        f"{fraction:.1%} of matched mass maximizes on the quality grid boundary "
-        f"(threshold {threshold:.1%}); enlarge the grid box"
+def _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, duals, traded_index,
+             prices, maxplus, boundary_threshold) -> EquilibriumOutcome:
+    """The outcome in which matched pair t of `plan` trades the quality
+    grid[traded_index[t]] at prices[t].  Aborts when the share of matched
+    mass trading a quality on the grid's bounding box exceeds
+    `boundary_threshold`: stability on the grid says nothing about
+    qualities beyond it."""
+    mass = plan.support()[2]
+    boundary_fraction = 0.0  # a certificate whose maximum flow is 0 matches no mass
+    if mass.size:
+        boundary_fraction = float(mass[bounding_box_mask(grid)[traded_index]].sum() / mass.sum())
+    if boundary_fraction > boundary_threshold:
+        raise GridBoundaryError(
+            f"{boundary_fraction:.1%} of matched mass maximizes on the quality grid boundary "
+            f"(threshold {boundary_threshold:.1%}); enlarge the grid box"
+        )
+    return EquilibriumOutcome(
+        consumer_x=x,
+        consumer_eps=eps,
+        producer_y=y,
+        z_grid=grid,
+        consumer_gain=consumer_gain,
+        producer_cost=producer_cost,
+        matching=plan,
+        duals=duals,
+        traded_index=traded_index,
+        prices=prices,
+        boundary_fraction=boundary_fraction,
+        maxplus=maxplus,
     )
 
 
@@ -539,27 +557,11 @@ def simulate_market(
     duals = DualPair(duals.w_source + shift, duals.v_target - shift, 0)
 
     # the quality argmax is only needed on the matched pairs
-    ii, jj, mass = plan.support()
+    ii, jj, _ = plan.support()
     pair_arg = np.argmax(consumer_gain[ii] - producer_cost[jj], axis=1)
-    boundary_fraction = _boundary_fraction(grid, pair_arg, mass)
-    if boundary_fraction > boundary_threshold:
-        raise GridBoundaryError(_boundary_message(boundary_fraction, boundary_threshold))
     prices = producer_cost[jj, pair_arg] + duals.v_target[jj]
-
-    return EquilibriumOutcome(
-        consumer_x=x,
-        consumer_eps=eps,
-        producer_y=y,
-        z_grid=grid,
-        consumer_gain=consumer_gain,
-        producer_cost=producer_cost,
-        matching=plan,
-        duals=duals,
-        traded_index=pair_arg,
-        prices=prices,
-        boundary_fraction=boundary_fraction,
-        maxplus=maxplus,
-    )
+    return _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, duals, pair_arg,
+                    prices, maxplus, boundary_threshold)
 
 
 def _grid_rows(grid: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -613,8 +615,7 @@ def certify_dataset(
     against L; a flow below L leaves some mass unmatched, which
     verify_equilibrium reports as a clearing failure.  As simulate_market
     does, aborts when the plan's mass trading on the grid's bounding box
-    exceeds `boundary_threshold`: stability on the grid says nothing about
-    qualities beyond it.
+    exceeds `boundary_threshold`.
     """
     if n_consumers < 1 or n_producers < 1:
         raise ValueError("need at least one consumer and one producer")
@@ -683,27 +684,12 @@ def certify_dataset(
     mass = np.bincount(inverse.ravel(), np.diff(ends, prepend=0), minlength=keys.size) / lcm
     pair_row = head[buy][first] - first_row
     traded_index = row_grid[pair_row]
-    boundary_fraction = _boundary_fraction(grid, traded_index, mass)
-    if boundary_fraction > boundary_threshold:
-        raise GridBoundaryError(_boundary_message(boundary_fraction, boundary_threshold))
     objective = float(
         mass @ (consumer_gain[buyers, traded_index] - producer_cost[sellers, traded_index])
     )
-
-    outcome = EquilibriumOutcome(
-        consumer_x=x,
-        consumer_eps=eps,
-        producer_y=y,
-        z_grid=grid,
-        consumer_gain=consumer_gain,
-        producer_cost=producer_cost,
-        matching=TransportPlan(buyers, sellers, mass, (n, m), objective),
-        duals=DualPair(v, w, 0),
-        traded_index=traded_index,
-        prices=dataset.p[pair_row],
-        boundary_fraction=boundary_fraction,
-        maxplus=None,
-    )
+    plan = TransportPlan(buyers, sellers, mass, (n, m), objective)
+    outcome = _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, DualPair(v, w, 0),
+                       traded_index, dataset.p[pair_row], None, boundary_threshold)
     return outcome, facts
 
 
@@ -720,17 +706,7 @@ class EquilibriumReport:
     failures: list
 
     def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "stability_min_margin": float(self.stability_min_margin),
-            "support_equality_max_dev": float(self.support_equality_max_dev),
-            "price_split_max_dev": float(self.price_split_max_dev),
-            "clearing_max_dev": float(self.clearing_max_dev),
-            "consumer_deviation_max_gain": float(self.consumer_deviation_max_gain),
-            "producer_deviation_max_gain": float(self.producer_deviation_max_gain),
-            "boundary_fraction": float(self.boundary_fraction),
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def _envelope_margin(consumer_gain, producer_cost, v, w):
@@ -746,7 +722,7 @@ def _envelope_margin(consumer_gain, producer_cost, v, w):
     return float(gap[g]), g, i, j
 
 
-def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> EquilibriumReport:
+def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
     """Check stability, the two-sided price split, market clearing, and
     the no-profitable-deviation conditions on traded qualities.
 
@@ -765,7 +741,8 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     violation names the consumer and producer that attain the two sides
     at the worst z.  Support equality v_i + w_j = U_iz - C_jz is checked
     on each matched pair at its traded quality z.  Every check reads U and C
-    from the outcome's grid tensors, the values the market was solved on.
+    from the outcome's grid tensors, the values the market was solved on,
+    and every check but clearing allows _TOL.
     """
     failures = []
     v = outcome.indirect_v
@@ -778,22 +755,19 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     stability_min, g, i, j = _envelope_margin(
         outcome.consumer_gain, outcome.producer_cost, v, w
     )
-    if stability_min < -tol:
+    if stability_min < -_TOL:
         failures.append(
             f"stability violated by consumer {i} with producer {j} at grid point "
             f"{g}: margin {stability_min:.3e}"
         )
 
-    # U and C of every agent at every traded quality, and at its own pair
-    u_traded = outcome.consumer_gain[:, outcome.traded_index]  # (n, K)
-    c_traded = outcome.producer_cost[:, outcome.traded_index]  # (m, K)
-    own = np.arange(n_pairs)
-    u_pairs = u_traded[src, own]
-    c_pairs = c_traded[tgt, own]
+    # U and C of each matched pair at its traded quality
+    u_pairs = outcome.consumer_gain[src, outcome.traded_index]
+    c_pairs = outcome.producer_cost[tgt, outcome.traded_index]
 
     pair_margin = v[src] + w[tgt] - (u_pairs - c_pairs)
     sup_dev = float(np.abs(pair_margin).max(initial=0.0))
-    if sup_dev > tol:
+    if sup_dev > _TOL:
         failures.append(f"support pairs miss surplus equality by {sup_dev:.3e}")
 
     # both sides of the split must reproduce the price
@@ -805,7 +779,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
             np.abs(producer_price - outcome.prices).max(initial=0.0),
         )
     )
-    if split_dev > tol:
+    if split_dev > _TOL:
         failures.append(f"price split inconsistent by {split_dev:.3e}")
 
     clearing = outcome.matching.marginal_error(
@@ -818,19 +792,19 @@ def verify_equilibrium(outcome: EquilibriumOutcome, tol: float = _TOL) -> Equili
     consumer_dev = -np.inf
     producer_dev = -np.inf
     if n_pairs > 1:
-        net_all = u_traded - outcome.prices[None, :]
+        net_all = outcome.consumer_gain[:, outcome.traded_index] - outcome.prices[None, :]
         gain = net_all.max(axis=1)[src] - (u_pairs - outcome.prices)
         consumer_dev = float(gain.max())
-        if consumer_dev > tol:
+        if consumer_dev > _TOL:
             t = int(np.argmax(gain))
             failures.append(
                 f"consumer {int(src[t])} gains "
                 f"{consumer_dev:.3e} by switching traded quality"
             )
-        profit_all = outcome.prices[None, :] - c_traded
+        profit_all = outcome.prices[None, :] - outcome.producer_cost[:, outcome.traded_index]
         gain_p = profit_all.max(axis=1)[tgt] - (outcome.prices - c_pairs)
         producer_dev = float(gain_p.max())
-        if producer_dev > tol:
+        if producer_dev > _TOL:
             t = int(np.argmax(gain_p))
             failures.append(
                 f"producer {int(tgt[t])} gains "

@@ -374,7 +374,7 @@ def _identify_via_transport(
     u_bar_grad[~price_valid] = np.nan
 
     v_grid = GridFunction(slice_.z_measure, duals.v_target)
-    zconv_ok, zconv_dev = is_zeta_convex(v_grid, f, x, ref.points, tol=1e-7)
+    zconv_ok, zconv_dev = is_zeta_convex(v_grid, f, x, ref.points)
     conj = zeta_conjugate(v_grid, f, x, ref.points)
     matching = _matching_from_plan(plan)
     diagnostics = {

@@ -97,6 +97,8 @@ _COARSE_STRIDE = 4
 # Smallest reduced costs of the dual guess listed per row and per column
 # for the first restricted transportation LP.
 _SHORTLIST_WIDTH = 8
+# Tolerance of check_cyclical_monotonicity.
+_CYCLE_TOL = 1e-9
 # Pricing tolerance of the shortlisted LP and stop of the dual chains, in
 # ulps of max|S|.
 _PRICING_ULPS = 4
@@ -672,13 +674,12 @@ def check_cyclical_monotonicity(
     k: int = 2,
     trials: int = 1000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> MonotonicityReport:
     """Sampled k-cycle optimality fingerprint of a plan's support.
 
     Draws `trials` random k-subsets of support pairs and checks that
     the cyclic reassignment does not increase total surplus.  Margins
-    below -tol are counted as violations.
+    below -_CYCLE_TOL are counted as violations.
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
@@ -698,9 +699,9 @@ def check_cyclical_monotonicity(
         margin = float(kept - swapped)
         if margin < worst:
             worst = margin
-            if margin < -tol:
+            if margin < -_CYCLE_TOL:
                 witness = list(zip(si.tolist(), sj.tolist()))
-        if margin < -tol:
+        if margin < -_CYCLE_TOL:
             violations += 1
     return MonotonicityReport(True, trials, violations, worst, witness)
 

@@ -328,9 +328,6 @@ class SurplusFamily:
     def eval_rows(self, x, eps, z) -> np.ndarray:
         return self._core.value(*self._rows(x, eps, z))
 
-    def eval(self, x, eps, z) -> float:
-        return float(self.eval_rows(x, eps, z)[0])
-
     # -- pairwise evaluation (surplus matrices) ---------------------------
     def pairwise(self, x, eps_points: np.ndarray, z_points: np.ndarray) -> np.ndarray:
         """Matrix of zeta(x, eps_i, z_j) for a fixed observable type."""
@@ -451,9 +448,6 @@ class ScalarFamily:
 
     def eval_rows(self, a, z) -> np.ndarray:
         return self._core.value(*self._rows(a, z))
-
-    def eval(self, a, z) -> float:
-        return float(self.eval_rows(a, z)[0])
 
     def pairwise_grid(self, a_rows, z_points) -> np.ndarray:
         """Matrix of f(a_i, z_g) over type rows i and grid nodes g."""
@@ -707,9 +701,14 @@ class TwistReport:
 
 # Distances (grid z times taste pairs) per chunk of the twist witness scan.
 _TWIST_CHUNK_CELLS = 1 << 16
+# check_twist fails on a smallest cross-Hessian singular value at or below
+# _TWIST_THRESHOLD, or on two tastes over _TWIST_WITNESS_TOL apart whose
+# quality gradients are within it.
+_TWIST_THRESHOLD = 1e-8
+_TWIST_WITNESS_TOL = 1e-9
 
 
-def _twist_witness(eps_pts, z_pts, grads, tol) -> Optional[tuple]:
+def _twist_witness(eps_pts, z_pts, grads) -> Optional[tuple]:
     """First grid z at which two distinct tastes share a quality gradient.
 
     grads[k, i] is grad_z zeta(x, eps_i, z_k); at each z the closest pair
@@ -731,21 +730,14 @@ def _twist_witness(eps_pts, z_pts, grads, tol) -> Optional[tuple]:
             sq += diff * diff
         dist = np.sqrt(sq)
         best = np.argmin(dist, axis=1)
-        for k in np.flatnonzero(dist.min(axis=1) <= tol):
+        for k in np.flatnonzero(dist.min(axis=1) <= _TWIST_WITNESS_TOL):
             i, j = first[best[k]], second[best[k]]
-            if not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=tol):
+            if not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=_TWIST_WITNESS_TOL):
                 return eps_pts[i].copy(), eps_pts[j].copy(), z_pts[k0 + k].copy()
     return None
 
 
-def check_twist(
-    f: SurplusFamily,
-    x,
-    eps_grid,
-    z_grid,
-    threshold: float = 1e-8,
-    witness_tol: float = 1e-9,
-) -> TwistReport:
+def check_twist(f: SurplusFamily, x, eps_grid, z_grid) -> TwistReport:
     """Sampled injectivity diagnostic for eps -> grad_z zeta(x, eps, z).
 
     Scans all grid pairs for distinct taste points with coinciding
@@ -763,7 +755,7 @@ def check_twist(
         raise ValueError("twist check needs non-empty grids")
 
     grads = f.grad_z_rows(x, np.tile(eps_pts, (n_z, 1)), np.repeat(z_pts, n_e, axis=0))
-    witness = _twist_witness(eps_pts, z_pts, grads.reshape(n_z, n_e, -1), witness_tol)
+    witness = _twist_witness(eps_pts, z_pts, grads.reshape(n_z, n_e, -1))
 
     sub_e = eps_pts[:: max(1, n_e // 25)]
     sub_z = z_pts[:: max(1, n_z // 25)]
@@ -775,10 +767,10 @@ def check_twist(
     max_hzz = float(np.linalg.norm(h_zz, 2, axis=(1, 2)).max())
 
     return TwistReport(
-        passed=(witness is None) and (min_sv > threshold),
+        passed=(witness is None) and (min_sv > _TWIST_THRESHOLD),
         min_singular_value=min_sv,
         witness=witness,
         inverse_cross_bound=float(max_inv),
         quality_hessian_bound=max_hzz,
-        threshold=threshold,
+        threshold=_TWIST_THRESHOLD,
     )

@@ -637,6 +637,52 @@ def test_conjugate_command(tmp_path):
     assert np.abs(out.values - 0.5 * out.grid.points[:, 0] ** 2).max() <= (4 / 160) ** 2
 
 
+REPORTS = {
+    "simulate": "sim_report.json",
+    "identify": "ident_diagnostics.json",
+    "transport": "transport_report.json",
+    "conjugate": "conjugate_report.json",
+    "check": "check_report.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_every_report_echoes_its_config(tmp_path, command):
+    from hedonic.conjugate import GridFunction, write_grid_function_csv
+
+    line = from_samples(np.linspace(-1.0, 1.0, 5)[:, None])
+    write_measure_csv(line, tmp_path / "line.csv")
+    write_grid_function_csv(GridFunction(line, 0.5 * line.points[:, 0] ** 2), tmp_path / "v.csv")
+    bilinear = {"kind": "bilinear", "dim": 1}
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 3,
+            "simulate": simulate_section(n=20, resolution=21),
+            "identify": {
+                "pipeline": "brenier",
+                "dataset": str(tmp_path / "dataset.csv"),
+                "eps_spec": UNIT_BOX_2D,
+                "outputs": {"prefix": "ident"},
+            },
+            "transport": {
+                "source": str(tmp_path / "line.csv"),
+                "target": str(tmp_path / "line.csv"),
+                "zeta": bilinear,
+            },
+            "conjugate": {
+                "grid_function": str(tmp_path / "v.csv"),
+                "zeta": bilinear,
+                "eps_grid": {"lo": [-1.0], "hi": [1.0], "resolution": 5},
+            },
+            "check": {"equilibrium": {"simulate": simulate_section(n=20, resolution=21)}},
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "config" in json.loads((tmp_path / REPORTS[command]).read_text())
+
+
 def test_missing_config_exits_1(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -170,7 +170,7 @@ def test_order_reversal():
 
 def test_is_zeta_convex_on_solver_duals():
     mu, nu, f, v = _solver_dual_grid(4)
-    ok, dev = is_zeta_convex(v, f, NO_X, mu.points, tol=1e-7)
+    ok, dev = is_zeta_convex(v, f, NO_X, mu.points)
     assert ok and dev <= 1e-7
 
 

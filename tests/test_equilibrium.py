@@ -761,7 +761,7 @@ def test_fresh_output_passes_at_tight_tolerance():
         spec, POINT_X, UNIT_1D, UNIT_1D, 40, 40,
         z_grid=build_z_grid([0.0], [3.0], 800), seed=4,
     )
-    rep = verify_equilibrium(out, tol=1e-7)
+    rep = verify_equilibrium(out)
     assert rep.passed
     assert rep.stability_min_margin >= -1e-7
 

@@ -35,24 +35,24 @@ def rel_err(a, b):
 
 def test_bilinear_inner_product():
     f = SurplusFamily.bilinear(2)
-    assert f.eval(NO_X, [1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert f.eval_rows(NO_X, [1.0, 2.0], [3.0, 4.0])[0] == 11.0
 
 
 def test_neg_quadratic_vanishes_on_diagonal():
     f = SurplusFamily.neg_quadratic(np.eye(2))
-    assert f.eval(NO_X, [0.3, -0.7], [0.3, -0.7]) == 0.0
+    assert f.eval_rows(NO_X, [0.3, -0.7], [0.3, -0.7])[0] == 0.0
 
 
 def test_polynomial_direct_value():
     # zeta = z * eps^2
     f = SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1)
-    assert f.eval(NO_X, [2.0], [3.0]) == 12.0
+    assert f.eval_rows(NO_X, [2.0], [3.0])[0] == 12.0
 
 
 def test_dimension_mismatch_rejected():
     f = SurplusFamily.bilinear(2)
     with pytest.raises(ValueError):
-        f.eval(NO_X, [1.0], [1.0, 2.0])
+        f.eval_rows(NO_X, [1.0], [1.0, 2.0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_polynomial_grad_eps_matches_fd():
     f = SurplusFamily.polynomial([{"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1)
     analytic = f.grad_eps(NO_X, [2.0], [3.0])
     assert analytic[0] == 12.0
-    fd = central_grad(lambda e: f.eval(NO_X, e, [3.0]), np.array([2.0]))
+    fd = central_grad(lambda e: f.eval_rows(NO_X, e, [3.0])[0], np.array([2.0]))
     assert rel_err(analytic, fd) <= 1e-6
 
 
@@ -137,8 +137,8 @@ def test_gradients_match_finite_differences(f):
         z = rng.uniform(-1, 1, size=f.d_z)
         gz = f.grad_z(x, eps, z)
         ge = f.grad_eps(x, eps, z)
-        fd_z = central_grad(lambda v: f.eval(x, eps, v), z)
-        fd_e = central_grad(lambda v: f.eval(x, v, z), eps)
+        fd_z = central_grad(lambda v: f.eval_rows(x, eps, v)[0], z)
+        fd_e = central_grad(lambda v: f.eval_rows(x, v, z)[0], eps)
         assert rel_err(gz, fd_z) <= 1e-6
         assert rel_err(ge, fd_e) <= 1e-6
         cross = f.cross_hessian(x, eps, z)
@@ -154,7 +154,7 @@ def test_gradients_match_finite_differences(f):
 def test_eval_is_pure():
     f = SurplusFamily.neg_quadratic(np.eye(2))
     args = (NO_X, np.array([0.1, 0.2]), np.array([0.4, -0.3]))
-    assert f.eval(*args) == f.eval(*args)
+    assert f.eval_rows(*args)[0] == f.eval_rows(*args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_scalar_neg_quadratic_with_affine_center():
         np.eye(2), center_matrix=[[1.0], [0.0]], center_offset=[0.0, 2.0], d_a=1
     )
     # center at a=3 is (3, 2); value at z = center is 0
-    assert fam.eval([3.0], [3.0, 2.0]) == 0.0
+    assert fam.eval_rows([3.0], [3.0, 2.0])[0] == 0.0
     g = fam.grad_z([3.0], [4.0, 2.0])
     assert np.allclose(g, [-1.0, 0.0])
 
@@ -217,7 +217,7 @@ def test_scalar_polynomial_pairwise_grid_matches_rows():
     grid = fam.pairwise_grid(a, z)
     for i in range(2):
         for g in range(3):
-            assert abs(grid[i, g] - fam.eval(a[i], z[g])) < 1e-12
+            assert abs(grid[i, g] - fam.eval_rows(a[i], z[g])[0]) < 1e-12
 
 
 def test_config_round_trips():
@@ -227,14 +227,14 @@ def test_config_round_trips():
         x = rng.normal(size=f.d_x)
         eps = rng.normal(size=f.d_z)
         z = rng.normal(size=f.d_z)
-        assert back.eval(x, eps, z) == f.eval(x, eps, z)
+        assert back.eval_rows(x, eps, z)[0] == f.eval_rows(x, eps, z)[0]
     spec = StructuralSpec(
         u_bar=ScalarFamily.neg_quadratic(np.eye(1), center_offset=[2.0], d_a=1),
         cost=ScalarFamily.polynomial([{"coeff": 0.5, "z": [2]}], 1, 1),
         zeta=SurplusFamily.bilinear(1, d_x=1),
     )
     back = StructuralSpec.from_config(spec.to_config())
-    assert back.u_bar.eval([1.0], [1.5]) == spec.u_bar.eval([1.0], [1.5])
+    assert back.u_bar.eval_rows([1.0], [1.5])[0] == spec.u_bar.eval_rows([1.0], [1.5])[0]
 
 
 def test_invalid_neg_quadratic_rejected():
