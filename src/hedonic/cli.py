@@ -143,7 +143,6 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
     n_ref = section.get("n_ref")
     mode = section.get("reference_mode", "sample")
     prefix = section.get("outputs", {}).get("prefix", "identified")
-    k_neighbors = section.get("k_neighbors")
 
     if pipeline == "simeq":
         cells = ident.simultaneous_equations_identify(
@@ -176,11 +175,9 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
             if pipeline == "brenier":
                 return ident.brenier_identify(
                     slice_, eps_spec, cell_ref, seed=child_seed, reference_mode=mode,
-                    k_neighbors=k_neighbors,
                 )
             return ident.general_identify(
-                slice_, eps_spec, zeta, cell_ref, seed=child_seed,
-                reference_mode=mode, k_neighbors=k_neighbors,
+                slice_, eps_spec, zeta, cell_ref, seed=child_seed, reference_mode=mode,
             )
 
         # a generator, so each cell's CSV is written before the next is solved
@@ -330,6 +327,9 @@ def _check_equilibrium(section: dict, seed: int) -> dict:
 
 
 def _check_plan(section: dict) -> dict:
+    for key in ("cycles", "duals"):
+        if key in section and "zeta" not in section:
+            raise ValueError(f"check.plan.{key} needs a check.plan.zeta surplus")
     mu = measures.read_measure_csv(section["source"])
     nu = measures.read_measure_csv(section["target"])
     plan = ot.read_plan_csv(section["plan"], (mu.n, nu.n))
@@ -388,13 +388,10 @@ def _check_twist_section(section: dict) -> dict:
     x = _zeta_x(section, family)
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"])
     eps_grid = measures.reference_lattice(eps_spec, int(section.get("n_grid", 64)))
-    if "z_csv" in section:
-        z_grid = measures.read_measure_csv(section["z_csv"])
-    else:
-        grid_cfg = section["z_grid"]
-        z_grid = measures.from_samples(
-            eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg.get("resolution", 8))
-        )
+    grid_cfg = section["z_grid"]
+    z_grid = measures.from_samples(
+        eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg.get("resolution", 8))
+    )
     report = check_twist(family, x, eps_grid, z_grid)
     return {
         "passed": bool(report.passed),
@@ -408,18 +405,20 @@ def _check_twist_section(section: dict) -> dict:
 
 def cmd_check(config: dict, seed: int, out_dir: str) -> int:
     section = config["check"]
+    checks = {
+        "equilibrium": lambda sub: _check_equilibrium(sub, seed),
+        "plan": _check_plan,
+        "twist": _check_twist_section,
+    }
+    ran = [name for name in checks if name in section]
+    if not ran or set(section) - set(checks) - {"outputs"}:
+        raise ValueError(
+            f"check takes one or more of {sorted(checks)} and outputs, got {sorted(section)}"
+        )
     results = {"config": section, "seed": seed}
-    passed = True
-    if "equilibrium" in section:
-        results["equilibrium"] = _check_equilibrium(section["equilibrium"], seed)
-        passed = passed and results["equilibrium"]["passed"]
-    if "plan" in section:
-        results["plan"] = _check_plan(section["plan"])
-        passed = passed and results["plan"]["passed"]
-    if "twist" in section:
-        results["twist"] = _check_twist_section(section["twist"])
-        passed = passed and results["twist"]["passed"]
-    results["passed"] = bool(passed)
+    for name in ran:
+        results[name] = checks[name](section[name])
+    passed = results["passed"] = all(results[name]["passed"] for name in ran)
     outputs = section.get("outputs", {})
     measures.write_json(
         results, _out_path(out_dir, outputs.get("report", "check_report.json"))

@@ -16,8 +16,10 @@ Four routes, all per x-cell:
   gradient of a convex function.
 
 Every route discretizes its reference taste law through one gate, which
-refuses a law with a point axis (it has no density to transport), and the
-three transport routes share one exact-transport core.
+refuses a law with a point axis (it has no density to transport) and
+otherwise returns n_ref seeded draws or the n_ref-point rank-1 quantile
+lattice, uniform weights either way; the three transport routes share one
+exact-transport core.
 
 Averaged partial effects (the mean observed price gradient per cell)
 are available without fixing the whole taste law.
@@ -100,21 +102,19 @@ class ForwardMapEstimate:
 
 def _reference_measure(
     eps_spec: DistributionSpec, n_ref: int, seed: int, mode: str
-) -> tuple[DiscreteMeasure, Optional[list]]:
-    """The discretized reference taste law and, for a lattice, its per-axis
-    counts (None for a sample)."""
+) -> DiscreteMeasure:
+    """The discretized reference taste law: n_ref seeded draws or the
+    n_ref-point lattice, uniform weights either way."""
     if not eps_spec.is_absolutely_continuous:
         raise ValueError("reference taste law must be absolutely continuous")
     if mode == "sample":
-        return sample_reference(eps_spec, n_ref, seed), None
+        return sample_reference(eps_spec, n_ref, seed)
     if mode == "lattice":
-        return reference_lattice(eps_spec, n_ref), list(eps_spec.lattice_shape(n_ref))
+        return reference_lattice(eps_spec, n_ref)
     raise ValueError(f"unknown reference mode {mode!r}")
 
 
-def _transport_reference(
-    ref: DiscreteMeasure, shape: Optional[list], f: SurplusFamily, slice_: ConditionalSlice
-):
+def _transport_reference(ref: DiscreteMeasure, f: SurplusFamily, slice_: ConditionalSlice):
     """Exact transport from the reference to one cell's traded qualities
     under f: (surplus matrix, plan, duals, the solve's diagnostics)."""
     nu = slice_.z_measure
@@ -126,8 +126,6 @@ def _transport_reference(
         "duality_gap": float(abs(plan.objective - duals.objective(ref.weights, nu.weights))),
         "solver_path": exact_solver_path(ref.weights, nu.weights),
     }
-    if shape is not None:
-        diagnostics["reference_shape"] = shape
     return s, plan, duals, diagnostics
 
 
@@ -255,7 +253,7 @@ def scalar_identify(
     z = slice_.z_measure.points[:, 0]
     w = slice_.z_measure.weights
     m = z.shape[0]
-    ref, _ = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
     eps_vals = ref.points[:, 0]
 
     order = np.argsort(z, kind="stable")
@@ -332,12 +330,11 @@ def _identify_via_transport(
     n_ref: int,
     seed: int,
     reference_mode: str,
-    k_neighbors: Optional[int],
 ) -> IdentifiedPotential:
     d_z = slice_.z_measure.dim
     if f.d_z != d_z:
         raise ValueError("surplus family dimension must match the data")
-    ref, shape = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
     x = slice_.x_value
 
     # a bilinear surplus is the Brenier route: twist holds exactly, so it
@@ -359,12 +356,12 @@ def _identify_via_transport(
             "inverse_cross_bound": report.inverse_cross_bound,
         }
 
-    s, plan, duals, solved = _transport_reference(ref, shape, f, slice_)
+    s, plan, duals, solved = _transport_reference(ref, f, slice_)
     inverse_demand, valid_cols = barycentric_projection(plan, ref.points)
     if not np.all(valid_cols):
         raise RuntimeError("optimal plan left a traded quality unmatched")
 
-    k = default_neighbor_count(d_z) if k_neighbors is None else int(k_neighbors)
+    k = default_neighbor_count(d_z)
     order = _neighbour_order(slice_.z_measure.points)
     price_grads, price_valid = local_price_gradients(
         slice_.z_measure.points, slice_.prices, k, order
@@ -417,7 +414,6 @@ def brenier_identify(
     n_ref: int,
     seed: int = 0,
     reference_mode: str = "sample",
-    k_neighbors: Optional[int] = None,
 ) -> IdentifiedPotential:
     """Identification with marginal utility linear in taste.
 
@@ -427,9 +423,7 @@ def brenier_identify(
     demand is the barycentric projection of the optimal plan.
     """
     f = SurplusFamily.bilinear(slice_.z_measure.dim)
-    return _identify_via_transport(
-        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors
-    )
+    return _identify_via_transport(slice_, eps_spec, f, n_ref, seed, reference_mode)
 
 
 def general_identify(
@@ -439,16 +433,13 @@ def general_identify(
     n_ref: int,
     seed: int = 0,
     reference_mode: str = "sample",
-    k_neighbors: Optional[int] = None,
 ) -> IdentifiedPotential:
     """Identification under the taste-injectivity (twist) condition.
 
     Refuses (with a witness) when the sampled injectivity diagnostic
     fails.  With a bilinear family this is exactly the Brenier route.
     """
-    return _identify_via_transport(
-        slice_, eps_spec, f, n_ref, seed, reference_mode, k_neighbors
-    )
+    return _identify_via_transport(slice_, eps_spec, f, n_ref, seed, reference_mode)
 
 
 def simultaneous_equations_identify(
@@ -467,11 +458,11 @@ def simultaneous_equations_identify(
     h(eps_i) is the mass-weighted mean outcome of reference point i.
     Every cell shares one reference.  Prices in the dataset are ignored.
     """
-    ref, shape = _reference_measure(eps_spec, n_ref, seed, reference_mode)
+    ref = _reference_measure(eps_spec, n_ref, seed, reference_mode)
     f = SurplusFamily.bilinear(dataset.d_z)
     out = []
     for slice_ in partition_by_x(dataset, scheme, widths):
-        _, plan, _, solved = _transport_reference(ref, shape, f, slice_)
+        _, plan, _, solved = _transport_reference(ref, f, slice_)
         # forward barycentric projection: mean outcome per reference point
         z_hat, matched = barycentric_projection(
             plan.transpose(), slice_.z_measure.points
@@ -489,17 +480,14 @@ def simultaneous_equations_identify(
     return out
 
 
-def averaged_partial_effects(
-    slice_: ConditionalSlice, k_neighbors: Optional[int] = None
-) -> np.ndarray:
+def averaged_partial_effects(slice_: ConditionalSlice) -> np.ndarray:
     """Cell-weighted average of local price gradients, E[grad p(Z) | x].
 
     Identified without fixing the whole taste law (a mean-zero
     normalization is enough); rank-deficient neighborhoods are skipped
     with a warning.
     """
-    d_z = slice_.z_measure.dim
-    k = default_neighbor_count(d_z) if k_neighbors is None else int(k_neighbors)
+    k = default_neighbor_count(slice_.z_measure.dim)
     m = slice_.z_measure.n
     if m < k + 1:
         raise ValueError(

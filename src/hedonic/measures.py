@@ -1,7 +1,8 @@
 """Discrete probability measures, market observations, and conditioning.
 
 Everything downstream works with weighted point clouds: reference taste
-distributions are discretized into `DiscreteMeasure` objects, observed
+distributions are discretized into `DiscreteMeasure` objects (seeded draws,
+or an n-point rank-1 lattice through the per-axis quantiles), observed
 markets are `MarketDataset` rows (x, z, p), and identification runs on
 `ConditionalSlice` objects obtained by grouping rows on the observable
 type x.  All containers are immutable after construction.
@@ -405,33 +406,23 @@ class DistributionSpec:
         u = rng.random((n, d)) if self.is_absolutely_continuous else np.zeros((n, d))
         return np.column_stack([self._axis_ppf(k, u[:, k]) for k in range(d)])
 
-    def lattice_shape(self, n: int) -> tuple:
-        """Per-axis node counts of `lattice(n)`.
+    def lattice(self, n: int) -> np.ndarray:
+        """The n-point rank-1 (Korobov) lattice through the per-axis quantiles.
 
-        Exactly n points when n has a balanced factorization: counts
-        k_1 <= ... <= k_d with product n and k_d <= 2 k_1, the one with
-        the smallest k_d / k_1 (so d = 1 and perfect powers give n^(1/d)
-        per axis).  Otherwise k = round(n^(1/d)) on every axis, k^d points.
-        A point spec has a single node.
+        Point i has uniform coordinates ((i (1, g, ..., g^(d-1)) mod n) + 0.5)
+        / n, g from `_korobov_generator`; since g is coprime to n, axis a holds
+        each of its (k + 0.5)/n quantiles once, and with d = 1 the points are
+        those quantiles in order.  With uniform weights the n points make
+        n * weights integral for exact transport.  A spec with a point axis
+        has a single node.
         """
         if n < 1:
             raise ValueError("need n >= 1 lattice points")
-        d = self.dim
         if not self.is_absolutely_continuous:
-            return (1,) * d
-        balanced = [k for k in _ordered_factorizations(n, d, 1) if k[-1] <= 2 * k[0]]
-        if balanced:
-            return min(balanced, key=lambda k: (k[-1] / k[0], k))
-        return (max(1, int(round(n ** (1.0 / d)))),) * d
-
-    def lattice(self, n: int) -> np.ndarray:
-        """Deterministic quantile lattice of `lattice_shape(n)` nodes.
-
-        Axis a holds its (i+0.5)/k_a quantiles; with uniform weights an
-        n-point lattice makes n * weights integral for exact transport.
-        """
-        shape = self.lattice_shape(n)
-        return product_grid([self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)])
+            n = 1
+        g = _korobov_generator(n, self.dim)
+        r = np.outer(np.arange(n), [pow(g, a, n) for a in range(self.dim)]) % n
+        return np.column_stack([self._axis_ppf(a, (r[:, a] + 0.5) / n) for a in range(self.dim)])
 
     # -- config -------------------------------------------------------
     @staticmethod
@@ -448,18 +439,34 @@ class DistributionSpec:
         raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def _ordered_factorizations(n: int, d: int, lo: int):
-    """Every nondecreasing d-tuple of integers >= lo whose product is n."""
-    if d == 1:
-        if n >= lo:
-            yield (n,)
-        return
-    k = lo
-    while k**d <= n:
-        if n % k == 0:
-            for rest in _ordered_factorizations(n // k, d - 1, k):
-                yield (k,) + rest
-        k += 1
+# (candidate, offset) pairs scored per vectorised pass: 256 KB int64 arrays,
+# small enough to stay in cache.
+_SEARCH_CELLS = 1 << 15
+
+
+def _korobov_generator(n: int, d: int) -> int:
+    """Generator g of the rank-1 lattice {i (1, g, ..., g^(d-1)) mod n}.
+
+    Among 1 <= g <= n/2 coprime to n, the g whose lattice has the largest
+    minimum toroidal distance between points, ties to the smallest g.  A
+    lattice is a group, so that distance is the shortest offset i = 1..n-1
+    from point 0; the candidates are scored in chunks of _SEARCH_CELLS
+    (candidate, offset) pairs, in exact integer arithmetic.
+    """
+    g = np.arange(1, n // 2 + 1, dtype=np.int64)
+    g = g[np.gcd(g, n) == 1]
+    if d == 1 or g.size < 2:  # one axis, or at most one candidate: nothing to choose
+        return 1
+    i = np.arange(1, n)
+    shortest = []
+    for gs in np.array_split(g[:, None], -(-g.size * n // _SEARCH_CELLS)):
+        dist, power = np.minimum(i, n - i) ** 2, gs
+        for _ in range(1, d):
+            r = power * i % n
+            dist = dist + np.minimum(r, n - r) ** 2
+            power = power * gs % n
+        shortest.append(dist.min(axis=1))
+    return int(g[np.argmax(np.concatenate(shortest))])
 
 
 def sample_reference(spec: DistributionSpec, n: int, seed: int) -> DiscreteMeasure:
@@ -469,8 +476,8 @@ def sample_reference(spec: DistributionSpec, n: int, seed: int) -> DiscreteMeasu
 
 
 def reference_lattice(spec: DistributionSpec, n: int) -> DiscreteMeasure:
-    """Deterministic lattice discretization (`spec.lattice_shape(n)` nodes,
-    uniform weights)."""
+    """Deterministic lattice discretization (`spec.lattice(n)`, uniform
+    weights)."""
     return from_samples(spec.lattice(n))
 
 

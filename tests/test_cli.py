@@ -134,6 +134,31 @@ def test_identify_without_n_ref_sizes_each_cell_reference_by_its_rows(tmp_path):
     assert sum(sizes) == 60 and sizes[0] != sizes[1]
 
 
+def test_identify_without_n_ref_gives_a_prime_cell_an_exact_lattice(tmp_path):
+    # 97 rows in one cell: the reference lattice has 97 points, so the
+    # transport takes the replicated assignment, not the LP
+    cfg = write_config(
+        tmp_path,
+        {
+            "seed": 5,
+            "simulate": simulate_section(n=97),
+            "identify": {
+                "pipeline": "brenier",
+                "dataset": str(tmp_path / "dataset.csv"),
+                "eps_spec": UNIT_BOX_2D,
+                "reference_mode": "lattice",
+                "outputs": {"prefix": "ident"},
+            },
+        },
+    )
+    out = str(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert main(["identify", "--config", cfg, "--out", out]) == 0
+    (cell,) = json.loads((tmp_path / "ident_diagnostics.json").read_text())["cells"]
+    assert cell["n_ref"] == 97
+    assert cell["solver_path"] == "replicated"
+
+
 def test_simulate_report_counts_max_plus_cells_for_any_thread_split(tmp_path):
     # the product runs on the calling thread, so there is no split to vary
     cfg = write_config(tmp_path, {"seed": 3, "simulate": simulate_section(n=60)})
@@ -551,6 +576,47 @@ def test_check_rejects_bad_plan_indices(tmp_path, text):
         },
     )
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [({"equilibirum": {"simulate": simulate_section(n=20, resolution=21)}}, "['equilibirum']"),
+     ({}, "got []"),
+     ({"outputs": {"report": "check_report.json"}}, "got ['outputs']")],
+    ids=["misspelled-section", "empty", "outputs-only"],
+)
+def test_check_without_a_known_check_section_exits_1(tmp_path, capsys, section, key):
+    cfg = write_config(tmp_path, {"seed": 5, "check": section})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("duals", "duals.csv"), ("cycles", {"k": 2})],
+                         ids=["duals", "cycles"])
+def test_check_plan_needs_zeta_for_its_duals_and_cycles(tmp_path, capsys, key, value):
+    # an anti-assortative plan of two points on a line with zero duals:
+    # under the bilinear surplus it is not optimal, so its cycles and
+    # duals fail the check
+    pts = from_samples(np.array([[0.0], [1.0]]))
+    write_measure_csv(pts, tmp_path / "mu.csv")
+    write_measure_csv(pts, tmp_path / "nu.csv")
+    (tmp_path / "plan.csv").write_text("i,j,mass\n0,1,0.5\n1,0,0.5\n")
+    (tmp_path / "duals.csv").write_text(
+        "side,idx,value\nsource,0,0\nsource,1,0\ntarget,0,0\ntarget,1,0\npin,0,0\n"
+    )
+    plan = {
+        "plan": str(tmp_path / "plan.csv"),
+        "source": str(tmp_path / "mu.csv"),
+        "target": str(tmp_path / "nu.csv"),
+        key: str(tmp_path / value) if key == "duals" else value,
+    }
+    cfg = write_config(tmp_path, {"seed": 0, "check": {"plan": plan}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"check.plan.{key}" in capsys.readouterr().err
+    plan["zeta"] = {"kind": "bilinear", "dim": 1}
+    cfg = write_config(tmp_path, {"seed": 0, "check": {"plan": plan}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Measures, partitioning, reference sampling, and quantile tests."""
 
 import dataclasses
-import itertools
+import math
 import os
 import tempfile
 
@@ -19,7 +19,7 @@ from hedonic.measures import (
     DistributionSpec,
     MarketDataset,
     PriceConflictError,
-    _ordered_factorizations,
+    _korobov_generator,
     empirical_cdf,
     empirical_cdf_quantile,
     from_samples,
@@ -284,7 +284,7 @@ def test_product_spec_sampling_and_lattice():
     m = sample_reference(spec, 500, seed=2)
     assert np.all(m.points[:, 0] >= 0.0) and np.all(m.points[:, 0] <= 2.0)
     lat = reference_lattice(spec, 100)
-    assert lat.n == 100  # 10 x 10
+    assert lat.n == 100
 
 
 def test_uniform_lattice_hits_midpoints():
@@ -294,7 +294,7 @@ def test_uniform_lattice_hits_midpoints():
 
 
 def _old_lattice(spec, n):
-    """The k = round(n^(1/d)) lattice rule of earlier versions."""
+    """The k = round(n^(1/d)) product lattice rule of earlier versions."""
     d = spec.dim
     k = max(1, int(round(n ** (1.0 / d))))
     q = (np.arange(k) + 0.5) / k
@@ -302,70 +302,39 @@ def _old_lattice(spec, n):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _balanced_shapes(n, d):
-    """Every nondecreasing d-tuple with product n and k_d <= 2 k_1, by brute force."""
-    divisors = [k for k in range(1, n + 1) if n % k == 0]
-    return [
-        k for k in itertools.combinations_with_replacement(divisors, d)
-        if np.prod(k) == n and k[-1] <= 2 * k[0]
-    ]
+def loop_korobov_generator(n, d):
+    """Reference generator search: one Python iteration per candidate g."""
+    best, best_dist = 1, -1
+    i = np.arange(1, n)
+    for g in range(1, n // 2 + 1):
+        if math.gcd(g, n) != 1:
+            continue
+        r = np.outer(i, [pow(g, a, n) for a in range(d)]) % n
+        dist = int((np.minimum(r, n - r) ** 2).sum(axis=1).min())
+        if dist > best_dist:
+            best, best_dist = g, dist
+    return best
 
 
-LATTICE_SPECS = {
-    2: [
-        DistributionSpec.uniform([0.0, -1.0], [1.0, 3.0]),
-        DistributionSpec.product(
-            [{"kind": "normal", "mu": 1.0, "sigma": 0.5}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}]
-        ),
-    ],
-    3: [
-        DistributionSpec.gaussian(3, [-1.0, -2.0, 0.0], [1.0, 1.0, 2.0]),
-        DistributionSpec.gaussian(3),
-    ],
-}
+@pytest.mark.parametrize("cells", [200, 1000, 1 << 15])
+def test_generator_search_matches_the_loop_in_any_chunking(monkeypatch, cells):
+    monkeypatch.setattr("hedonic.measures._SEARCH_CELLS", cells)
+    for d in (1, 2, 3):
+        for n in range(1, 130):
+            assert _korobov_generator(n, d) == loop_korobov_generator(n, d), (n, d)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([2, 3]), st.integers(1, 2000), st.integers(0, 1))
-@example(2, 196, 0)  # 14^2
-@example(2, 200, 1)  # 10 x 20
-@example(3, 1999, 0)  # 10^3
-@example(3, 47, 1)  # 24 = 2 x 3 x 4
-def test_lattice_honours_n_on_balanced_factorizations(d, n, which):
-    n = n if d == 2 else (n + 1) // 2  # d = 3 draws n <= 1000
-    spec = LATTICE_SPECS[d][which]
-    shape = spec.lattice_shape(n)
-    points = spec.lattice(n)
-    balanced = _balanced_shapes(n, d)
-    if balanced:
-        assert points.shape == (n, d)
-        assert shape in balanced
-        assert shape[-1] / shape[0] == min(k[-1] / k[0] for k in balanced)
-    else:
-        k = max(1, int(round(n ** (1.0 / d))))
-        assert shape == (k,) * d and points.shape == (k**d, d)
-    for a, k in enumerate(shape):
-        q = (np.arange(k) + 0.5) / k
-        assert np.array_equal(np.unique(points[:, a]), np.sort(spec._axis_ppf(a, q)))
-    root = int(round(n ** (1.0 / d)))
-    if root**d == n:
-        assert points.tobytes() == _old_lattice(spec, n).tobytes()
-
-
-@pytest.mark.parametrize(
-    "d, n", [(1, 1), (1, 7), (1, 200), (1, 301), (2, 1), (2, 64), (2, 100), (3, 343), (3, 1000)]
-)
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 7), (1, 200), (1, 301)])
 def test_lattice_keeps_the_old_rule_for_powers_and_one_axis(d, n):
+    # on one axis every n is a perfect power, n = n^1
     spec = DistributionSpec.gaussian(d)
     assert spec.lattice(n).tobytes() == _old_lattice(spec, n).tobytes()
 
 
 def test_round_trip_sizes_get_exact_lattices():
     spec = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
-    assert spec.lattice_shape(200) == (10, 20)
-    assert spec.lattice_shape(300) == (15, 20)
-    assert spec.lattice_shape(24) == (4, 6)
-    assert spec.lattice_shape(13) == (4, 4)  # prime: old k^d rule
+    for n in (13, 24, 100, 200, 300, 400):
+        assert spec.lattice(n).shape == (n, 2)
     assert reference_lattice(spec, 200).n == 200
 
 
@@ -445,22 +414,12 @@ class KindDispatchSpec:
         u = rng.random((n, d))
         return np.column_stack([self._axis_ppf(k, u[:, k]) for k in range(d)])
 
-    def lattice_shape(self, n):
-        d = self.dim
-        if self.kind == "point":
-            return (1,) * d
-        balanced = [k for k in _ordered_factorizations(n, d, 1) if k[-1] <= 2 * k[0]]
-        if balanced:
-            return min(balanced, key=lambda k: (k[-1] / k[0], k))
-        return (max(1, int(round(n ** (1.0 / d)))),) * d
-
     def lattice(self, n):
-        shape = self.lattice_shape(n)
         if self.kind == "point":
             return np.tile(self.params["value"], (1, 1))
-        axes = [self._axis_ppf(a, (np.arange(k) + 0.5) / k) for a, k in enumerate(shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        g = loop_korobov_generator(n, self.dim)
+        q = (np.outer(np.arange(n), [pow(g, a, n) for a in range(self.dim)]) % n + 0.5) / n
+        return np.column_stack([self._axis_ppf(a, q[:, a]) for a in range(self.dim)])
 
 
 @st.composite
@@ -508,8 +467,29 @@ def test_marginal_spec_equals_the_kind_dispatch_spec_bitwise(cfg, n, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert_same_bits(spec.sample(n, rng), ref.sample(n, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert spec.lattice_shape(n) == ref.lattice_shape(n)
     assert_same_bits(spec.lattice(n), ref.lattice(n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec_configs(), st.integers(1, 400))
+@example({"kind": "uniform", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, 97)
+@example({"kind": "gaussian", "dim": 3}, 343)
+@example({"kind": "gaussian", "dim": 1}, 301)
+@example({"kind": "point", "value": [2.0, -0.0]}, 5)
+def test_lattice_has_n_points_holding_each_quantile_once_per_axis(cfg, n):
+    spec = DistributionSpec.from_config(cfg)
+    points = spec.lattice(n)
+    if not spec.is_absolutely_continuous:
+        assert_same_bits(points, np.array([cfg["value"]], dtype=float))
+        return
+    # the uniform coordinates: the unit box's quantile maps are the identity
+    q = DistributionSpec.uniform([0.0] * spec.dim, [1.0] * spec.dim).lattice(n)
+    assert points.shape == q.shape == (n, spec.dim)
+    for a in range(spec.dim):
+        assert_same_bits(np.sort(q[:, a]), (np.arange(n) + 0.5) / n)
+        assert_same_bits(points[:, a], spec._axis_ppf(a, q[:, a]))
+    if spec.dim == 1:
+        assert_same_bits(points, _old_lattice(spec, n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
-from hedonic.measures import DistributionSpec, from_samples, reference_lattice
+from hedonic.measures import from_samples, product_grid
 from hedonic.ot import (
     SPARSITY_THRESHOLD,
     DualPair,
@@ -899,11 +899,12 @@ def test_ordered_pass_skips_a_reached_target_without_a_support_pair():
 
 
 def readme_identification_instance():
-    """README spec, as identification sees it at n = 300: a 300-point eps
-    lattice on the unit box against qualities on the 52^2 grid over
-    [1.9, 3.1]^2, duplicates merged into count / 300 weights."""
+    """README spec at n = 300, a float instance whose full sweep runs to
+    its cap: the 15 x 20 product lattice of quantile midpoints on the unit
+    box against qualities on the 52^2 grid over [1.9, 3.1]^2, duplicates
+    merged into count / 300 weights."""
     rng = np.random.default_rng(0)
-    mu = reference_lattice(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), 300)
+    mu = from_samples(product_grid([(np.arange(k) + 0.5) / k for k in (15, 20)]))
     grid = np.linspace(1.9, 3.1, 52)
     z = grid[rng.integers(0, 52, size=(300, 2))]
     points, counts = np.unique(z, axis=0, return_counts=True)
