@@ -1,9 +1,10 @@
 """Command-line front end: simulate, identify, transport, conjugate, check.
 
 Every run is driven by a JSON config file plus a root seed; exact-solver
-commands are byte-deterministic given (config, seed).  The resolved
-configuration is echoed into each output report so runs are
-self-describing.
+commands are byte-deterministic given (config, seed).  Each config
+mapping is read once, by `measures.read_config`, and a key it does not
+take is a config error.  Each report echoes its command section as
+resolved, defaults filled in, so runs are self-describing.
 
 Exit codes: 0 ok, 1 usage/config error, 2 verification failure,
 3 quality-grid boundary abort, 4 twist-check refusal.
@@ -41,20 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _out_path(out_dir: str, rel: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, rel)
 
 
-def _zeta_x(section: dict, family: SurplusFamily) -> np.ndarray:
-    if "x" in section:
-        return np.asarray(section["x"], dtype=float).ravel()
-    return np.zeros(family.d_x)
+def _zeta_x(x, family: SurplusFamily) -> np.ndarray:
+    return np.zeros(family.d_x) if x is None else np.asarray(x, dtype=float).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -62,58 +56,49 @@ def _zeta_x(section: dict, family: SurplusFamily) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_simulate(section: dict, seed: int) -> dict:
-    resolved = {
-        "structural": section["structural"],
-        "x_spec": section["x_spec"],
-        "eps_spec": section["eps_spec"],
-        "producer_spec": section["producer_spec"],
+def _read_simulate(raw, where: str, seed: int) -> tuple:
+    """A simulate section as resolved, and the keyword arguments of
+    simulate_market and certify_dataset for its market under the seed."""
+    section = measures.read_config(
+        raw, where,
+        ("structural", "x_spec", "eps_spec", "producer_spec", "n_consumers", "n_producers",
+         "z_grid"),
+        boundary_threshold=0.01,
+        outputs={"dataset": "dataset.csv", "report": "simulate_report.json"},
+    )
+    grid = section["z_grid"] = measures.read_config(
+        section["z_grid"], f"{where}.z_grid", ("lo", "hi", "resolution")
+    )
+    return section, {
+        "spec": StructuralSpec.from_config(section["structural"], f"{where}.structural"),
+        **{
+            key: measures.DistributionSpec.from_config(section[key], f"{where}.{key}")
+            for key in ("x_spec", "eps_spec", "producer_spec")
+        },
         "n_consumers": int(section["n_consumers"]),
         "n_producers": int(section["n_producers"]),
-        "z_grid": section["z_grid"],
-        "boundary_threshold": float(section.get("boundary_threshold", 0.01)),
+        "z_grid": eq.build_z_grid(grid["lo"], grid["hi"], grid["resolution"]),
         "seed": seed,
-        "outputs": {
-            "dataset": section.get("outputs", {}).get("dataset", "dataset.csv"),
-            "report": section.get("outputs", {}).get("report", "simulate_report.json"),
-        },
-    }
-    return resolved
-
-
-def _market(resolved: dict) -> dict:
-    """Keyword arguments of simulate_market and certify_dataset for the
-    market a resolved simulate section describes."""
-    grid_cfg = resolved["z_grid"]
-    return {
-        "spec": StructuralSpec.from_config(resolved["structural"]),
-        "x_spec": measures.DistributionSpec.from_config(resolved["x_spec"]),
-        "eps_spec": measures.DistributionSpec.from_config(resolved["eps_spec"]),
-        "producer_spec": measures.DistributionSpec.from_config(resolved["producer_spec"]),
-        "n_consumers": resolved["n_consumers"],
-        "n_producers": resolved["n_producers"],
-        "z_grid": eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"]),
-        "seed": resolved["seed"],
-        "boundary_threshold": resolved["boundary_threshold"],
+        "boundary_threshold": float(section["boundary_threshold"]),
     }
 
 
-def cmd_simulate(config: dict, seed: int, out_dir: str) -> int:
-    resolved = _resolve_simulate(config["simulate"], seed)
-    outcome = eq.simulate_market(**_market(resolved))
+def cmd_simulate(raw, seed: int, out_dir: str) -> int:
+    section, market = _read_simulate(raw, "simulate", seed)
+    outcome = eq.simulate_market(**market)
     report = eq.verify_equilibrium(outcome)
     measures.write_dataset_csv(
-        outcome.dataset, _out_path(out_dir, resolved["outputs"]["dataset"])
+        outcome.dataset, _out_path(out_dir, section["outputs"]["dataset"])
     )
     extra = {
-        "config": resolved,
+        "config": dict(section, seed=seed),
         "n_pairs": outcome.n_pairs,
         "objective": outcome.matching.objective,
         "atomlessness": eq.atomlessness_diagnostic(outcome),
         "maxplus": outcome.maxplus,
     }
     eq.write_equilibrium_report(
-        report, extra, _out_path(out_dir, resolved["outputs"]["report"])
+        report, extra, _out_path(out_dir, section["outputs"]["report"])
     )
     if not report.passed:
         print("simulate: verification FAILED", file=sys.stderr)
@@ -132,17 +117,22 @@ def cmd_simulate(config: dict, seed: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
-    section = config["identify"]
-    pipeline = section["pipeline"]
-    if pipeline not in ("scalar", "brenier", "general", "simeq"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+def cmd_identify(raw, seed: int, out_dir: str) -> int:
+    pipeline = measures.config_kind(
+        raw, "identify", ("scalar", "brenier", "general", "simeq"), "pipeline"
+    )
+    # brenier and simeq fix the bilinear surplus, so they take no zeta
+    surplus = ("zeta",) if pipeline in ("scalar", "general") else ()
+    section = measures.read_config(
+        raw, "identify", ("pipeline", "dataset", "eps_spec", *surplus),
+        n_ref=None, reference_mode="sample",
+        partition={"scheme": "exact", "widths": None}, outputs={"prefix": "identified"},
+    )
+    eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "identify.eps_spec")
+    zeta = SurplusFamily.from_config(section["zeta"], "identify.zeta") if surplus else None
     dataset = measures.read_dataset_csv(section["dataset"])
-    eps_spec = measures.DistributionSpec.from_config(section["eps_spec"])
-    part = section.get("partition", {"scheme": "exact"})
-    n_ref = section.get("n_ref")
-    mode = section.get("reference_mode", "sample")
-    prefix = section.get("outputs", {}).get("prefix", "identified")
+    n_ref, mode, part = section["n_ref"], section["reference_mode"], section["partition"]
+    prefix = section["outputs"]["prefix"]
 
     if pipeline == "simeq":
         cells = ident.simultaneous_equations_identify(
@@ -150,17 +140,14 @@ def cmd_identify(config: dict, seed: int, out_dir: str) -> int:
             eps_spec,
             dataset.n if n_ref is None else int(n_ref),
             seed=seed,
-            scheme=part.get("scheme", "exact"),
-            widths=part.get("widths"),
+            scheme=part["scheme"],
+            widths=part["widths"],
             reference_mode=mode,
         )
         write_cell, wrote = _write_forward_map_csv, "forward-map cells"
     else:
-        slices = measures.partition_by_x(
-            dataset, part.get("scheme", "exact"), part.get("widths")
-        )
+        slices = measures.partition_by_x(dataset, part["scheme"], part["widths"])
         children = np.random.SeedSequence(seed).spawn(len(slices))
-        zeta = None if pipeline == "brenier" else SurplusFamily.from_config(section["zeta"])
 
         def identify_cell(k, slice_):
             child_seed = int(children[k].generate_state(1)[0])
@@ -206,26 +193,25 @@ def _write_forward_map_csv(est: ident.ForwardMapEstimate, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
-    section = config["transport"]
+def cmd_transport(raw, seed: int, out_dir: str) -> int:
+    mode = measures.config_kind(raw, "transport", ("exact", "entropic"), "mode", "exact")
+    # the entropic solve alone takes a regularization and a tolerance
+    entropic = ("epsilon",) if mode == "entropic" else ()
+    section = measures.read_config(
+        raw, "transport", ("source", "target", "zeta", *entropic),
+        mode="exact", x=None, **({"tol": 1e-9} if entropic else {}),
+        outputs={"plan": "plan.csv", "duals": "duals.csv", "report": "transport_report.json"},
+    )
+    family = SurplusFamily.from_config(section["zeta"], "transport.zeta")
     mu = measures.read_measure_csv(section["source"])
     nu = measures.read_measure_csv(section["target"])
-    family = SurplusFamily.from_config(section["zeta"])
-    x = _zeta_x(section, family)
-    s = ot.surplus_matrix(mu, nu, family, x)
-    mode = section.get("mode", "exact")
-    outputs = section.get("outputs", {})
+    s = ot.surplus_matrix(mu, nu, family, _zeta_x(section["x"], family))
     if mode == "exact":
         plan, duals = ot.solve_exact(mu, nu, s)
         info = {"mode": "exact", "iterations": None, "converged": True}
-    elif mode == "entropic":
+    else:
         result = ot.solve_entropic(
-            mu,
-            nu,
-            s,
-            epsilon=float(section["epsilon"]),
-            tol=float(section.get("tol", 1e-9)),
-            max_iter=int(section.get("max_iter", 10_000)),
+            mu, nu, s, epsilon=float(section["epsilon"]), tol=float(section["tol"])
         )
         plan, duals = result.plan, result.duals
         info = {
@@ -234,11 +220,9 @@ def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
             "converged": result.converged,
             "marginal_error_l1": result.marginal_error_l1,
         }
-    else:
-        raise ValueError(f"unknown transport mode {mode!r}")
     gap = abs(plan.objective - duals.objective(mu.weights, nu.weights))
-    ot.write_plan_csv(plan, _out_path(out_dir, outputs.get("plan", "plan.csv")))
-    ot.write_duals_csv(duals, _out_path(out_dir, outputs.get("duals", "duals.csv")))
+    ot.write_plan_csv(plan, _out_path(out_dir, section["outputs"]["plan"]))
+    ot.write_duals_csv(duals, _out_path(out_dir, section["outputs"]["duals"]))
     measures.write_json(
         {
             "config": section,
@@ -247,7 +231,7 @@ def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
             "duality_gap": gap,
             **info,
         },
-        _out_path(out_dir, outputs.get("report", "transport_report.json")),
+        _out_path(out_dir, section["outputs"]["report"]),
     )
     print(f"transport: objective {plan.objective!r}, duality gap {gap!r}")
     return EXIT_OK
@@ -258,16 +242,19 @@ def cmd_transport(config: dict, seed: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
-    section = config["conjugate"]
+def cmd_conjugate(raw, seed: int, out_dir: str) -> int:
+    section = measures.read_config(
+        raw, "conjugate", ("grid_function", "zeta"), x=None,
+        eps_grid={"lo": None, "hi": None, "resolution": 50},
+        outputs={"conjugate": "conjugate.csv", "report": "conjugate_report.json"},
+    )
+    grid_cfg, outputs = section["eps_grid"], section["outputs"]
+    if (grid_cfg["lo"] is None) != (grid_cfg["hi"] is None):
+        raise ValueError("conjugate.eps_grid takes lo and hi together or neither")
+    family = SurplusFamily.from_config(section["zeta"], "conjugate.zeta")
     gf = conj.read_grid_function_csv(section["grid_function"])
-    family = SurplusFamily.from_config(section["zeta"])
-    x = _zeta_x(section, family)
-    grid_cfg = section.get("eps_grid", {})
-    if "lo" in grid_cfg:
-        eps_grid = eq.build_z_grid(
-            grid_cfg["lo"], grid_cfg["hi"], grid_cfg.get("resolution", 50)
-        )
+    if grid_cfg["lo"] is not None:
+        eps_grid = eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"])
     else:
         # fall back to the padded box of potential slopes observed on the grid
         grads, valid = ident.local_price_gradients(
@@ -276,15 +263,10 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
         if not np.any(valid):
             raise ValueError("cannot infer a taste grid from the grid function")
         eps_grid = conj.eps_grid_from_gradients(
-            grads[valid],
-            resolution=int(grid_cfg.get("resolution", 50)),
-            padding=float(grid_cfg.get("padding", 0.1)),
+            grads[valid], resolution=int(grid_cfg["resolution"])
         )
-    result = conj.zeta_conjugate(gf, family, x, eps_grid)
-    outputs = section.get("outputs", {})
-    conj.write_grid_function_csv(
-        result, _out_path(out_dir, outputs.get("conjugate", "conjugate.csv"))
-    )
+    result = conj.zeta_conjugate(gf, family, _zeta_x(section["x"], family), eps_grid)
+    conj.write_grid_function_csv(result, _out_path(out_dir, outputs["conjugate"]))
     measures.write_json(
         {
             "config": section,
@@ -292,7 +274,7 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
             "n_eps": result.n,
             "truncation_warnings": int(np.count_nonzero(result.boundary_hit)),
         },
-        _out_path(out_dir, outputs.get("report", "conjugate_report.json")),
+        _out_path(out_dir, outputs["report"]),
     )
     print(f"conjugate: {result.n} taste nodes, "
           f"{int(np.count_nonzero(result.boundary_hit))} boundary argmaxes")
@@ -304,32 +286,36 @@ def cmd_conjugate(config: dict, seed: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_equilibrium(section: dict, seed: int) -> dict:
+def _check_equilibrium(raw, seed: int) -> tuple:
     """Certify the section's dataset against the market of (config, seed),
     or, without a dataset, simulate that market; either outcome goes
     through verify_equilibrium."""
-    resolved = _resolve_simulate(section["simulate"], seed)
-    if "dataset" in section:
+    where = "check.equilibrium"
+    section = measures.read_config(raw, where, ("simulate",), dataset=None)
+    section["simulate"], market = _read_simulate(section["simulate"], f"{where}.simulate", seed)
+    if section["dataset"] is not None:
         ds = measures.read_dataset_csv(section["dataset"])
-        outcome, facts = eq.certify_dataset(**_market(resolved), dataset=ds)
+        outcome, facts = eq.certify_dataset(**market, dataset=ds)
         checks = {"method": "certificate", **facts}
         if outcome is None:
             checks["passed"] = False
-            return checks
+            return section, checks
     else:
-        outcome = eq.simulate_market(**_market(resolved))
+        outcome = eq.simulate_market(**market)
         checks = {"method": "simulate"}
     report = eq.verify_equilibrium(outcome)
     checks["verification"] = report.to_dict()
     checks["atomlessness"] = eq.atomlessness_diagnostic(outcome)
     checks["passed"] = bool(report.passed)
-    return checks
+    return section, checks
 
 
-def _check_plan(section: dict) -> dict:
-    for key in ("cycles", "duals"):
-        if key in section and "zeta" not in section:
-            raise ValueError(f"check.plan.{key} needs a check.plan.zeta surplus")
+def _check_plan(raw) -> tuple:
+    section = measures.read_config(
+        raw, "check.plan", ("source", "target", "plan"), zeta=None, x=None, duals=None
+    )
+    if section["duals"] is not None and section["zeta"] is None:
+        raise ValueError("check.plan.duals needs a check.plan.zeta surplus")
     mu = measures.read_measure_csv(section["source"])
     nu = measures.read_measure_csv(section["target"])
     plan = ot.read_plan_csv(section["plan"], (mu.n, nu.n))
@@ -342,25 +328,18 @@ def _check_plan(section: dict) -> dict:
         "feasible": row_err <= 1e-9 and col_err <= 1e-9,
     }
     passed = checks["feasible"]
-    if "zeta" in section:
-        family = SurplusFamily.from_config(section["zeta"])
-        x = _zeta_x(section, family)
+    if section["zeta"] is not None:
+        family = SurplusFamily.from_config(section["zeta"], "check.plan.zeta")
+        x = _zeta_x(section["x"], family)
         s = ot.surplus_matrix(mu, nu, family, x)
-        cyc = section.get("cycles", {})
-        mono = ot.check_cyclical_monotonicity(
-            plan,
-            s,
-            k=int(cyc.get("k", 2)),
-            trials=int(cyc.get("trials", 1000)),
-            seed=int(cyc.get("seed", 0)),
-        )
+        mono = ot.check_cyclical_monotonicity(plan, s)
         checks["cyclical_monotonicity"] = {
             "applicable": mono.applicable,
             "violations": mono.violations,
             "worst_margin": mono.worst_margin,
         }
         passed = passed and mono.passed
-        if "duals" in section:
+        if section["duals"] is not None:
             duals = ot.read_duals_csv(section["duals"])
             if duals.w_source.size != mu.n or duals.v_target.size != nu.n:
                 raise ValueError(
@@ -380,20 +359,22 @@ def _check_plan(section: dict) -> dict:
             }
             passed = passed and feas >= -1e-9 and slack <= 1e-7 and zconv_ok
     checks["passed"] = bool(passed)
-    return checks
+    return section, checks
 
 
-def _check_twist_section(section: dict) -> dict:
-    family = SurplusFamily.from_config(section["zeta"])
-    x = _zeta_x(section, family)
-    eps_spec = measures.DistributionSpec.from_config(section["eps_spec"])
-    eps_grid = measures.reference_lattice(eps_spec, int(section.get("n_grid", 64)))
-    grid_cfg = section["z_grid"]
-    z_grid = measures.from_samples(
-        eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg.get("resolution", 8))
+def _check_twist_section(raw) -> tuple:
+    section = measures.read_config(
+        raw, "check.twist", ("zeta", "eps_spec", "z_grid"), x=None, n_grid=64
     )
-    report = check_twist(family, x, eps_grid, z_grid)
-    return {
+    grid = section["z_grid"] = measures.read_config(
+        section["z_grid"], "check.twist.z_grid", ("lo", "hi"), resolution=8
+    )
+    family = SurplusFamily.from_config(section["zeta"], "check.twist.zeta")
+    eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "check.twist.eps_spec")
+    eps_grid = measures.reference_lattice(eps_spec, int(section["n_grid"]))
+    z_grid = measures.from_samples(eq.build_z_grid(grid["lo"], grid["hi"], grid["resolution"]))
+    report = check_twist(family, _zeta_x(section["x"], family), eps_grid, z_grid)
+    return section, {
         "passed": bool(report.passed),
         "min_singular_value": report.min_singular_value,
         "witness_found": report.witness is not None,
@@ -403,26 +384,26 @@ def _check_twist_section(section: dict) -> dict:
     }
 
 
-def cmd_check(config: dict, seed: int, out_dir: str) -> int:
-    section = config["check"]
+def cmd_check(raw, seed: int, out_dir: str) -> int:
+    # each check reads its own section, and returns it as resolved with its results
     checks = {
         "equilibrium": lambda sub: _check_equilibrium(sub, seed),
         "plan": _check_plan,
         "twist": _check_twist_section,
     }
-    ran = [name for name in checks if name in section]
-    if not ran or set(section) - set(checks) - {"outputs"}:
+    section = measures.read_config(
+        raw, "check", outputs={"report": "check_report.json"}, **dict.fromkeys(checks)
+    )
+    ran = [name for name in checks if section[name] is not None]
+    if not ran:
         raise ValueError(
-            f"check takes one or more of {sorted(checks)} and outputs, got {sorted(section)}"
+            f"check takes one or more of {sorted(checks)} and outputs, got {sorted(raw)}"
         )
     results = {"config": section, "seed": seed}
     for name in ran:
-        results[name] = checks[name](section[name])
+        section[name], results[name] = checks[name](section[name])
     passed = results["passed"] = all(results[name]["passed"] for name in ran)
-    outputs = section.get("outputs", {})
-    measures.write_json(
-        results, _out_path(out_dir, outputs.get("report", "check_report.json"))
-    )
+    measures.write_json(results, _out_path(out_dir, section["outputs"]["report"]))
     print(f"check: {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_VERIFY
 
@@ -449,9 +430,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        return _COMMANDS[args.command](config, seed, args.out)
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        config = measures.read_config(raw, "", (args.command,), seed=0, **dict.fromkeys(_COMMANDS))
+        seed = args.seed if args.seed is not None else int(config["seed"])
+        return _COMMANDS[args.command](config[args.command], seed, args.out)
     except TwistViolationError as exc:
         print(f"{args.command}: twist check refused: {exc}", file=sys.stderr)
         return EXIT_TWIST

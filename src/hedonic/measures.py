@@ -5,7 +5,8 @@ distributions are discretized into `DiscreteMeasure` objects (seeded draws,
 or an n-point rank-1 lattice through the per-axis quantiles), observed
 markets are `MarketDataset` rows (x, z, p), and identification runs on
 `ConditionalSlice` objects obtained by grouping rows on the observable
-type x.  All containers are immutable after construction.
+type x.  All containers are immutable after construction.  Every config
+mapping is read once, by `read_config`, which refuses a key it does not take.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "write_dataset_csv",
     "read_measure_csv",
     "write_measure_csv",
+    "read_config",
+    "config_kind",
 ]
 
 # Tolerance for two observed prices of the *same* quality to count as one
@@ -72,6 +75,41 @@ def write_json(payload, path) -> None:
     with open(path, "w") as fh:
         json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_config(cfg, where: str, required=(), **defaults) -> dict:
+    """The config mapping at dotted path `where` ("" at the top), as a new
+    dict with the `defaults` of the keys it leaves out.  It takes the
+    `required` keys and those of `defaults`: a non-mapping, a missing
+    required key or any other key is an error naming the key's path.  A
+    default that is a mapping makes its key a sub-section, read the same way.
+    """
+    name, prefix = where or "the config", f"{where}." if where else ""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{name} must be a mapping, got {type(cfg).__name__}")
+    known = {*required, *defaults}
+    for key in cfg:
+        if key not in known:
+            raise ValueError(f"unknown key {prefix}{key}: {name} takes {sorted(known)}, "
+                             f"got {sorted(cfg)}")
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{prefix}{key} is required")
+    resolved = {**defaults, **cfg}
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            resolved[key] = read_config(resolved[key], prefix + key, **default)
+    return resolved
+
+
+def config_kind(cfg, where: str, kinds: Sequence[str], key: str = "kind", default=None) -> str:
+    """The `key` entry (kind, pipeline or mode) of a config mapping, one of
+    `kinds`: it decides the keys that read_config reads the mapping under."""
+    kind = cfg.get(key, default) if isinstance(cfg, dict) else None
+    if kind not in kinds:
+        raise ValueError(f"unknown {where}.{key} {kind!r}: {where} must be a mapping "
+                         f"whose {key} is one of {list(kinds)}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -353,21 +391,21 @@ class DistributionSpec:
         )
 
     @staticmethod
-    def product(marginals: Sequence[dict]) -> "DistributionSpec":
+    def product(marginals: Sequence[dict], where: str = "spec") -> "DistributionSpec":
         cleaned = []
-        for m in marginals:
-            kind = m.get("kind")
-            if kind == "uniform":
+        for k, m in enumerate(marginals):
+            at = f"{where}.marginals[{k}]"
+            if config_kind(m, at, ("uniform", "normal")) == "uniform":
+                m = read_config(m, at, ("kind", "lo", "hi"))
                 if not m["lo"] < m["hi"]:
                     raise ValueError("degenerate box: lo >= hi")
                 cleaned.append(("uniform", float(m["lo"]), float(m["hi"])))
-            elif kind == "normal":
-                sigma = float(m.get("sigma", 1.0))
+            else:
+                m = read_config(m, at, ("kind",), mu=0.0, sigma=1.0)
+                sigma = float(m["sigma"])
                 if sigma <= 0:
                     raise ValueError("normal marginal needs sigma > 0")
-                cleaned.append(("normal", float(m.get("mu", 0.0)), sigma, 0.0, 1.0))
-            else:
-                raise ValueError(f"unknown marginal kind {kind!r}")
+                cleaned.append(("normal", float(m["mu"]), sigma, 0.0, 1.0))
         if not cleaned:
             raise ValueError("product spec needs at least one marginal")
         return DistributionSpec(tuple(cleaned))
@@ -426,17 +464,18 @@ class DistributionSpec:
 
     # -- config -------------------------------------------------------
     @staticmethod
-    def from_config(cfg: dict) -> "DistributionSpec":
-        kind = cfg.get("kind")
+    def from_config(cfg: dict, where: str = "spec") -> "DistributionSpec":
+        kind = config_kind(cfg, where, ("uniform", "gaussian", "product", "point"))
         if kind == "uniform":
+            cfg = read_config(cfg, where, ("kind", "lo", "hi"))
             return DistributionSpec.uniform(cfg["lo"], cfg["hi"])
         if kind == "gaussian":
-            return DistributionSpec.gaussian(cfg["dim"], cfg.get("lo"), cfg.get("hi"))
+            cfg = read_config(cfg, where, ("kind", "dim"), lo=None, hi=None)
+            return DistributionSpec.gaussian(cfg["dim"], cfg["lo"], cfg["hi"])
         if kind == "product":
-            return DistributionSpec.product(cfg["marginals"])
-        if kind == "point":
-            return DistributionSpec.point(cfg["value"])
-        raise ValueError(f"unknown distribution kind {kind!r}")
+            cfg = read_config(cfg, where, ("kind", "marginals"))
+            return DistributionSpec.product(cfg["marginals"], where)
+        return DistributionSpec.point(read_config(cfg, where, ("kind", "value"))["value"])
 
 
 # (candidate, offset) pairs scored per vectorised pass: 256 KB int64 arrays,

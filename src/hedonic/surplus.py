@@ -17,16 +17,18 @@ methods evaluate P and its derivatives in u, so -1/2 u'Qu is exactly
 zero at its centre; the gradient and Hessian polynomials are built once,
 at construction, and the chain rule through the shift gives derivatives
 in z and eps.  The matrix methods expand the shift into monomials of
-(w, z) and take one matrix product of w-monomials and z-monomials.
+(w, z) and take one matrix product of w-monomials and z-monomials.  A
+`where` argument is the dotted config path that errors name.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .measures import config_kind, read_config
 
 __all__ = [
     "AxisSplit",
@@ -105,22 +107,22 @@ class _Monomials:
         return _monomial_values(v, self.exps) @ self.coeffs
 
 
-def _parse_terms(terms: Sequence[dict], block_dims: dict):
-    """Validated config terms, and their polynomial over the concatenated blocks."""
-    canonical, poly = [], {}
-    for t in terms:
-        term = {"coeff": float(t["coeff"])}
+def _parse_terms(terms: Sequence[dict], block_dims: dict, where: str) -> dict:
+    """The polynomial over the concatenated blocks of the config terms at
+    `where`, each a coeff and per block its exponents, zeros when left out."""
+    poly, zeros = {}, {name: [0] * d for name, d in block_dims.items()}
+    for i, t in enumerate(terms):
+        t = read_config(t, f"{where}[{i}]", ("coeff",), **zeros)
+        key = ()
         for name, d in block_dims.items():
-            e = np.asarray(t.get(name, [0] * d), dtype=int).ravel()
+            e = np.asarray(t[name], dtype=int).ravel()
             if e.shape[0] != d or np.any(e < 0):
-                raise ValueError(f"term block {name!r} needs {d} nonnegative exponents")
-            term[name] = e.tolist()
-        canonical.append(term)
-        key = tuple(k for name in block_dims for k in term[name])
-        poly[key] = poly.get(key, 0.0) + term["coeff"]
-    if not canonical:
-        raise ValueError("polynomial needs at least one term")
-    return canonical, poly
+                raise ValueError(f"{where}[{i}].{name} needs {d} nonnegative exponents")
+            key += tuple(e.tolist())
+        poly[key] = poly.get(key, 0.0) + float(t["coeff"])
+    if not poly:
+        raise ValueError(f"{where} needs at least one term")
+    return poly
 
 
 def _unit(width: int, *cols: int) -> tuple:
@@ -165,6 +167,8 @@ class _Core:
         self.d_w, self.d_z = d_w, d_z
         self.shift = np.zeros((d_z, d_w)) if shift is None else shift
         self.offset = np.zeros(d_z) if offset is None else offset
+        # equal keys, equal functions: the polynomial and its shift
+        self.key = (poly, self.shift.tolist(), self.offset.tolist())
         width = d_w + d_z
         first = [_diff(poly, c) for c in range(width)]
         self.poly = _Monomials([poly], width)
@@ -186,6 +190,9 @@ class _Core:
                     term = _mul(term, lin[k])
             expanded.append(term)
         self.expanded = _Monomials([_add(expanded)], width)
+
+    def __eq__(self, other):
+        return isinstance(other, _Core) and self.key == other.key
 
     def _points(self, w, z):
         return np.hstack([w, z - (w @ self.shift.T + self.offset)])
@@ -232,22 +239,19 @@ class SurplusFamily:
     kind: str
     d_x: int
     d_z: int
-    _core: _Core = field(repr=False, compare=False)
-    _config: dict = field(repr=False)
+    _core: _Core = field(repr=False)
 
     @staticmethod
-    def _build(config: dict, d_x, d_z, poly: dict, shift=None) -> "SurplusFamily":
+    def _build(kind: str, d_x, d_z, poly: dict, shift=None) -> "SurplusFamily":
         d_x, d_z = int(d_x), int(d_z)
-        core = _Core(poly, d_x + d_z, d_z, shift)
-        return SurplusFamily(config["kind"], d_x, d_z, core, config)
+        return SurplusFamily(kind, d_x, d_z, _Core(poly, d_x + d_z, d_z, shift))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def bilinear(dim: int, d_x: int = 0) -> "SurplusFamily":
         d_z, w = int(dim), int(d_x) + int(dim)
         poly = {_unit(w + d_z, w - d_z + k, w + k): 1.0 for k in range(d_z)}
-        config = {"kind": "bilinear", "dim": d_z, "d_x": d_x}
-        return SurplusFamily._build(config, d_x, d_z, poly)
+        return SurplusFamily._build("bilinear", d_x, d_z, poly)
 
     @staticmethod
     def neg_quadratic(q, d_x: int = 0) -> "SurplusFamily":
@@ -255,14 +259,12 @@ class SurplusFamily:
         d_z, w = q.shape[0], int(d_x) + q.shape[0]
         # u = z - eps: the shift picks the eps block of w = (x, eps)
         shift = np.eye(d_z, w, w - d_z)
-        config = {"kind": "neg-quadratic", "q": q.tolist(), "d_x": d_x}
-        return SurplusFamily._build(config, d_x, d_z, _neg_quadratic_poly(q, w), shift)
+        return SurplusFamily._build("neg-quadratic", d_x, d_z, _neg_quadratic_poly(q, w), shift)
 
     @staticmethod
-    def polynomial(terms: Sequence[dict], d_x: int, d_z: int) -> "SurplusFamily":
-        canonical, poly = _parse_terms(terms, {"x": d_x, "eps": d_z, "z": d_z})
-        config = {"kind": "polynomial", "d_x": d_x, "d_z": d_z, "terms": canonical}
-        return SurplusFamily._build(config, d_x, d_z, poly)
+    def polynomial(terms: Sequence[dict], d_x: int, d_z: int, where="zeta") -> "SurplusFamily":
+        poly = _parse_terms(terms, {"x": d_x, "eps": d_z, "z": d_z}, f"{where}.terms")
+        return SurplusFamily._build("polynomial", d_x, d_z, poly)
 
     @staticmethod
     def bilinear_feature(
@@ -270,27 +272,22 @@ class SurplusFamily:
         psi_terms: Sequence[Sequence[dict]],
         d_x: int,
         d_z: int,
+        where: str = "zeta",
     ) -> "SurplusFamily":
         """zeta = sum_k phi_k(z) psi_k(x, eps) with polynomial features."""
         if len(phi_terms) != len(psi_terms):
             raise ValueError("phi and psi must have the same feature count")
-        phi = [_parse_terms(t, {"z": d_z}) for t in phi_terms]
-        psi = [_parse_terms(t, {"x": d_x, "eps": d_z}) for t in psi_terms]
+        phi = [_parse_terms(t, {"z": d_z}, f"{where}.phi[{k}]") for k, t in enumerate(phi_terms)]
+        psi = [_parse_terms(t, {"x": d_x, "eps": d_z}, f"{where}.psi[{k}]")
+               for k, t in enumerate(psi_terms)]
         # psi_k over (x, eps) times phi_k over u: exponent tuples concatenate
         poly = _add(
             {e_psi + e_phi: c_psi * c_phi}
-            for (_, phi_k), (_, psi_k) in zip(phi, psi)
+            for phi_k, psi_k in zip(phi, psi)
             for e_psi, c_psi in psi_k.items()
             for e_phi, c_phi in phi_k.items()
         )
-        config = {
-            "kind": "bilinear-feature",
-            "d_x": d_x,
-            "d_z": d_z,
-            "phi": [t for t, _ in phi],
-            "psi": [t for t, _ in psi],
-        }
-        return SurplusFamily._build(config, d_x, d_z, poly)
+        return SurplusFamily._build("bilinear-feature", d_x, d_z, poly)
 
     # -- shape checks ---------------------------------------------------
     def _check(self, x, eps, z):
@@ -358,24 +355,24 @@ class SurplusFamily:
         """Mixed second derivatives d^2 zeta / d eps_a d z_b, a d_z x d_z matrix."""
         return self._hessian_rows(x, eps, z)[0][0]
 
-    # -- config round trip -------------------------------------------------
-    def to_config(self) -> dict:
-        return copy.deepcopy(self._config)
-
+    # -- config -----------------------------------------------------------
     @staticmethod
-    def from_config(cfg: dict) -> "SurplusFamily":
-        kind = cfg.get("kind")
+    def from_config(cfg: dict, where: str = "zeta") -> "SurplusFamily":
+        kinds = ("bilinear", "neg-quadratic", "polynomial", "bilinear-feature")
+        kind = config_kind(cfg, where, kinds)
         if kind == "bilinear":
-            return SurplusFamily.bilinear(cfg["dim"], cfg.get("d_x", 0))
+            cfg = read_config(cfg, where, ("kind", "dim"), d_x=0)
+            return SurplusFamily.bilinear(cfg["dim"], cfg["d_x"])
         if kind == "neg-quadratic":
-            return SurplusFamily.neg_quadratic(cfg["q"], cfg.get("d_x", 0))
+            cfg = read_config(cfg, where, ("kind", "q"), d_x=0)
+            return SurplusFamily.neg_quadratic(cfg["q"], cfg["d_x"])
         if kind == "polynomial":
-            return SurplusFamily.polynomial(cfg["terms"], cfg["d_x"], cfg["d_z"])
-        if kind == "bilinear-feature":
-            return SurplusFamily.bilinear_feature(
-                cfg["phi"], cfg["psi"], cfg["d_x"], cfg["d_z"]
-            )
-        raise ValueError(f"unknown surplus kind {kind!r}")
+            cfg = read_config(cfg, where, ("kind", "terms", "d_x", "d_z"))
+            return SurplusFamily.polynomial(cfg["terms"], cfg["d_x"], cfg["d_z"], where)
+        cfg = read_config(cfg, where, ("kind", "phi", "psi", "d_x", "d_z"))
+        return SurplusFamily.bilinear_feature(
+            cfg["phi"], cfg["psi"], cfg["d_x"], cfg["d_z"], where
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +389,16 @@ class ScalarFamily:
     kind: str
     d_a: int
     d_z: int
-    _core: _Core = field(repr=False, compare=False)
-    _config: dict = field(repr=False)
+    _core: _Core = field(repr=False)
 
     @staticmethod
     def zero(d_a: int, d_z: int) -> "ScalarFamily":
         return ScalarFamily.polynomial([{"coeff": 0.0}], d_a, d_z)
 
     @staticmethod
-    def polynomial(terms: Sequence[dict], d_a: int, d_z: int) -> "ScalarFamily":
-        canonical, poly = _parse_terms(terms, {"a": d_a, "z": d_z})
-        config = {"kind": "polynomial", "d_a": d_a, "d_z": d_z, "terms": canonical}
-        core = _Core(poly, int(d_a), int(d_z))
-        return ScalarFamily("polynomial", int(d_a), int(d_z), core, config)
+    def polynomial(terms: Sequence[dict], d_a: int, d_z: int, where="scalar") -> "ScalarFamily":
+        poly = _parse_terms(terms, {"a": d_a, "z": d_z}, f"{where}.terms")
+        return ScalarFamily("polynomial", int(d_a), int(d_z), _Core(poly, int(d_a), int(d_z)))
 
     @staticmethod
     def neg_quadratic(q, center_matrix=None, center_offset=None, d_a: int = 0) -> "ScalarFamily":
@@ -423,15 +417,8 @@ class ScalarFamily:
         )
         if c0.shape[0] != d_z:
             raise ValueError("center offset must have quality dimension")
-        config = {
-            "kind": "neg-quadratic",
-            "d_a": d_a,
-            "q": q.tolist(),
-            "center_matrix": m.tolist(),
-            "center_offset": c0.tolist(),
-        }
         core = _Core(_neg_quadratic_poly(q, int(d_a)), int(d_a), d_z, m, c0)
-        return ScalarFamily("neg-quadratic", int(d_a), d_z, core, config)
+        return ScalarFamily("neg-quadratic", int(d_a), d_z, core)
 
     def _check(self, a, z):
         a, z = _as_rows(a), _as_rows(z)
@@ -459,22 +446,17 @@ class ScalarFamily:
     def grad_z(self, a, z) -> np.ndarray:
         return self.grad_z_rows(a, z)[0]
 
-    def to_config(self) -> dict:
-        return copy.deepcopy(self._config)
-
     @staticmethod
-    def from_config(cfg: dict) -> "ScalarFamily":
-        kind = cfg.get("kind")
-        if kind == "polynomial":
-            return ScalarFamily.polynomial(cfg["terms"], cfg["d_a"], cfg["d_z"])
-        if kind == "neg-quadratic":
-            return ScalarFamily.neg_quadratic(
-                cfg["q"],
-                cfg.get("center_matrix"),
-                cfg.get("center_offset"),
-                cfg.get("d_a", 0),
-            )
-        raise ValueError(f"unknown scalar family kind {kind!r}")
+    def from_config(cfg: dict, where: str = "scalar") -> "ScalarFamily":
+        if config_kind(cfg, where, ("polynomial", "neg-quadratic")) == "polynomial":
+            cfg = read_config(cfg, where, ("kind", "terms", "d_a", "d_z"))
+            return ScalarFamily.polynomial(cfg["terms"], cfg["d_a"], cfg["d_z"], where)
+        cfg = read_config(
+            cfg, where, ("kind", "q"), center_matrix=None, center_offset=None, d_a=0
+        )
+        return ScalarFamily.neg_quadratic(
+            cfg["q"], cfg["center_matrix"], cfg["center_offset"], cfg["d_a"]
+        )
 
 
 @dataclass(frozen=True)
@@ -489,19 +471,13 @@ class StructuralSpec:
         if self.u_bar.d_z != self.zeta.d_z or self.cost.d_z != self.zeta.d_z:
             raise ValueError("u_bar, cost and zeta must share the quality dimension")
 
-    def to_config(self) -> dict:
-        return {
-            "u_bar": self.u_bar.to_config(),
-            "cost": self.cost.to_config(),
-            "zeta": self.zeta.to_config(),
-        }
-
     @staticmethod
-    def from_config(cfg: dict) -> "StructuralSpec":
+    def from_config(cfg: dict, where: str = "structural") -> "StructuralSpec":
+        cfg = read_config(cfg, where, ("u_bar", "cost", "zeta"))
         return StructuralSpec(
-            u_bar=ScalarFamily.from_config(cfg["u_bar"]),
-            cost=ScalarFamily.from_config(cfg["cost"]),
-            zeta=SurplusFamily.from_config(cfg["zeta"]),
+            u_bar=ScalarFamily.from_config(cfg["u_bar"], f"{where}.u_bar"),
+            cost=ScalarFamily.from_config(cfg["cost"], f"{where}.cost"),
+            zeta=SurplusFamily.from_config(cfg["zeta"], f"{where}.zeta"),
         )
 
     def axis_split(self, x, eps, y, axes) -> Optional["AxisSplit"]:

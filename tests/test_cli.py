@@ -248,19 +248,15 @@ def test_scalar_pipeline_on_2d_data_exits_1(tmp_path):
 @pytest.mark.parametrize("pipeline", ["scalar", "brenier", "general", "simeq"])
 def test_every_pipeline_refuses_a_point_reference_law(tmp_path, pipeline, capsys):
     (tmp_path / "dataset.csv").write_text("x_1,z_1,p\n1,0.5,0.3\n1,1.0,0.6\n1,1.5,1.1\n")
-    cfg = write_config(
-        tmp_path,
-        {
-            "seed": 0,
-            "identify": {
-                "pipeline": pipeline,
-                "dataset": str(tmp_path / "dataset.csv"),
-                "eps_spec": {"kind": "point", "value": [0.5]},
-                "zeta": {"kind": "bilinear", "dim": 1, "d_x": 1},
-                "outputs": {"prefix": "ident"},
-            },
-        },
-    )
+    section = {
+        "pipeline": pipeline,
+        "dataset": str(tmp_path / "dataset.csv"),
+        "eps_spec": {"kind": "point", "value": [0.5]},
+        "outputs": {"prefix": "ident"},
+    }
+    if pipeline in ("scalar", "general"):
+        section["zeta"] = {"kind": "bilinear", "dim": 1, "d_x": 1}
+    cfg = write_config(tmp_path, {"seed": 0, "identify": section})
     assert main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "absolutely continuous" in capsys.readouterr().err
     assert not (tmp_path / "ident_cell000.csv").exists()
@@ -592,9 +588,7 @@ def test_check_without_a_known_check_section_exits_1(tmp_path, capsys, section, 
     assert not (tmp_path / "check_report.json").exists()
 
 
-@pytest.mark.parametrize("key, value", [("duals", "duals.csv"), ("cycles", {"k": 2})],
-                         ids=["duals", "cycles"])
-def test_check_plan_needs_zeta_for_its_duals_and_cycles(tmp_path, capsys, key, value):
+def test_check_plan_needs_zeta_for_its_duals(tmp_path, capsys):
     # an anti-assortative plan of two points on a line with zero duals:
     # under the bilinear surplus it is not optimal, so its cycles and
     # duals fail the check
@@ -609,11 +603,11 @@ def test_check_plan_needs_zeta_for_its_duals_and_cycles(tmp_path, capsys, key, v
         "plan": str(tmp_path / "plan.csv"),
         "source": str(tmp_path / "mu.csv"),
         "target": str(tmp_path / "nu.csv"),
-        key: str(tmp_path / value) if key == "duals" else value,
+        "duals": str(tmp_path / "duals.csv"),
     }
     cfg = write_config(tmp_path, {"seed": 0, "check": {"plan": plan}})
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert f"check.plan.{key}" in capsys.readouterr().err
+    assert "check.plan.duals" in capsys.readouterr().err
     plan["zeta"] = {"kind": "bilinear", "dim": 1}
     cfg = write_config(tmp_path, {"seed": 0, "check": {"plan": plan}})
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -760,3 +754,204 @@ def test_unknown_pipeline_exits_1(tmp_path):
                                  "eps_spec": UNIT_BOX_2D}},
     )
     assert main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+def every_section(tmp_path):
+    """A config whose five command sections run as written, with every
+    nested section present, on small inputs written to tmp_path."""
+    from hedonic.conjugate import GridFunction, write_grid_function_csv
+
+    line = from_samples(np.linspace(-1.0, 1.0, 5)[:, None])
+    write_measure_csv(line, tmp_path / "line.csv")
+    write_grid_function_csv(GridFunction(line, 0.5 * line.points[:, 0] ** 2), tmp_path / "v.csv")
+    (tmp_path / "plan.csv").write_text("i,j,mass\n" + "".join(f"{k},{k},0.2\n" for k in range(5)))
+    (tmp_path / "dataset.csv").write_text("x_1,z_1,p\n1,0.5,0.3\n1,1.0,0.6\n1,1.5,1.1\n")
+    bilinear = {"kind": "bilinear", "dim": 1}
+    unit = {"kind": "uniform", "lo": [0.0], "hi": [1.0]}
+    config = {
+        "seed": 3,
+        "simulate": simulate_section(n=20, resolution=21),
+        "identify": {
+            "pipeline": "scalar",
+            "dataset": str(tmp_path / "dataset.csv"),
+            "eps_spec": {"kind": "product", "marginals": [{"kind": "uniform", "lo": 0, "hi": 1}]},
+            "zeta": {"kind": "bilinear", "dim": 1, "d_x": 1},
+            "partition": {"scheme": "exact"},
+            "outputs": {"prefix": "ident"},
+        },
+        "transport": {
+            "source": str(tmp_path / "line.csv"),
+            "target": str(tmp_path / "line.csv"),
+            "zeta": {"kind": "polynomial", "d_x": 0, "d_z": 1,
+                     "terms": [{"coeff": 1.0, "eps": [1], "z": [1]}]},
+            "outputs": {"plan": "plan_out.csv"},
+        },
+        "conjugate": {
+            "grid_function": str(tmp_path / "v.csv"),
+            "zeta": bilinear,
+            "eps_grid": {"lo": [-1.0], "hi": [1.0], "resolution": 5},
+            "outputs": {"report": "conjugate_report.json"},
+        },
+        "check": {
+            "equilibrium": {"simulate": simulate_section(n=20, resolution=21)},
+            "plan": {"plan": str(tmp_path / "plan.csv"), "source": str(tmp_path / "line.csv"),
+                     "target": str(tmp_path / "line.csv"), "zeta": bilinear},
+            "twist": {"zeta": bilinear, "eps_spec": unit, "n_grid": 8,
+                      "z_grid": {"lo": [0.0], "hi": [1.0], "resolution": 4}},
+            "outputs": {"report": "check_report.json"},
+        },
+    }
+    return json.loads(json.dumps(config))  # a copy that shares no mapping
+
+
+def dotted(path):
+    """The dotted config path of a key path: names joined by dots, list
+    indices in brackets."""
+    out = ""
+    for step in path:
+        out += f"[{step}]" if isinstance(step, int) else f".{step}" if out else step
+    return out
+
+
+MISSPELLED = [
+    ("simulate", ("sede",)),
+    ("simulate", ("simulate", "boundary_treshold")),
+    ("simulate", ("simulate", "outputs", "reprot")),
+    ("simulate", ("simulate", "z_grid", "resolutoin")),
+    ("simulate", ("simulate", "structural", "costs")),
+    ("simulate", ("simulate", "structural", "u_bar", "centre_offset")),
+    ("simulate", ("simulate", "structural", "cost", "terms", 2, "esp")),
+    ("simulate", ("simulate", "structural", "zeta", "dx")),
+    ("simulate", ("simulate", "x_spec", "values")),
+    ("simulate", ("simulate", "eps_spec", "low")),
+    ("identify", ("idnetify",)),
+    ("identify", ("identify", "refrence_mode")),
+    ("identify", ("identify", "k_neighbors")),
+    ("identify", ("identify", "partition", "width")),
+    ("identify", ("identify", "outputs", "prefx")),
+    ("identify", ("identify", "eps_spec", "marginals", 0, "sigma")),
+    ("identify", ("identify", "zeta", "d_z")),
+    ("transport", ("transport", "max_iter")),
+    ("transport", ("transport", "tol")),
+    ("transport", ("transport", "outputs", "dual")),
+    ("transport", ("transport", "zeta", "terms", 0, "esp")),
+    ("conjugate", ("conjugate", "eps_gird")),
+    ("conjugate", ("conjugate", "eps_grid", "padding")),
+    ("conjugate", ("conjugate", "outputs", "conjugated")),
+    ("conjugate", ("conjugate", "zeta", "dims")),
+    ("check", ("check", "twsit")),
+    ("check", ("check", "outputs", "reprot")),
+    ("check", ("check", "equilibrium", "datset")),
+    ("check", ("check", "equilibrium", "simulate", "boundary_treshold")),
+    ("check", ("check", "equilibrium", "simulate", "structural", "zeta", "d_z")),
+    ("check", ("check", "plan", "cycles")),
+    ("check", ("check", "plan", "zeta", "q")),
+    ("check", ("check", "twist", "ngrid")),
+    ("check", ("check", "twist", "z_grid", "resolutoin")),
+    ("check", ("check", "twist", "eps_spec", "dim")),
+]
+
+
+@pytest.mark.parametrize("command, path", MISSPELLED, ids=[dotted(p) for _, p in MISSPELLED])
+def test_a_misspelled_key_exits_1_naming_its_path(tmp_path, capsys, command, path):
+    config = every_section(tmp_path)
+    mapping = config
+    for step in path[:-1]:
+        mapping = mapping[step]
+    mapping[path[-1]] = {"trials": 0} if path[-1] == "cycles" else 1
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown key {dotted(path)}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"seed": 0, "check": ["twist"]}, "check must be a mapping, got list"),
+    (["check"], "the config must be a mapping, got list"),
+    ({"seed": 0, "check": {"twist": "twist.json"}}, "check.twist must be a mapping, got str"),
+    ({"seed": 0, "check": {"equilibrium": {"simulate": [1]}}},
+     "check.equilibrium.simulate must be a mapping"),
+    ({"seed": 0}, "check is required"),
+], ids=["check-list", "top-list", "twist-str", "simulate-list", "no-check"])
+def test_a_section_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("identify", {"pipeline": "brenier"}, "unknown key identify.zeta:"),
+    ("identify", {"pipeline": "simeq"}, "unknown key identify.zeta:"),
+    ("identify", {"pipeline": "general", "zeta": None}, "identify.zeta is required"),
+    ("transport", {"mode": "entropic"}, "transport.epsilon is required"),
+    ("transport", {"mode": "entropic", "epsilon": 1.0, "max_iter": 5},
+     "unknown key transport.max_iter:"),
+    ("transport", {"mode": "sinkhorn"}, "unknown transport.mode 'sinkhorn'"),
+    ("conjugate", {"eps_grid": {"hi": [1.0]}}, "conjugate.eps_grid takes lo and hi together"),
+], ids=["brenier-zeta", "simeq-zeta", "general-no-zeta", "entropic-no-epsilon",
+        "entropic-max-iter", "unknown-mode", "lone-hi"])
+def test_keys_that_only_some_modes_take(tmp_path, capsys, command, change, message):
+    config = every_section(tmp_path)
+    config[command].update(change)
+    config[command] = {k: v for k, v in config[command].items() if v is not None}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Per command: the optional keys that every_section sets, and the report's
+# config entries once they are left out.
+DEFAULTS = {
+    "simulate": (
+        ["outputs"],
+        {"boundary_threshold": 0.01, "seed": 3,
+         "outputs": {"dataset": "dataset.csv", "report": "simulate_report.json"}},
+    ),
+    "identify": (
+        ["partition", "outputs"],
+        {"n_ref": None, "reference_mode": "sample",
+         "partition": {"scheme": "exact", "widths": None}, "outputs": {"prefix": "identified"}},
+    ),
+    "transport": (
+        ["outputs"],
+        {"mode": "exact", "x": None,
+         "outputs": {"plan": "plan.csv", "duals": "duals.csv", "report": "transport_report.json"}},
+    ),
+    "conjugate": (
+        ["eps_grid", "outputs"],
+        {"x": None, "eps_grid": {"lo": None, "hi": None, "resolution": 50},
+         "outputs": {"conjugate": "conjugate.csv", "report": "conjugate_report.json"}},
+    ),
+    "check": (
+        ["plan", "twist", "outputs"],
+        {"plan": None, "twist": None, "outputs": {"report": "check_report.json"}},
+    ),
+}
+DEFAULT_REPORTS = {
+    "simulate": "simulate_report.json",
+    "identify": "identified_diagnostics.json",
+    "transport": "transport_report.json",
+    "conjugate": "conjugate_report.json",
+    "check": "check_report.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_every_report_config_holds_every_default(tmp_path, command):
+    config = every_section(tmp_path)
+    optional, defaults = DEFAULTS[command]
+    for key in optional:
+        del config[command][key]
+    if command == "check":
+        del config["check"]["equilibrium"]["simulate"]["outputs"]
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    echoed = json.loads((tmp_path / "out" / DEFAULT_REPORTS[command]).read_text())["config"]
+    assert {key: echoed[key] for key in defaults} == defaults
+    if command == "check":
+        simulate = echoed["equilibrium"]["simulate"]
+        assert echoed["equilibrium"]["dataset"] is None
+        assert simulate["boundary_threshold"] == 0.01
+        assert simulate["outputs"] == {"dataset": "dataset.csv", "report": "simulate_report.json"}

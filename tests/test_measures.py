@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -275,6 +276,28 @@ def test_degenerate_box_rejected():
 def test_unknown_spec_kind_rejected():
     with pytest.raises(ValueError, match="unknown"):
         DistributionSpec.from_config({"kind": "cauchy"})
+
+
+UNKNOWN_SPEC_KEYS = [
+    ({"kind": "uniform", "lo": [0.0], "hi": [1.0], "dim": 1}, "spec.dim"),
+    ({"kind": "gaussian", "dim": 1, "sigma": 2.0}, "spec.sigma"),
+    ({"kind": "gaussian", "dim": 1, "low": [-1.0], "hi": [1.0]}, "spec.low"),
+    ({"kind": "product", "marginals": [{"kind": "normal"}], "dims": 1}, "spec.dims"),
+    ({"kind": "product", "marginals": [{"kind": "normal", "sd": 2.0}]}, "spec.marginals[0].sd"),
+    ({"kind": "product", "marginals": [{"kind": "normal"},
+                                       {"kind": "uniform", "lo": 0, "hi": 1, "mu": 0}]},
+     "spec.marginals[1].mu"),
+    ({"kind": "product", "marginals": [{"kind": "gamma"}]}, "spec.marginals[0].kind"),
+    ({"kind": "point", "values": [1.0]}, "spec.values"),
+    ({"kind": "point"}, "spec.value is required"),
+    ([0.0, 1.0], "spec must be a mapping"),
+]
+
+
+@pytest.mark.parametrize("cfg, path", UNKNOWN_SPEC_KEYS, ids=[p for _, p in UNKNOWN_SPEC_KEYS])
+def test_spec_from_config_refuses_an_unknown_or_missing_key(cfg, path):
+    with pytest.raises(ValueError, match=re.escape(path)):
+        DistributionSpec.from_config(cfg)
 
 
 def test_product_spec_sampling_and_lattice():

@@ -1,7 +1,7 @@
 """Surplus family evaluation, analytic gradients, and the twist check."""
 
 import dataclasses
-import json
+import re
 
 import numpy as np
 import pytest
@@ -220,21 +220,106 @@ def test_scalar_polynomial_pairwise_grid_matches_rows():
             assert abs(grid[i, g] - fam.eval_rows(a[i], z[g])[0]) < 1e-12
 
 
-def test_config_round_trips():
-    for f in _families_for_property_tests():
-        back = SurplusFamily.from_config(f.to_config())
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=f.d_x)
-        eps = rng.normal(size=f.d_z)
-        z = rng.normal(size=f.d_z)
-        assert back.eval_rows(x, eps, z)[0] == f.eval_rows(x, eps, z)[0]
-    spec = StructuralSpec(
-        u_bar=ScalarFamily.neg_quadratic(np.eye(1), center_offset=[2.0], d_a=1),
-        cost=ScalarFamily.polynomial([{"coeff": 0.5, "z": [2]}], 1, 1),
-        zeta=SurplusFamily.bilinear(1, d_x=1),
-    )
-    back = StructuralSpec.from_config(spec.to_config())
-    assert back.u_bar.eval_rows([1.0], [1.5])[0] == spec.u_bar.eval_rows([1.0], [1.5])[0]
+PHI = [[{"coeff": 1.0, "z": [1, 0]}], [{"coeff": 0.1, "z": [1, 1]}]]
+PSI = [[{"coeff": 1.0, "eps": [1, 0]}], [{"coeff": 0.1, "x": [1], "eps": [1, 1]}]]
+POLY_TERMS = [{"coeff": 1.0, "eps": [1], "z": [1]}, {"coeff": -0.1, "x": [1], "z": [2]}]
+FROM_CONFIG_CASES = {
+    "bilinear": (
+        SurplusFamily, {"kind": "bilinear", "dim": 2}, SurplusFamily.bilinear(2),
+    ),
+    "neg-quadratic": (
+        SurplusFamily, {"kind": "neg-quadratic", "q": [[2.0, 0.4], [0.4, 1.0]], "d_x": 1},
+        SurplusFamily.neg_quadratic([[2.0, 0.4], [0.4, 1.0]], d_x=1),
+    ),
+    "polynomial": (
+        SurplusFamily, {"kind": "polynomial", "d_x": 1, "d_z": 1, "terms": POLY_TERMS},
+        SurplusFamily.polynomial(POLY_TERMS, 1, 1),
+    ),
+    "bilinear-feature": (
+        SurplusFamily,
+        {"kind": "bilinear-feature", "d_x": 1, "d_z": 2, "phi": PHI, "psi": PSI},
+        SurplusFamily.bilinear_feature(PHI, PSI, 1, 2),
+    ),
+    "scalar-polynomial": (
+        ScalarFamily, {"kind": "polynomial", "d_a": 1, "d_z": 1, "terms": [{"coeff": 0.5}]},
+        ScalarFamily.polynomial([{"coeff": 0.5, "a": [0], "z": [0]}], 1, 1),
+    ),
+    "scalar-neg-quadratic": (
+        ScalarFamily, {"kind": "neg-quadratic", "q": [[1.0]], "center_offset": [2.0], "d_a": 1},
+        ScalarFamily.neg_quadratic(np.eye(1), [[0.0]], [2.0], 1),
+    ),
+    "structural": (
+        StructuralSpec,
+        {"u_bar": {"kind": "neg-quadratic", "q": [[1.0]], "d_a": 1},
+         "cost": {"kind": "polynomial", "d_a": 1, "d_z": 1, "terms": [{"coeff": 0.5, "z": [2]}]},
+         "zeta": {"kind": "bilinear", "dim": 1, "d_x": 1}},
+        StructuralSpec(
+            u_bar=ScalarFamily.neg_quadratic(np.eye(1), d_a=1),
+            cost=ScalarFamily.polynomial([{"coeff": 0.5, "z": [2]}], 1, 1),
+            zeta=SurplusFamily.bilinear(1, d_x=1),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROM_CONFIG_CASES))
+def test_from_config_equals_the_constructor(case):
+    cls, cfg, built = FROM_CONFIG_CASES[case]
+    assert cls.from_config(cfg) == built
+
+
+@pytest.mark.parametrize("case, key, value", [
+    ("neg-quadratic", "q", [[2.0, 0.3], [0.3, 1.0]]),
+    ("polynomial", "terms", POLY_TERMS[:1]),
+    ("bilinear-feature", "psi", [PSI[0], [{"coeff": 0.2, "x": [1], "eps": [1, 1]}]]),
+    ("scalar-neg-quadratic", "center_offset", [2.5]),
+])
+def test_families_of_one_kind_and_shape_differ_by_their_function(case, key, value):
+    cls, cfg, built = FROM_CONFIG_CASES[case]
+    assert cls.from_config({**cfg, key: value}) != built
+
+
+UNKNOWN_FAMILY_KEYS = [
+    (SurplusFamily, {"kind": "bilinear", "dim": 1, "d_z": 1}, "zeta.d_z"),
+    (SurplusFamily, {"kind": "neg-quadratic", "q": [[1.0]], "Q": [[1.0]]}, "zeta.Q"),
+    (SurplusFamily, {"kind": "polynomial", "d_x": 0, "d_z": 1, "terms": [{"coeff": 1.0}],
+                     "dz": 1}, "zeta.dz"),
+    (SurplusFamily, {"kind": "bilinear-feature", "d_x": 0, "d_z": 2, "phi": PHI, "psi": PSI,
+                     "features": 2}, "zeta.features"),
+    (SurplusFamily, {"kind": "bilinear-feature", "d_x": 1, "d_z": 2, "phi": PHI,
+                     "psi": [PSI[0], [{"coeff": 1.0, "eps": [1, 1], "z": [1, 0]}]]},
+     "zeta.psi[1][0].z"),
+    (SurplusFamily, {"kind": "polynomal", "d_x": 0, "d_z": 1, "terms": []}, "zeta.kind"),
+    (SurplusFamily, ["bilinear", 1], "zeta must be a mapping"),
+    (ScalarFamily, {"kind": "polynomial", "d_a": 1, "d_z": 1, "terms": [{"coeff": 1.0}],
+                    "center_offset": [0.0]}, "scalar.center_offset"),
+    (ScalarFamily, {"kind": "neg-quadratic", "q": [[1.0]], "centre_offset": [2.0]},
+     "scalar.centre_offset"),
+    (StructuralSpec, {**FROM_CONFIG_CASES["structural"][1], "costs": {}}, "structural.costs"),
+    (StructuralSpec, {k: v for k, v in FROM_CONFIG_CASES["structural"][1].items()
+                      if k != "cost"}, "structural.cost is required"),
+]
+
+
+@pytest.mark.parametrize("cls, cfg, path", UNKNOWN_FAMILY_KEYS,
+                         ids=[p for _, _, p in UNKNOWN_FAMILY_KEYS])
+def test_from_config_refuses_an_unknown_or_missing_key(cls, cfg, path):
+    with pytest.raises(ValueError, match=re.escape(path)):
+        cls.from_config(cfg)
+
+
+def test_a_misspelled_term_block_is_an_error_not_a_term_without_it():
+    # {"esp": [1]} was once read as a term in z alone: 2.0 at eps = 0.3, z = 2
+    cfg = {"kind": "polynomial", "d_x": 0, "d_z": 1,
+           "terms": [{"coeff": 0.5, "z": [2]}, {"coeff": 1, "esp": [1], "z": [1]}]}
+    with pytest.raises(ValueError, match=re.escape("zeta.terms[1].esp")):
+        SurplusFamily.from_config(cfg)
+    with pytest.raises(ValueError, match=re.escape("cost.terms[0].eps")):
+        StructuralSpec.from_config({**FROM_CONFIG_CASES["structural"][1], "cost": {
+            "kind": "polynomial", "d_a": 1, "d_z": 1, "terms": [{"coeff": 1, "eps": [1]}]}})
+    cfg["terms"][1] = {"coeff": 1, "eps": [1], "z": [1]}
+    f = SurplusFamily.from_config(cfg)
+    assert f.eval_rows(NO_X, [0.3], [2.0])[0] == 0.5 * 4.0 + 0.3 * 2.0
 
 
 def test_invalid_neg_quadratic_rejected():
@@ -368,14 +453,6 @@ def test_scalar_grad_z_matches_central_differences(g, seed):
     z = rng.uniform(-1, 1, size=(6, g.d_z))
     fd = _central_rows(lambda v: g.eval_rows(a, v), z)
     assert _worst_rel(g.grad_z_rows(a, z), fd) <= 1e-6
-
-
-@PROPERTY
-@given(st.one_of(surplus_families(), scalar_families()))
-def test_config_round_trip_is_byte_identical(f):
-    cfg = json.dumps(f.to_config(), sort_keys=True)
-    back = type(f).from_config(json.loads(cfg))
-    assert json.dumps(back.to_config(), sort_keys=True) == cfg
 
 
 # ---------------------------------------------------------------------------
