@@ -69,14 +69,21 @@ def _read_simulate(raw, where: str, seed: int) -> tuple:
     grid = section["z_grid"] = measures.read_config(
         section["z_grid"], f"{where}.z_grid", ("lo", "hi", "resolution")
     )
+    for key in ("n_consumers", "n_producers"):
+        section[key] = measures.read_count(section[key], f"{where}.{key}")
+    res, res_at = grid["resolution"], f"{where}.z_grid.resolution"
+    grid["resolution"] = (
+        [measures.read_count(r, f"{res_at}[{k}]", 2) for k, r in enumerate(res)]
+        if isinstance(res, list) else measures.read_count(res, res_at, 2)
+    )
     return section, {
         "spec": StructuralSpec.from_config(section["structural"], f"{where}.structural"),
         **{
             key: measures.DistributionSpec.from_config(section[key], f"{where}.{key}")
             for key in ("x_spec", "eps_spec", "producer_spec")
         },
-        "n_consumers": int(section["n_consumers"]),
-        "n_producers": int(section["n_producers"]),
+        "n_consumers": section["n_consumers"],
+        "n_producers": section["n_producers"],
         "z_grid": eq.build_z_grid(grid["lo"], grid["hi"], grid["resolution"]),
         "seed": seed,
         "boundary_threshold": float(section["boundary_threshold"]),
@@ -130,15 +137,19 @@ def cmd_identify(raw, seed: int, out_dir: str) -> int:
     )
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "identify.eps_spec")
     zeta = SurplusFamily.from_config(section["zeta"], "identify.zeta") if surplus else None
-    dataset = measures.read_dataset_csv(section["dataset"])
     n_ref, mode, part = section["n_ref"], section["reference_mode"], section["partition"]
+    if n_ref is not None:
+        n_ref = section["n_ref"] = measures.read_count(n_ref, "identify.n_ref")
+    if part["widths"] is not None and part["scheme"] == "exact":
+        raise ValueError("identify.partition.widths is read only under scheme 'bins'")
+    dataset = measures.read_dataset_csv(section["dataset"])
     prefix = section["outputs"]["prefix"]
 
     if pipeline == "simeq":
         cells = ident.simultaneous_equations_identify(
             dataset,
             eps_spec,
-            dataset.n if n_ref is None else int(n_ref),
+            dataset.n if n_ref is None else n_ref,
             seed=seed,
             scheme=part["scheme"],
             widths=part["widths"],
@@ -153,7 +164,7 @@ def cmd_identify(raw, seed: int, out_dir: str) -> int:
             child_seed = int(children[k].generate_state(1)[0])
             # by default each cell's reference has one point per dataset row of
             # the cell, so its transport takes the replicated assignment path
-            cell_ref = slice_.n_rows if n_ref is None else int(n_ref)
+            cell_ref = slice_.n_rows if n_ref is None else n_ref
             if pipeline == "scalar":
                 return ident.scalar_identify(
                     slice_, eps_spec, zeta, cell_ref, seed=child_seed,
@@ -314,8 +325,9 @@ def _check_plan(raw) -> tuple:
     section = measures.read_config(
         raw, "check.plan", ("source", "target", "plan"), zeta=None, x=None, duals=None
     )
-    if section["duals"] is not None and section["zeta"] is None:
-        raise ValueError("check.plan.duals needs a check.plan.zeta surplus")
+    for key in ("x", "duals"):
+        if section[key] is not None and section["zeta"] is None:
+            raise ValueError(f"check.plan.{key} needs a check.plan.zeta surplus")
     mu = measures.read_measure_csv(section["source"])
     nu = measures.read_measure_csv(section["target"])
     plan = ot.read_plan_csv(section["plan"], (mu.n, nu.n))
@@ -433,7 +445,9 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
         config = measures.read_config(raw, "", (args.command,), seed=0, **dict.fromkeys(_COMMANDS))
-        seed = args.seed if args.seed is not None else int(config["seed"])
+        seed = args.seed
+        if seed is None:
+            seed = measures.read_count(config["seed"], "seed", 0)
         return _COMMANDS[args.command](config[args.command], seed, args.out)
     except TwistViolationError as exc:
         print(f"{args.command}: twist check refused: {exc}", file=sys.stderr)

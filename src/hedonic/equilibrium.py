@@ -38,14 +38,15 @@ __all__ = [
 ]
 
 # Cells per producer block of the max-plus product: 2^15 doubles (256 KB)
-# keep the difference buffer in cache.
+# keep the difference buffer in cache.  Every other scan over agents, grid
+# points or dataset rows takes its rows in blocks of about this many cells.
 _MAXPLUS_BLOCK_CELLS = 32768
 # Consumers x producers per tile of the pruned max-plus product: each tile
 # gathers its candidate columns once, and its 16 consumer rows share them.
 _MAXPLUS_TILE = (16, 128)
 # Pairs per row chunk of the hull route: a few (n, m)-chunk temporaries of
-# 2^16 doubles (512 KB) each.
-_MAXPLUS_HULL_CELLS = 1 << 16
+# 2^14 doubles (128 KB) each.
+_MAXPLUS_HULL_CELLS = 1 << 14
 # Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
 # it per side so that the pairs it joins meet support equality within it.
 _TOL = 1e-7
@@ -204,6 +205,13 @@ def _dense_entries(s, consumer_gain, producer_cost, ii, jj) -> int:
     return ii.size * g
 
 
+def _row_blocks(n: int, width: int) -> list:
+    """Slices of consecutive rows, each about _MAXPLUS_BLOCK_CELLS cells
+    of `width` columns (one row at least)."""
+    step = max(1, _MAXPLUS_BLOCK_CELLS // max(1, width))
+    return [slice(r, min(n, r + step)) for r in range(0, n, step)]
+
+
 def _lattice_axes(grid: np.ndarray) -> Optional[list]:
     """Sorted unique values of each grid axis when the grid is exactly
     their row-major product (as build_z_grid makes it), else None."""
@@ -255,7 +263,9 @@ def _axis_hull(t: np.ndarray, f: np.ndarray) -> _AxisHull:
     the slope bounds of every vertex.  A computed slope c = fl(fl(f_r -
     f_v) / fl(t_r - t_v)) is within 3 roundings of the exact slope, so
     c + 8u|c| bounds it from above and c - 8u|c| from below.  The slopes
-    are taken for 64 vertices at a time."""
+    are taken for 64 vertices at a time, the right-side ones over the points
+    right of the block's first vertex and the left-side ones over the
+    points left of its last vertex."""
     ts, fs = t.tolist(), f.tolist()
     hull = []
     for r in range(len(ts)):
@@ -271,12 +281,16 @@ def _axis_hull(t: np.ndarray, f: np.ndarray) -> _AxisHull:
     index = np.arange(t.size)
     for c0 in range(0, v.size, 64):
         vv = v[c0:c0 + 64, None]
+        right, left = slice(vv[0, 0] + 1, None), slice(None, vv[-1, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (f - f[vv]) / (t - t[vv])
-        pad = 8 * _UNIT * np.abs(slope)
-        right, left = index > vv, index < vv
-        bounds[0, c0:c0 + 64] = np.where(right, slope + pad, -np.inf).max(axis=1)
-        bounds[1, c0:c0 + 64] = np.where(left, slope - pad, np.inf).min(axis=1)
+            up = (f[right] - f[vv]) / (t[right] - t[vv])
+            down = (f[left] - f[vv]) / (t[left] - t[vv])
+        bounds[0, c0:c0 + 64] = np.where(
+            index[right] > vv, up + 8 * _UNIT * np.abs(up), -np.inf
+        ).max(axis=1, initial=-np.inf)
+        bounds[1, c0:c0 + 64] = np.where(
+            index[left] < vv, down - 8 * _UNIT * np.abs(down), np.inf
+        ).min(axis=1, initial=np.inf)
     after = np.append(t, np.inf)[v + 1] - t[v]
     before = t[v] - np.insert(t, 0, -np.inf)[v]
     return _AxisHull(v, neg_slopes, bounds[0], after, bounds[1], before)
@@ -522,6 +536,15 @@ def _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, duals, traded_
     )
 
 
+def _pair_argmax(consumer_gain, producer_cost, ii, jj) -> np.ndarray:
+    """Grid argmax of gain[i] - cost[j] for each pair (i, j) of (ii, jj),
+    taken over pair blocks of about _MAXPLUS_BLOCK_CELLS cells."""
+    arg = np.empty(ii.size, dtype=np.intp)
+    for b in _row_blocks(ii.size, consumer_gain.shape[1]):
+        arg[b] = np.argmax(consumer_gain[ii[b]] - producer_cost[jj[b]], axis=1)
+    return arg
+
+
 def simulate_market(
     spec: StructuralSpec,
     x_spec: DistributionSpec,
@@ -558,20 +581,45 @@ def simulate_market(
 
     # the quality argmax is only needed on the matched pairs
     ii, jj, _ = plan.support()
-    pair_arg = np.argmax(consumer_gain[ii] - producer_cost[jj], axis=1)
+    pair_arg = _pair_argmax(consumer_gain, producer_cost, ii, jj)
     prices = producer_cost[jj, pair_arg] + duals.v_target[jj]
     return _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, duals, pair_arg,
                     prices, maxplus, boundary_threshold)
 
 
-def _grid_rows(grid: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Grid index of each row of z (the first, if a point repeats), -1 for
-    a row that is no grid point.  Points compare exactly: a dataset written
-    by simulate holds the grid's floats as exact repr strings."""
+def _row_index(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Index in `table` of each row of z (the first, if a row repeats), -1
+    for a row that is not in the table.  Rows compare exactly, as ==
+    compares floats: a dataset written by simulate holds the grid's and the
+    types' floats as exact repr strings."""
     index = {}
-    for k, point in enumerate(map(tuple, grid.tolist())):
+    for k, point in enumerate(map(tuple, table.tolist())):
         index.setdefault(point, k)
     return np.array([index.get(tuple(row), -1) for row in z.tolist()], dtype=np.intp)
+
+
+def _tight_arcs(consumer_gain, producer_cost, row_grid, p, consumer_x, row_x):
+    """(v, ci, ck) and (w, pj, pk) of certify_dataset: each consumer's and
+    each producer's best row value, and the tight consumer -> row arcs
+    (ci, ck) and row -> producer arcs (pj, pk) in row-major order.  Row k
+    trades grid point row_grid[k] at p[k], and consumer i may buy it when
+    consumer_x[i] == row_x[k].  Taken over row blocks of about
+    _MAXPLUS_BLOCK_CELLS cells, in row order."""
+    v, w = np.empty(consumer_gain.shape[0]), np.empty(producer_cost.shape[0])
+    ci, ck, pj, pk = [], [], [], []
+    for b in _row_blocks(v.size, row_grid.size):
+        net = consumer_gain[b][:, row_grid] - p
+        v[b] = net.max(axis=1)
+        i, k = np.nonzero((consumer_x[b, None] == row_x) & (net >= v[b, None] - _TOL / 2))
+        ci.append(i + b.start)
+        ck.append(k)
+    for b in _row_blocks(w.size, row_grid.size):
+        profit = p - producer_cost[b][:, row_grid]
+        w[b] = profit.max(axis=1)
+        j, k = np.nonzero(profit >= w[b, None] - _TOL / 2)
+        pj.append(j + b.start)
+        pk.append(k)
+    return (v, *map(np.concatenate, (ci, ck))), (w, *map(np.concatenate, (pj, pk)))
 
 
 def certify_dataset(
@@ -616,6 +664,15 @@ def certify_dataset(
     verify_equilibrium reports as a clearing failure.  As simulate_market
     does, aborts when the plan's mass trading on the grid's bounding box
     exceeds `boundary_threshold`.
+
+    Memory: no n x K or m x K array is built.  Consumers and producers are
+    taken in row blocks of about _MAXPLUS_BLOCK_CELLS cells: each block
+    gathers its U or C at the K rows' qualities, takes v or w and its
+    tight arcs, and is dropped.  A consumer shares x with a row when both
+    map to the same first consumer with that x.  Blocks run in row order,
+    so the arcs come out in the row-major order of one np.nonzero over the
+    whole n x K and m x K tests, and the flow and the facts are those of
+    that one-shot form.
     """
     if n_consumers < 1 or n_producers < 1:
         raise ValueError("need at least one consumer and one producer")
@@ -628,19 +685,17 @@ def certify_dataset(
     facts = {"dataset_rows": rows, "dataset_matches_replay": False}
     if dataset.d_x != x.shape[1] or dataset.d_z != grid.shape[1]:
         return None, facts
-    row_grid = _grid_rows(grid, dataset.z)
-    same_x = (x[:, None, :] == dataset.x[None, :, :]).all(axis=2)  # (n, K)
-    if np.any(row_grid < 0) or not same_x.any(axis=0).all():
+    row_grid = _row_index(grid, dataset.z)
+    # consumer i and row k share x when their x's first consumer is the same
+    consumer_x, row_x = _row_index(x, x), _row_index(x, dataset.x)
+    if np.any(row_grid < 0) or np.any(row_x < 0):
         return None, facts
     facts["dataset_matches_replay"] = True
 
     consumer_gain, producer_cost = _grid_tensors(spec, x, eps, y, grid)
-    net = consumer_gain[:, row_grid] - dataset.p  # (n, K)
-    profit = dataset.p - producer_cost[:, row_grid]  # (m, K)
-    v = net.max(axis=1)
-    w = profit.max(axis=1)
-    ci, ck = np.nonzero(same_x & (net >= v[:, None] - _TOL / 2))
-    pj, pk = np.nonzero(profit >= w[:, None] - _TOL / 2)
+    (v, ci, ck), (w, pj, pk) = _tight_arcs(
+        consumer_gain, producer_cost, row_grid, dataset.p, consumer_x, row_x
+    )
 
     # nodes: source 0, consumers 1..n, rows n+1..n+K, producers, sink
     first_row, first_producer = 1 + n, 1 + n + rows
@@ -712,14 +767,42 @@ class EquilibriumReport:
 def _envelope_margin(consumer_gain, producer_cost, v, w):
     """Stability margin min_z [min_j (C_jz + w_j) - max_i (U_iz - v_i)] over
     the grid (see verify_equilibrium), with its grid point g and the
-    consumer i and producer j that attain it there: (margin, g, i, j)."""
-    upper = (consumer_gain - v[:, None]).max(axis=0)
-    lower = (producer_cost + w[:, None]).min(axis=0)
+    consumer i and producer j that attain it there: (margin, g, i, j).
+
+    Both sides are running maxima and minima over row blocks; a max or min
+    returns one of its inputs, so blocking changes no value."""
+    points = consumer_gain.shape[1]
+    upper = np.full(points, -np.inf)
+    for b in _row_blocks(v.shape[0], points):
+        np.maximum(upper, (consumer_gain[b] - v[b, None]).max(axis=0), out=upper)
+    lower = np.full(points, np.inf)
+    for b in _row_blocks(w.shape[0], points):
+        np.minimum(lower, (producer_cost[b] + w[b, None]).min(axis=0), out=lower)
     gap = lower - upper
     g = int(np.argmin(gap))
     i = int(np.argmax(consumer_gain[:, g] - v))
     j = int(np.argmin(producer_cost[:, g] + w))
     return float(gap[g]), g, i, j
+
+
+def _best_trades(consumer_gain, producer_cost, traded_index, prices):
+    """Each consumer's best net utility, max_k fl(U(z_k) - p_k), and each
+    producer's best profit, max_k fl(p_k - C(z_k)), over the trades k at
+    grid points traded_index with prices p, scanned over the distinct traded
+    qualities at their lowest and highest price (see verify_equilibrium), a
+    row block at a time."""
+    quality, at = np.unique(traded_index, return_inverse=True)
+    low = np.full(quality.size, np.inf)
+    high = np.full(quality.size, -np.inf)
+    np.minimum.at(low, at, prices)
+    np.maximum.at(high, at, prices)
+    best_net = np.empty(consumer_gain.shape[0])
+    for b in _row_blocks(best_net.size, quality.size):
+        best_net[b] = (consumer_gain[b][:, quality] - low).max(axis=1)
+    best_profit = np.empty(producer_cost.shape[0])
+    for b in _row_blocks(best_profit.size, quality.size):
+        best_profit[b] = (high - producer_cost[b][:, quality]).max(axis=1)
+    return best_net, best_profit
 
 
 def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
@@ -743,6 +826,18 @@ def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
     on each matched pair at its traded quality z.  Every check reads U and C
     from the outcome's grid tensors, the values the market was solved on,
     and every check but clearing allows _TOL.
+
+    Memory: beside the grid tensors, every scan holds one block of about
+    _MAXPLUS_BLOCK_CELLS cells and O(n + m + G) vectors.  The envelope
+    takes its maxima and minima over row blocks.  The deviation scans run
+    over the D distinct traded qualities, not the n_pairs trades: rounding
+    is monotone, so fl(U_iz - p) does not increase as p grows, and the
+    best trade of consumer i at quality z, max_k fl(U_iz - p_k) over the
+    trades k at z, is fl(U_iz - min_k p_k); a producer's best is
+    fl(max_k p_k - C_jz) in the same way.  So the n x D and m x D scans,
+    in row blocks, give the floats of the n x n_pairs and m x n_pairs
+    ones; only a best of zero reached both as -0.0 - (+0.0) and as +0.0
+    may keep the other zero's sign.
     """
     failures = []
     v = outcome.indirect_v
@@ -792,8 +887,10 @@ def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
     consumer_dev = -np.inf
     producer_dev = -np.inf
     if n_pairs > 1:
-        net_all = outcome.consumer_gain[:, outcome.traded_index] - outcome.prices[None, :]
-        gain = net_all.max(axis=1)[src] - (u_pairs - outcome.prices)
+        best_net, best_profit = _best_trades(
+            outcome.consumer_gain, outcome.producer_cost, outcome.traded_index, outcome.prices
+        )
+        gain = best_net[src] - (u_pairs - outcome.prices)
         consumer_dev = float(gain.max())
         if consumer_dev > _TOL:
             t = int(np.argmax(gain))
@@ -801,8 +898,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
                 f"consumer {int(src[t])} gains "
                 f"{consumer_dev:.3e} by switching traded quality"
             )
-        profit_all = outcome.prices[None, :] - outcome.producer_cost[:, outcome.traded_index]
-        gain_p = profit_all.max(axis=1)[tgt] - (outcome.prices - c_pairs)
+        gain_p = best_profit[tgt] - (outcome.prices - c_pairs)
         producer_dev = float(gain_p.max())
         if producer_dev > _TOL:
             t = int(np.argmax(gain_p))

@@ -133,18 +133,32 @@ def default_neighbor_count(d_z: int) -> int:
     return 2 * d_z + 2
 
 
-def _neighbour_order(z: np.ndarray) -> np.ndarray:
-    """Row j lists every point by its distance from point j, ties by index
-    (a stable argsort of the distance matrix)."""
-    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    return np.argsort(dist, axis=1, kind="stable")
+# Cells (point pairs) per row block of _neighbour_order.
+_NEIGHBOUR_BLOCK_CELLS = 1 << 15
+
+
+def _neighbour_order(z: np.ndarray, k: int) -> np.ndarray:
+    """Row j lists point j's k + 1 nearest points (all m when m <= k + 1),
+    nearest first, ties by index: the first k + 1 columns of a stable
+    argsort of the distance matrix.
+
+    The rows are built in blocks of about _NEIGHBOUR_BLOCK_CELLS distances,
+    each the stable argsort of its own rows of that matrix, so no m x m
+    array is held; the distances are the same floats, row by row."""
+    m = z.shape[0]
+    order = np.empty((m, min(k + 1, m)), dtype=np.intp)
+    step = max(1, _NEIGHBOUR_BLOCK_CELLS // m)
+    for r in range(0, m, step):
+        dist = np.linalg.norm(z[r:r + step, None, :] - z[None, :, :], axis=2)
+        order[r:r + step] = np.argsort(dist, axis=1, kind="stable")[:, : order.shape[1]]
+    return order
 
 
 def local_price_gradients(z_points: np.ndarray, prices: np.ndarray, k: int, order=None):
     """Per-point price gradient by local least squares.
 
     Fits an affine model over each point and its k nearest neighbors, the
-    first k + 1 entries of its row of `order` (default _neighbour_order).
+    first k + 1 entries of its row of `order` (default _neighbour_order(z, k)).
     Returns (gradients, valid); rank-deficient neighborhoods give NaN
     rows flagged invalid.  All fits are solved by one stacked SVD with
     np.linalg.lstsq's rank rule for a (k + 1) x (d + 1) design, k >= d: a
@@ -158,7 +172,7 @@ def local_price_gradients(z_points: np.ndarray, prices: np.ndarray, k: int, orde
     if m < 2 or k < d:  # fewer than d + 1 rows cannot have full rank
         return grads, np.zeros(m, dtype=bool)
     if order is None:
-        order = _neighbour_order(z)
+        order = _neighbour_order(z, k)
     rows = order[:, : k + 1]  # the point itself plus k neighbors
     design = np.concatenate([np.ones((m, k + 1, 1)), z[rows] - z[:, None, :]], axis=2)
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
@@ -362,7 +376,7 @@ def _identify_via_transport(
         raise RuntimeError("optimal plan left a traded quality unmatched")
 
     k = default_neighbor_count(d_z)
-    order = _neighbour_order(slice_.z_measure.points)
+    order = _neighbour_order(slice_.z_measure.points, k)
     price_grads, price_valid = local_price_gradients(
         slice_.z_measure.points, slice_.prices, k, order
     )

@@ -38,6 +38,7 @@ __all__ = [
     "write_measure_csv",
     "read_config",
     "config_kind",
+    "read_count",
 ]
 
 # Tolerance for two observed prices of the *same* quality to count as one
@@ -110,6 +111,20 @@ def config_kind(cfg, where: str, kinds: Sequence[str], key: str = "kind", defaul
         raise ValueError(f"unknown {where}.{key} {kind!r}: {where} must be a mapping "
                          f"whose {key} is one of {list(kinds)}")
     return kind
+
+
+def read_count(value, where: str, least: int = 1) -> int:
+    """The count at dotted config path `where`: an int, or a float with an
+    integral value, of at least `least`.  A bool, a string, a fraction or
+    a smaller value is an error naming the path."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+        or value < least
+    ):
+        raise ValueError(f"{where} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,9 @@ __all__ = [
 SPARSITY_THRESHOLD = 1e-12
 # Largest distance of N * weight from an integer that still replicates.
 _REPLICATION_TOL = 1e-9
-# Cells per block of gathered support rows in the dual relaxation: 2^15
-# doubles (256 KB) keep the block in cache.
+# Cells per block of gathered support rows in the dual relaxation, and of
+# the row blocks of its c-transform and of the assignment's warm start:
+# 2^15 doubles (256 KB) keep the block in cache.
 _RELAX_BLOCK_CELLS = 32768
 # Square assignments with fewer rows are solved directly; larger ones are
 # warm-started from every _COARSE_STRIDE-th row and column.
@@ -281,7 +282,8 @@ def _duals_from_support(
     sweep takes 250-401 and 42-401.  The active surplus rows are gathered
     a block of about _RELAX_BLOCK_CELLS cells at a time into one reused
     buffer, so even a round with every pair active makes no n_support x m
-    temporary.
+    temporary; w, the c-transform of v, is taken over row blocks of the
+    same size.
     """
     m = surplus.shape[1]
     v = np.full(m, -np.inf)
@@ -326,7 +328,9 @@ def _duals_from_support(
             np.maximum(new_v, cand.max(axis=0), out=new_v)
         v = new_v
         rounds += 1
-    w = (surplus - v[None, :]).max(axis=1)
+    w = np.empty(surplus.shape[0])
+    for r in range(0, w.size, block):
+        w[r : r + block] = (surplus[r : r + block] - v).max(axis=1)
     return w, v, rounds
 
 
@@ -354,10 +358,12 @@ def _assignment(cost, order, tol):
         # the coarse columns in `order`
         sub = np.argsort(np.argsort(order)[c])
         _, v, _ = _duals_from_support(coarse, *_assignment(-coarse, sub, tol), sub[0], sub, tol)
-        # cost-form column potentials are -v; c-transform them to every row
-        to_rows = cost[:, c]
-        to_rows += v
-        cost -= to_rows.min(axis=1)[:, None]
+        # cost-form column potentials are -v; c-transform them to every row,
+        # a row block at a time
+        block = max(1, _RELAX_BLOCK_CELLS // c.size)
+        for r in range(0, cost.shape[0], block):
+            rows = cost[r : r + block]
+            rows -= (rows[:, c] + v).min(axis=1)[:, None]
         cost -= cost.min(axis=0)
     return linear_sum_assignment(cost)
 
@@ -492,14 +498,17 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, surplus: np.ndarray):
     n, m = surplus.shape
     if mu.n != n or nu.n != m:
         raise ValueError("surplus matrix shape must match the measures")
-    if not np.all(np.isfinite(surplus)):
+    # the largest and the smallest entry are finite when every entry is, and
+    # the larger of their magnitudes is the largest magnitude
+    extremes = np.abs([surplus.max(), surplus.min()])
+    if not np.all(np.isfinite(extremes)):
         raise ValueError("surplus must be finite")
     mu_w, nu_w = mu.weights, nu.weights
     order = _lexicographic_order(nu.points)
     ref = int(order[0])
     # the chains' stop and the LP's pricing tolerance, from the real surplus:
     # the LP's restricted matrix holds -inf
-    tol = _PRICING_ULPS * np.spacing(np.abs(surplus).max())
+    tol = _PRICING_ULPS * np.spacing(extremes.max())
 
     path = exact_solver_path(mu_w, nu_w)
     if path == "size-1":

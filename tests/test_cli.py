@@ -901,6 +901,75 @@ def test_keys_that_only_some_modes_take(tmp_path, capsys, command, change, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, path, value, drop, message", [
+    ("identify", ("identify", "partition", "widths"), [0.5], None,
+     "identify.partition.widths is read only under scheme 'bins'"),
+    ("check", ("check", "plan", "x"), [1.0], ("check", "plan", "zeta"),
+     "check.plan.x needs a check.plan.zeta surplus"),
+], ids=["exact-widths", "plan-x-without-zeta"])
+def test_a_key_the_mode_ignores_exits_1_naming_it(
+    tmp_path, capsys, command, path, value, drop, message
+):
+    config = every_section(tmp_path)
+    for key_path, new in ((path, value), (drop, None)):
+        if key_path is not None:
+            mapping = config
+            for step in key_path[:-1]:
+                mapping = mapping[step]
+            mapping[key_path[-1]] = new
+            if new is None:
+                del mapping[key_path[-1]]
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+COUNTS = [
+    ("simulate", ("seed",), 1.5, "seed"),
+    ("simulate", ("seed",), True, "seed"),
+    ("simulate", ("simulate", "n_consumers"), 20.7, "simulate.n_consumers"),
+    ("simulate", ("simulate", "n_consumers"), True, "simulate.n_consumers"),
+    ("simulate", ("simulate", "n_producers"), "20", "simulate.n_producers"),
+    ("simulate", ("simulate", "z_grid", "resolution"), 2.5, "simulate.z_grid.resolution"),
+    ("simulate", ("simulate", "z_grid", "resolution"), [21, 20.5],
+     "simulate.z_grid.resolution[1]"),
+    ("identify", ("identify", "n_ref"), 50.5, "identify.n_ref"),
+    ("check", ("check", "equilibrium", "simulate", "n_producers"), 20.7,
+     "check.equilibrium.simulate.n_producers"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, key", COUNTS,
+                         ids=[f"{key}={value!r}" for _, _, value, key in COUNTS])
+def test_a_count_that_is_no_whole_number_exits_1_naming_it(
+    tmp_path, capsys, command, path, value, key
+):
+    config = every_section(tmp_path)
+    mapping = config
+    for step in path[:-1]:
+        mapping = mapping[step]
+    mapping[path[-1]] = value
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"{key} must be a whole number of at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_count_is_read_and_echoed_as_an_int(tmp_path):
+    config = every_section(tmp_path)
+    config["simulate"]["n_consumers"] = 20.0
+    config["simulate"]["z_grid"]["resolution"] = [21.0, 21]
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "float")]) == 0
+    config["simulate"]["n_consumers"] = 20
+    config["simulate"]["z_grid"]["resolution"] = [21, 21]
+    cfg = write_config(tmp_path, config, "int.json")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "int")]) == 0
+    for name in ("dataset.csv", "sim_report.json"):
+        assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
 # Per command: the optional keys that every_section sets, and the report's
 # config entries once they are left out.
 DEFAULTS = {

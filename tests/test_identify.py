@@ -500,7 +500,7 @@ def test_stacked_price_gradient_fits_match_per_point_lstsq(d, m, k, seed):
     if seed % 2:
         z = z + rng.uniform(-0.05, 0.05, size=(m, d))
     p = (z**2).sum(axis=1) + rng.uniform(-0.1, 0.1, size=m)
-    order = _neighbour_order(z)
+    order = _neighbour_order(z, max(k, 1))
     grads, valid = local_price_gradients(z, p, k, order)
     want_grads, want_valid = lstsq_price_gradients(z, p, k)
     assert np.array_equal(valid, want_valid)
