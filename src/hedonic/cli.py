@@ -2,9 +2,10 @@
 
 Every run is driven by a JSON config file plus a root seed; exact-solver
 commands are byte-deterministic given (config, seed).  Each config
-mapping is read once, by `measures.read_config`, and a key it does not
-take is a config error.  Each report echoes its command section as
-resolved, defaults filled in, so runs are self-describing.
+mapping is read once, by `measures.read_config`, which converts each value
+to its key's type or refuses it, as it does a key it does not take, naming
+the key; no command converts a config value itself.  Each report echoes its
+command section as resolved and converted, so runs are self-describing.
 
 Exit codes: 0 ok, 1 usage/config error, 2 verification failure,
 3 quality-grid boundary abort, 4 twist-check refusal.
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Annotated
 
 import numpy as np
 
@@ -59,22 +61,12 @@ def _zeta_x(x, family: SurplusFamily) -> np.ndarray:
 def _read_simulate(raw, where: str, seed: int) -> tuple:
     """A simulate section as resolved, and the keyword arguments of
     simulate_market and certify_dataset for its market under the seed."""
+    count, res = Annotated[int, 1], Annotated[int, 2]
     section = measures.read_config(
-        raw, where,
-        ("structural", "x_spec", "eps_spec", "producer_spec", "n_consumers", "n_producers",
-         "z_grid"),
-        boundary_threshold=0.01,
+        raw, where, structural=dict, x_spec=dict, eps_spec=dict, producer_spec=dict,
+        n_consumers=count, n_producers=count, boundary_threshold=0.01,
+        z_grid={"lo": list[float], "hi": list[float], "resolution": res | list[res]},
         outputs={"dataset": "dataset.csv", "report": "simulate_report.json"},
-    )
-    grid = section["z_grid"] = measures.read_config(
-        section["z_grid"], f"{where}.z_grid", ("lo", "hi", "resolution")
-    )
-    for key in ("n_consumers", "n_producers"):
-        section[key] = measures.read_count(section[key], f"{where}.{key}")
-    res, res_at = grid["resolution"], f"{where}.z_grid.resolution"
-    grid["resolution"] = (
-        [measures.read_count(r, f"{res_at}[{k}]", 2) for k, r in enumerate(res)]
-        if isinstance(res, list) else measures.read_count(res, res_at, 2)
     )
     return section, {
         "spec": StructuralSpec.from_config(section["structural"], f"{where}.structural"),
@@ -84,9 +76,9 @@ def _read_simulate(raw, where: str, seed: int) -> tuple:
         },
         "n_consumers": section["n_consumers"],
         "n_producers": section["n_producers"],
-        "z_grid": eq.build_z_grid(grid["lo"], grid["hi"], grid["resolution"]),
+        "z_grid": eq.build_z_grid(**section["z_grid"]),
         "seed": seed,
-        "boundary_threshold": float(section["boundary_threshold"]),
+        "boundary_threshold": section["boundary_threshold"],
     }
 
 
@@ -129,19 +121,18 @@ def cmd_identify(raw, seed: int, out_dir: str) -> int:
         raw, "identify", ("scalar", "brenier", "general", "simeq"), "pipeline"
     )
     # brenier and simeq fix the bilinear surplus, so they take no zeta
-    surplus = ("zeta",) if pipeline in ("scalar", "general") else ()
+    surplus = {"zeta": dict} if pipeline in ("scalar", "general") else {}
+    scheme = measures.config_kind(raw.get("partition", {}), "identify.partition",
+                                  ("exact", "bins"), "scheme", "exact")
+    widths = {"widths": list[float]} if scheme == "bins" else {}  # exact takes no widths
     section = measures.read_config(
-        raw, "identify", ("pipeline", "dataset", "eps_spec", *surplus),
-        n_ref=None, reference_mode="sample",
-        partition={"scheme": "exact", "widths": None}, outputs={"prefix": "identified"},
+        raw, "identify", pipeline=str, dataset=str, eps_spec=dict, **surplus,
+        n_ref=Annotated[int, 1] | None, reference_mode="sample",
+        partition={"scheme": "exact", **widths}, outputs={"prefix": "identified"},
     )
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "identify.eps_spec")
     zeta = SurplusFamily.from_config(section["zeta"], "identify.zeta") if surplus else None
     n_ref, mode, part = section["n_ref"], section["reference_mode"], section["partition"]
-    if n_ref is not None:
-        n_ref = section["n_ref"] = measures.read_count(n_ref, "identify.n_ref")
-    if part["widths"] is not None and part["scheme"] == "exact":
-        raise ValueError("identify.partition.widths is read only under scheme 'bins'")
     dataset = measures.read_dataset_csv(section["dataset"])
     prefix = section["outputs"]["prefix"]
 
@@ -151,13 +142,12 @@ def cmd_identify(raw, seed: int, out_dir: str) -> int:
             eps_spec,
             dataset.n if n_ref is None else n_ref,
             seed=seed,
-            scheme=part["scheme"],
-            widths=part["widths"],
             reference_mode=mode,
+            **part,
         )
         write_cell, wrote = _write_forward_map_csv, "forward-map cells"
     else:
-        slices = measures.partition_by_x(dataset, part["scheme"], part["widths"])
+        slices = measures.partition_by_x(dataset, **part)
         children = np.random.SeedSequence(seed).spawn(len(slices))
 
         def identify_cell(k, slice_):
@@ -207,10 +197,10 @@ def _write_forward_map_csv(est: ident.ForwardMapEstimate, path: str) -> None:
 def cmd_transport(raw, seed: int, out_dir: str) -> int:
     mode = measures.config_kind(raw, "transport", ("exact", "entropic"), "mode", "exact")
     # the entropic solve alone takes a regularization and a tolerance
-    entropic = ("epsilon",) if mode == "entropic" else ()
+    entropic = {"epsilon": float, "tol": 1e-9} if mode == "entropic" else {}
     section = measures.read_config(
-        raw, "transport", ("source", "target", "zeta", *entropic),
-        mode="exact", x=None, **({"tol": 1e-9} if entropic else {}),
+        raw, "transport", source=str, target=str, zeta=dict, **entropic,
+        mode="exact", x=list[float] | None,
         outputs={"plan": "plan.csv", "duals": "duals.csv", "report": "transport_report.json"},
     )
     family = SurplusFamily.from_config(section["zeta"], "transport.zeta")
@@ -221,9 +211,7 @@ def cmd_transport(raw, seed: int, out_dir: str) -> int:
         plan, duals = ot.solve_exact(mu, nu, s)
         info = {"mode": "exact", "iterations": None, "converged": True}
     else:
-        result = ot.solve_entropic(
-            mu, nu, s, epsilon=float(section["epsilon"]), tol=float(section["tol"])
-        )
+        result = ot.solve_entropic(mu, nu, s, epsilon=section["epsilon"], tol=section["tol"])
         plan, duals = result.plan, result.duals
         info = {
             "mode": "entropic",
@@ -255,8 +243,8 @@ def cmd_transport(raw, seed: int, out_dir: str) -> int:
 
 def cmd_conjugate(raw, seed: int, out_dir: str) -> int:
     section = measures.read_config(
-        raw, "conjugate", ("grid_function", "zeta"), x=None,
-        eps_grid={"lo": None, "hi": None, "resolution": 50},
+        raw, "conjugate", grid_function=str, zeta=dict, x=list[float] | None,
+        eps_grid={"lo": list[float] | None, "hi": list[float] | None, "resolution": 50},
         outputs={"conjugate": "conjugate.csv", "report": "conjugate_report.json"},
     )
     grid_cfg, outputs = section["eps_grid"], section["outputs"]
@@ -265,7 +253,7 @@ def cmd_conjugate(raw, seed: int, out_dir: str) -> int:
     family = SurplusFamily.from_config(section["zeta"], "conjugate.zeta")
     gf = conj.read_grid_function_csv(section["grid_function"])
     if grid_cfg["lo"] is not None:
-        eps_grid = eq.build_z_grid(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["resolution"])
+        eps_grid = eq.build_z_grid(**grid_cfg)
     else:
         # fall back to the padded box of potential slopes observed on the grid
         grads, valid = ident.local_price_gradients(
@@ -273,9 +261,7 @@ def cmd_conjugate(raw, seed: int, out_dir: str) -> int:
         )
         if not np.any(valid):
             raise ValueError("cannot infer a taste grid from the grid function")
-        eps_grid = conj.eps_grid_from_gradients(
-            grads[valid], resolution=int(grid_cfg["resolution"])
-        )
+        eps_grid = conj.eps_grid_from_gradients(grads[valid], resolution=grid_cfg["resolution"])
     result = conj.zeta_conjugate(gf, family, _zeta_x(section["x"], family), eps_grid)
     conj.write_grid_function_csv(result, _out_path(out_dir, outputs["conjugate"]))
     measures.write_json(
@@ -302,7 +288,7 @@ def _check_equilibrium(raw, seed: int) -> tuple:
     or, without a dataset, simulate that market; either outcome goes
     through verify_equilibrium."""
     where = "check.equilibrium"
-    section = measures.read_config(raw, where, ("simulate",), dataset=None)
+    section = measures.read_config(raw, where, simulate=dict, dataset=str | None)
     section["simulate"], market = _read_simulate(section["simulate"], f"{where}.simulate", seed)
     if section["dataset"] is not None:
         ds = measures.read_dataset_csv(section["dataset"])
@@ -323,7 +309,8 @@ def _check_equilibrium(raw, seed: int) -> tuple:
 
 def _check_plan(raw) -> tuple:
     section = measures.read_config(
-        raw, "check.plan", ("source", "target", "plan"), zeta=None, x=None, duals=None
+        raw, "check.plan", source=str, target=str, plan=str, zeta=dict | None,
+        x=list[float] | None, duals=str | None,
     )
     for key in ("x", "duals"):
         if section[key] is not None and section["zeta"] is None:
@@ -376,15 +363,13 @@ def _check_plan(raw) -> tuple:
 
 def _check_twist_section(raw) -> tuple:
     section = measures.read_config(
-        raw, "check.twist", ("zeta", "eps_spec", "z_grid"), x=None, n_grid=64
-    )
-    grid = section["z_grid"] = measures.read_config(
-        section["z_grid"], "check.twist.z_grid", ("lo", "hi"), resolution=8
+        raw, "check.twist", zeta=dict, eps_spec=dict, x=list[float] | None, n_grid=64,
+        z_grid={"lo": list[float], "hi": list[float], "resolution": 8},
     )
     family = SurplusFamily.from_config(section["zeta"], "check.twist.zeta")
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "check.twist.eps_spec")
-    eps_grid = measures.reference_lattice(eps_spec, int(section["n_grid"]))
-    z_grid = measures.from_samples(eq.build_z_grid(grid["lo"], grid["hi"], grid["resolution"]))
+    eps_grid = measures.reference_lattice(eps_spec, section["n_grid"])
+    z_grid = measures.from_samples(eq.build_z_grid(**section["z_grid"]))
     report = check_twist(family, _zeta_x(section["x"], family), eps_grid, z_grid)
     return section, {
         "passed": bool(report.passed),
@@ -403,9 +388,8 @@ def cmd_check(raw, seed: int, out_dir: str) -> int:
         "plan": _check_plan,
         "twist": _check_twist_section,
     }
-    section = measures.read_config(
-        raw, "check", outputs={"report": "check_report.json"}, **dict.fromkeys(checks)
-    )
+    section = measures.read_config(raw, "check", outputs={"report": "check_report.json"},
+                                   **dict.fromkeys(checks, dict | None))
     ran = [name for name in checks if section[name] is not None]
     if not ran:
         raise ValueError(
@@ -444,10 +428,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-        config = measures.read_config(raw, "", (args.command,), seed=0, **dict.fromkeys(_COMMANDS))
-        seed = args.seed
-        if seed is None:
-            seed = measures.read_count(config["seed"], "seed", 0)
+        sections = {**dict.fromkeys(_COMMANDS, dict | None), args.command: dict}
+        config = measures.read_config(raw, "", seed=0, **sections)
+        seed = config["seed"] if args.seed is None else args.seed
         return _COMMANDS[args.command](config[args.command], seed, args.out)
     except TwistViolationError as exc:
         print(f"{args.command}: twist check refused: {exc}", file=sys.stderr)

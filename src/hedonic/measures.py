@@ -6,15 +6,19 @@ or an n-point rank-1 lattice through the per-axis quantiles), observed
 markets are `MarketDataset` rows (x, z, p), and identification runs on
 `ConditionalSlice` objects obtained by grouping rows on the observable
 type x.  All containers are immutable after construction.  Every config
-mapping is read once, by `read_config`, which refuses a key it does not take.
+mapping is read once, by `read_config`, the one place that converts a
+config value to its key's type or refuses it, naming its dotted path.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
+import typing
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import UnionType
+from typing import Annotated, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -38,7 +42,6 @@ __all__ = [
     "write_measure_csv",
     "read_config",
     "config_kind",
-    "read_count",
 ]
 
 # Tolerance for two observed prices of the *same* quality to count as one
@@ -78,53 +81,70 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def read_config(cfg, where: str, required=(), **defaults) -> dict:
-    """The config mapping at dotted path `where` ("" at the top), as a new
-    dict with the `defaults` of the keys it leaves out.  It takes the
-    `required` keys and those of `defaults`: a non-mapping, a missing
-    required key or any other key is an error naming the key's path.  A
-    default that is a mapping makes its key a sub-section, read the same way.
-    """
+def read_config(cfg, where: str, **keys) -> dict:
+    """The config mapping at dotted path `where` ("" at the top) as a new
+    dict of its `keys`.  A key's entry is its default (an int, float or
+    str), a mapping of a sub-section's keys, or, for a key that is required
+    or null by default, its type (`int`, `list[float]`, `str | None`).  A
+    non-mapping, a missing required key, an unknown key and a value not of
+    the key's type (see `_read_value`) are errors naming the path."""
     name, prefix = where or "the config", f"{where}." if where else ""
     if not isinstance(cfg, dict):
         raise ValueError(f"{name} must be a mapping, got {type(cfg).__name__}")
-    known = {*required, *defaults}
     for key in cfg:
-        if key not in known:
-            raise ValueError(f"unknown key {prefix}{key}: {name} takes {sorted(known)}, "
+        if key not in keys:
+            raise ValueError(f"unknown key {prefix}{key}: {name} takes {sorted(keys)}, "
                              f"got {sorted(cfg)}")
-    for key in required:
-        if key not in cfg:
-            raise ValueError(f"{prefix}{key} is required")
-    resolved = {**defaults, **cfg}
-    for key, default in defaults.items():
-        if isinstance(default, dict):
-            resolved[key] = read_config(resolved[key], prefix + key, **default)
+    resolved = dict.fromkeys(keys)
+    for key, kind in keys.items():
+        at = prefix + key
+        if isinstance(kind, dict):
+            resolved[key] = read_config(cfg.get(key, {}), at, **kind)
+        elif isinstance(kind, (int, float, str)):
+            resolved[key] = _read_value(cfg[key], type(kind), at) if key in cfg else kind
+        elif key in cfg:
+            resolved[key] = _read_value(cfg[key], kind, at)
+        elif type(None) not in typing.get_args(kind):
+            raise ValueError(f"{at} is required")
     return resolved
 
 
+def _read_value(value, kind, where: str):
+    """`value` read as type `kind`: int a whole number (an integral float
+    too) of at least 0, or k under `Annotated[int, k]`; float a finite
+    number; a bool is neither.  str, dict (a mapping, read later by its own
+    reader) and None are taken as they are, list[T] is read item by item,
+    and a union by the first of its types that fits the value's shape."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    whole = number and (isinstance(value, int) or value.is_integer())
+    union = typing.get_origin(kind) in (typing.Union, UnionType)
+    wanted = []
+    for arm in typing.get_args(kind) if union else (kind,):
+        arm, least = typing.get_args(arm) if typing.get_origin(arm) is Annotated else (arm, 0)
+        base = typing.get_origin(arm) or arm
+        if base is list and isinstance(value, list):
+            (item,) = typing.get_args(arm)
+            return [_read_value(v, item, f"{where}[{k}]") for k, v in enumerate(value)]
+        if base is int and whole and value >= least:
+            return int(value)
+        if base is float and number and abs(value) <= sys.float_info.max:
+            return float(value)
+        if base in (str, dict, type(None)) and isinstance(value, base):
+            return value
+        wanted.append({int: f"a whole number of at least {least}", float: "a finite number",
+                       str: "a string", dict: "a mapping", list: "a list"}.get(base))
+    got = type(value).__name__ if isinstance(value, (str, list, dict)) else repr(value)
+    raise ValueError(f"{where} must be {' or '.join(filter(None, wanted))}, got {got}")
+
+
 def config_kind(cfg, where: str, kinds: Sequence[str], key: str = "kind", default=None) -> str:
-    """The `key` entry (kind, pipeline or mode) of a config mapping, one of
-    `kinds`: it decides the keys that read_config reads the mapping under."""
+    """The `key` entry (kind, pipeline, mode or scheme) of a config mapping,
+    one of `kinds`: it decides the keys that read_config reads it under."""
     kind = cfg.get(key, default) if isinstance(cfg, dict) else None
     if kind not in kinds:
         raise ValueError(f"unknown {where}.{key} {kind!r}: {where} must be a mapping "
                          f"whose {key} is one of {list(kinds)}")
     return kind
-
-
-def read_count(value, where: str, least: int = 1) -> int:
-    """The count at dotted config path `where`: an int, or a float with an
-    integral value, of at least `least`.  A bool, a string, a fraction or
-    a smaller value is an error naming the path."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-        or value < least
-    ):
-        raise ValueError(f"{where} must be a whole number of at least {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -393,7 +413,6 @@ class DistributionSpec:
 
     @staticmethod
     def gaussian(dim: int, lo=None, hi=None) -> "DistributionSpec":
-        dim = int(dim)
         if (lo is None) != (hi is None):
             raise ValueError("truncation needs both lo and hi")
         if lo is None:
@@ -411,16 +430,13 @@ class DistributionSpec:
         for k, m in enumerate(marginals):
             at = f"{where}.marginals[{k}]"
             if config_kind(m, at, ("uniform", "normal")) == "uniform":
-                m = read_config(m, at, ("kind", "lo", "hi"))
-                if not m["lo"] < m["hi"]:
-                    raise ValueError("degenerate box: lo >= hi")
-                cleaned.append(("uniform", float(m["lo"]), float(m["hi"])))
+                m = read_config(m, at, kind=str, lo=float, hi=float)
+                cleaned += DistributionSpec.uniform(m["lo"], m["hi"]).marginals
             else:
-                m = read_config(m, at, ("kind",), mu=0.0, sigma=1.0)
-                sigma = float(m["sigma"])
-                if sigma <= 0:
+                m = read_config(m, at, kind=str, mu=0.0, sigma=1.0)
+                if m["sigma"] <= 0:
                     raise ValueError("normal marginal needs sigma > 0")
-                cleaned.append(("normal", float(m["mu"]), sigma, 0.0, 1.0))
+                cleaned.append(("normal", m["mu"], m["sigma"], 0.0, 1.0))
         if not cleaned:
             raise ValueError("product spec needs at least one marginal")
         return DistributionSpec(tuple(cleaned))
@@ -482,15 +498,16 @@ class DistributionSpec:
     def from_config(cfg: dict, where: str = "spec") -> "DistributionSpec":
         kind = config_kind(cfg, where, ("uniform", "gaussian", "product", "point"))
         if kind == "uniform":
-            cfg = read_config(cfg, where, ("kind", "lo", "hi"))
+            cfg = read_config(cfg, where, kind=str, lo=list[float], hi=list[float])
             return DistributionSpec.uniform(cfg["lo"], cfg["hi"])
         if kind == "gaussian":
-            cfg = read_config(cfg, where, ("kind", "dim"), lo=None, hi=None)
+            cfg = read_config(cfg, where, kind=str, dim=int, lo=list[float] | None,
+                              hi=list[float] | None)
             return DistributionSpec.gaussian(cfg["dim"], cfg["lo"], cfg["hi"])
         if kind == "product":
-            cfg = read_config(cfg, where, ("kind", "marginals"))
+            cfg = read_config(cfg, where, kind=str, marginals=list[dict])
             return DistributionSpec.product(cfg["marginals"], where)
-        return DistributionSpec.point(read_config(cfg, where, ("kind", "value"))["value"])
+        return DistributionSpec.point(read_config(cfg, where, kind=str, value=list[float])["value"])
 
 
 # (candidate, offset) pairs scored per vectorised pass: 256 KB int64 arrays,

@@ -110,16 +110,16 @@ class _Monomials:
 def _parse_terms(terms: Sequence[dict], block_dims: dict, where: str) -> dict:
     """The polynomial over the concatenated blocks of the config terms at
     `where`, each a coeff and per block its exponents, zeros when left out."""
-    poly, zeros = {}, {name: [0] * d for name, d in block_dims.items()}
+    poly, exponents = {}, dict.fromkeys(block_dims, list[int] | None)
     for i, t in enumerate(terms):
-        t = read_config(t, f"{where}[{i}]", ("coeff",), **zeros)
+        t = read_config(t, f"{where}[{i}]", coeff=float, **exponents)
         key = ()
         for name, d in block_dims.items():
-            e = np.asarray(t[name], dtype=int).ravel()
-            if e.shape[0] != d or np.any(e < 0):
-                raise ValueError(f"{where}[{i}].{name} needs {d} nonnegative exponents")
-            key += tuple(e.tolist())
-        poly[key] = poly.get(key, 0.0) + float(t["coeff"])
+            e = [0] * d if t[name] is None else t[name]
+            if len(e) != d:
+                raise ValueError(f"{where}[{i}].{name} needs {d} exponents")
+            key += tuple(e)
+        poly[key] = poly.get(key, 0.0) + t["coeff"]
     if not poly:
         raise ValueError(f"{where} needs at least one term")
     return poly
@@ -242,21 +242,20 @@ class SurplusFamily:
     _core: _Core = field(repr=False)
 
     @staticmethod
-    def _build(kind: str, d_x, d_z, poly: dict, shift=None) -> "SurplusFamily":
-        d_x, d_z = int(d_x), int(d_z)
+    def _build(kind: str, d_x: int, d_z: int, poly: dict, shift=None) -> "SurplusFamily":
         return SurplusFamily(kind, d_x, d_z, _Core(poly, d_x + d_z, d_z, shift))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def bilinear(dim: int, d_x: int = 0) -> "SurplusFamily":
-        d_z, w = int(dim), int(d_x) + int(dim)
+        d_z, w = dim, d_x + dim
         poly = {_unit(w + d_z, w - d_z + k, w + k): 1.0 for k in range(d_z)}
         return SurplusFamily._build("bilinear", d_x, d_z, poly)
 
     @staticmethod
     def neg_quadratic(q, d_x: int = 0) -> "SurplusFamily":
         q = _positive_definite(q)
-        d_z, w = q.shape[0], int(d_x) + q.shape[0]
+        d_z, w = q.shape[0], d_x + q.shape[0]
         # u = z - eps: the shift picks the eps block of w = (x, eps)
         shift = np.eye(d_z, w, w - d_z)
         return SurplusFamily._build("neg-quadratic", d_x, d_z, _neg_quadratic_poly(q, w), shift)
@@ -361,15 +360,16 @@ class SurplusFamily:
         kinds = ("bilinear", "neg-quadratic", "polynomial", "bilinear-feature")
         kind = config_kind(cfg, where, kinds)
         if kind == "bilinear":
-            cfg = read_config(cfg, where, ("kind", "dim"), d_x=0)
+            cfg = read_config(cfg, where, kind=str, dim=int, d_x=0)
             return SurplusFamily.bilinear(cfg["dim"], cfg["d_x"])
         if kind == "neg-quadratic":
-            cfg = read_config(cfg, where, ("kind", "q"), d_x=0)
+            cfg = read_config(cfg, where, kind=str, q=list[list[float]], d_x=0)
             return SurplusFamily.neg_quadratic(cfg["q"], cfg["d_x"])
         if kind == "polynomial":
-            cfg = read_config(cfg, where, ("kind", "terms", "d_x", "d_z"))
+            cfg = read_config(cfg, where, kind=str, terms=list[dict], d_x=int, d_z=int)
             return SurplusFamily.polynomial(cfg["terms"], cfg["d_x"], cfg["d_z"], where)
-        cfg = read_config(cfg, where, ("kind", "phi", "psi", "d_x", "d_z"))
+        features = list[list[dict]]
+        cfg = read_config(cfg, where, kind=str, phi=features, psi=features, d_x=int, d_z=int)
         return SurplusFamily.bilinear_feature(
             cfg["phi"], cfg["psi"], cfg["d_x"], cfg["d_z"], where
         )
@@ -398,7 +398,7 @@ class ScalarFamily:
     @staticmethod
     def polynomial(terms: Sequence[dict], d_a: int, d_z: int, where="scalar") -> "ScalarFamily":
         poly = _parse_terms(terms, {"a": d_a, "z": d_z}, f"{where}.terms")
-        return ScalarFamily("polynomial", int(d_a), int(d_z), _Core(poly, int(d_a), int(d_z)))
+        return ScalarFamily("polynomial", d_a, d_z, _Core(poly, d_a, d_z))
 
     @staticmethod
     def neg_quadratic(q, center_matrix=None, center_offset=None, d_a: int = 0) -> "ScalarFamily":
@@ -417,8 +417,8 @@ class ScalarFamily:
         )
         if c0.shape[0] != d_z:
             raise ValueError("center offset must have quality dimension")
-        core = _Core(_neg_quadratic_poly(q, int(d_a)), int(d_a), d_z, m, c0)
-        return ScalarFamily("neg-quadratic", int(d_a), d_z, core)
+        core = _Core(_neg_quadratic_poly(q, d_a), d_a, d_z, m, c0)
+        return ScalarFamily("neg-quadratic", d_a, d_z, core)
 
     def _check(self, a, z):
         a, z = _as_rows(a), _as_rows(z)
@@ -449,11 +449,10 @@ class ScalarFamily:
     @staticmethod
     def from_config(cfg: dict, where: str = "scalar") -> "ScalarFamily":
         if config_kind(cfg, where, ("polynomial", "neg-quadratic")) == "polynomial":
-            cfg = read_config(cfg, where, ("kind", "terms", "d_a", "d_z"))
+            cfg = read_config(cfg, where, kind=str, terms=list[dict], d_a=int, d_z=int)
             return ScalarFamily.polynomial(cfg["terms"], cfg["d_a"], cfg["d_z"], where)
-        cfg = read_config(
-            cfg, where, ("kind", "q"), center_matrix=None, center_offset=None, d_a=0
-        )
+        cfg = read_config(cfg, where, kind=str, q=list[list[float]], d_a=0,
+                          center_matrix=list[list[float]] | None, center_offset=list[float] | None)
         return ScalarFamily.neg_quadratic(
             cfg["q"], cfg["center_matrix"], cfg["center_offset"], cfg["d_a"]
         )
@@ -473,7 +472,7 @@ class StructuralSpec:
 
     @staticmethod
     def from_config(cfg: dict, where: str = "structural") -> "StructuralSpec":
-        cfg = read_config(cfg, where, ("u_bar", "cost", "zeta"))
+        cfg = read_config(cfg, where, u_bar=dict, cost=dict, zeta=dict)
         return StructuralSpec(
             u_bar=ScalarFamily.from_config(cfg["u_bar"], f"{where}.u_bar"),
             cost=ScalarFamily.from_config(cfg["cost"], f"{where}.cost"),

@@ -889,8 +889,10 @@ def test_a_section_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, pay
      "unknown key transport.max_iter:"),
     ("transport", {"mode": "sinkhorn"}, "unknown transport.mode 'sinkhorn'"),
     ("conjugate", {"eps_grid": {"hi": [1.0]}}, "conjugate.eps_grid takes lo and hi together"),
+    ("identify", {"partition": {"scheme": "bins"}}, "identify.partition.widths is required"),
+    ("identify", {"partition": {"scheme": "grid"}}, "unknown identify.partition.scheme 'grid'"),
 ], ids=["brenier-zeta", "simeq-zeta", "general-no-zeta", "entropic-no-epsilon",
-        "entropic-max-iter", "unknown-mode", "lone-hi"])
+        "entropic-max-iter", "unknown-mode", "lone-hi", "bins-no-widths", "unknown-scheme"])
 def test_keys_that_only_some_modes_take(tmp_path, capsys, command, change, message):
     config = every_section(tmp_path)
     config[command].update(change)
@@ -903,7 +905,7 @@ def test_keys_that_only_some_modes_take(tmp_path, capsys, command, change, messa
 
 @pytest.mark.parametrize("command, path, value, drop, message", [
     ("identify", ("identify", "partition", "widths"), [0.5], None,
-     "identify.partition.widths is read only under scheme 'bins'"),
+     "unknown key identify.partition.widths:"),
     ("check", ("check", "plan", "x"), [1.0], ("check", "plan", "zeta"),
      "check.plan.x needs a check.plan.zeta surplus"),
 ], ids=["exact-widths", "plan-x-without-zeta"])
@@ -925,26 +927,72 @@ def test_a_key_the_mode_ignores_exits_1_naming_it(
     assert not (tmp_path / "out").exists()
 
 
-COUNTS = [
-    ("simulate", ("seed",), 1.5, "seed"),
-    ("simulate", ("seed",), True, "seed"),
-    ("simulate", ("simulate", "n_consumers"), 20.7, "simulate.n_consumers"),
-    ("simulate", ("simulate", "n_consumers"), True, "simulate.n_consumers"),
-    ("simulate", ("simulate", "n_producers"), "20", "simulate.n_producers"),
-    ("simulate", ("simulate", "z_grid", "resolution"), 2.5, "simulate.z_grid.resolution"),
+# Per row: a value of the wrong type, or below its floor, and the start of
+# the error, which names the value's dotted key.
+MISTYPED = [
+    ("simulate", ("seed",), 1.5, "seed must be a whole number of at least 0"),
+    ("simulate", ("seed",), True, "seed must be a whole number of at least 0"),
+    ("simulate", ("seed",), -1, "seed must be a whole number of at least 0"),
+    ("simulate", ("simulate", "n_consumers"), 20.7,
+     "simulate.n_consumers must be a whole number of at least 1"),
+    ("simulate", ("simulate", "n_consumers"), True,
+     "simulate.n_consumers must be a whole number of at least 1"),
+    ("simulate", ("simulate", "n_consumers"), 0,
+     "simulate.n_consumers must be a whole number of at least 1"),
+    ("simulate", ("simulate", "n_producers"), "20",
+     "simulate.n_producers must be a whole number of at least 1"),
+    ("simulate", ("simulate", "z_grid", "resolution"), 2.5,
+     "simulate.z_grid.resolution must be a whole number of at least 2 or a list"),
+    ("simulate", ("simulate", "z_grid", "resolution"), 1,
+     "simulate.z_grid.resolution must be a whole number of at least 2 or a list"),
     ("simulate", ("simulate", "z_grid", "resolution"), [21, 20.5],
-     "simulate.z_grid.resolution[1]"),
-    ("identify", ("identify", "n_ref"), 50.5, "identify.n_ref"),
+     "simulate.z_grid.resolution[1] must be a whole number of at least 2"),
+    ("simulate", ("simulate", "boundary_threshold"), True,
+     "simulate.boundary_threshold must be a finite number"),
+    ("simulate", ("simulate", "boundary_threshold"), "0.5",
+     "simulate.boundary_threshold must be a finite number"),
+    ("simulate", ("simulate", "structural", "zeta", "d_x"), True,
+     "simulate.structural.zeta.d_x must be a whole number of at least 0"),
+    ("simulate", ("simulate", "outputs", "dataset"), 5,
+     "simulate.outputs.dataset must be a string"),
+    ("identify", ("identify", "n_ref"), 50.5, "identify.n_ref must be a whole number of at least 1"),
+    ("identify", ("identify", "n_ref"), 0, "identify.n_ref must be a whole number of at least 1"),
+    ("identify", ("identify", "dataset"), 7, "identify.dataset must be a string"),
+    ("identify", ("identify", "zeta", "dim"), 1.5,
+     "identify.zeta.dim must be a whole number of at least 0"),
+    ("identify", ("identify", "eps_spec", "marginals"), 3,
+     "identify.eps_spec.marginals must be a list"),
+    ("identify", ("identify", "eps_spec", "marginals", 0, "lo"), "a",
+     "identify.eps_spec.marginals[0].lo must be a finite number"),
+    ("identify", ("identify", "eps_spec", "marginals", 0), {"kind": "normal", "sigma": "2"},
+     "identify.eps_spec.marginals[0].sigma must be a finite number"),
+    ("identify", ("identify", "partition"), {"scheme": "bins", "widths": True},
+     "identify.partition.widths must be a list"),
+    ("transport", ("transport", "x"), True, "transport.x must be a list"),
+    ("transport", ("transport", "zeta", "d_z"), 1.5,
+     "transport.zeta.d_z must be a whole number of at least 0"),
+    ("transport", ("transport", "zeta", "terms"), 5, "transport.zeta.terms must be a list"),
+    ("transport", ("transport", "zeta", "terms", 0, "coeff"), "1",
+     "transport.zeta.terms[0].coeff must be a finite number"),
+    ("transport", ("transport", "zeta", "terms", 0, "z"), [1.6],
+     "transport.zeta.terms[0].z[0] must be a whole number of at least 0"),
+    ("conjugate", ("conjugate", "eps_grid", "resolution"), 5.5,
+     "conjugate.eps_grid.resolution must be a whole number of at least 0"),
     ("check", ("check", "equilibrium", "simulate", "n_producers"), 20.7,
-     "check.equilibrium.simulate.n_producers"),
+     "check.equilibrium.simulate.n_producers must be a whole number of at least 1"),
+    ("check", ("check", "twist", "n_grid"), 9.7,
+     "check.twist.n_grid must be a whole number of at least 0"),
+    ("check", ("check", "twist", "z_grid", "resolution"), 4.5,
+     "check.twist.z_grid.resolution must be a whole number of at least 0"),
 ]
 
 
-@pytest.mark.parametrize("command, path, value, key", COUNTS,
-                         ids=[f"{key}={value!r}" for _, _, value, key in COUNTS])
+@pytest.mark.parametrize("command, path, value, message", MISTYPED,
+                         ids=[f"{message.split()[0]}={value!r}" for *_, value, message in MISTYPED])
 def test_a_count_that_is_no_whole_number_exits_1_naming_it(
-    tmp_path, capsys, command, path, value, key
+    tmp_path, capsys, command, path, value, message
 ):
+    # named for its first rows, the counts; every row is a mistyped value
     config = every_section(tmp_path)
     mapping = config
     for step in path[:-1]:
@@ -952,7 +1000,7 @@ def test_a_count_that_is_no_whole_number_exits_1_naming_it(
     mapping[path[-1]] = value
     cfg = write_config(tmp_path, config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert f"{key} must be a whole number of at least" in capsys.readouterr().err
+    assert f"{command}: config error: {message}, got " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -960,13 +1008,17 @@ def test_an_integral_float_count_is_read_and_echoed_as_an_int(tmp_path):
     config = every_section(tmp_path)
     config["simulate"]["n_consumers"] = 20.0
     config["simulate"]["z_grid"]["resolution"] = [21.0, 21]
+    config["transport"]["zeta"]["d_z"] = 1.0
     cfg = write_config(tmp_path, config)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "float")]) == 0
+    for command in ("simulate", "transport"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "float")]) == 0
     config["simulate"]["n_consumers"] = 20
     config["simulate"]["z_grid"]["resolution"] = [21, 21]
+    config["transport"]["zeta"]["d_z"] = 1
     cfg = write_config(tmp_path, config, "int.json")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "int")]) == 0
-    for name in ("dataset.csv", "sim_report.json"):
+    for command in ("simulate", "transport"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "int")]) == 0
+    for name in ("dataset.csv", "sim_report.json", "plan_out.csv", "duals.csv"):
         assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
 
@@ -981,7 +1033,7 @@ DEFAULTS = {
     "identify": (
         ["partition", "outputs"],
         {"n_ref": None, "reference_mode": "sample",
-         "partition": {"scheme": "exact", "widths": None}, "outputs": {"prefix": "identified"}},
+         "partition": {"scheme": "exact"}, "outputs": {"prefix": "identified"}},
     ),
     "transport": (
         ["outputs"],
