@@ -244,7 +244,8 @@ def cmd_transport(raw, seed: int, out_dir: str) -> int:
 def cmd_conjugate(raw, seed: int, out_dir: str) -> int:
     section = measures.read_config(
         raw, "conjugate", grid_function=str, zeta=dict, x=list[float] | None,
-        eps_grid={"lo": list[float] | None, "hi": list[float] | None, "resolution": 50},
+        eps_grid={"lo": list[float] | None, "hi": list[float] | None,
+                  "resolution": (Annotated[int, 2], 50)},
         outputs={"conjugate": "conjugate.csv", "report": "conjugate_report.json"},
     )
     grid_cfg, outputs = section["eps_grid"], section["outputs"]
@@ -363,8 +364,9 @@ def _check_plan(raw) -> tuple:
 
 def _check_twist_section(raw) -> tuple:
     section = measures.read_config(
-        raw, "check.twist", zeta=dict, eps_spec=dict, x=list[float] | None, n_grid=64,
-        z_grid={"lo": list[float], "hi": list[float], "resolution": 8},
+        raw, "check.twist", zeta=dict, eps_spec=dict, x=list[float] | None,
+        n_grid=(Annotated[int, 1], 64),
+        z_grid={"lo": list[float], "hi": list[float], "resolution": (Annotated[int, 2], 8)},
     )
     family = SurplusFamily.from_config(section["zeta"], "check.twist.zeta")
     eps_spec = measures.DistributionSpec.from_config(section["eps_spec"], "check.twist.eps_spec")
@@ -430,7 +432,9 @@ def main(argv=None) -> int:
             raw = json.load(fh)
         sections = {**dict.fromkeys(_COMMANDS, dict | None), args.command: dict}
         config = measures.read_config(raw, "", seed=0, **sections)
-        seed = config["seed"] if args.seed is None else args.seed
+        seed = config["seed"]
+        if args.seed is not None:  # read as the config's seed is, refused naming the flag
+            seed = measures._read_value(args.seed, int, "--seed")
         return _COMMANDS[args.command](config[args.command], seed, args.out)
     except TwistViolationError as exc:
         print(f"{args.command}: twist check refused: {exc}", file=sys.stderr)

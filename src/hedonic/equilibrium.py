@@ -22,7 +22,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .conjugate import bounding_box_mask
-from .measures import DistributionSpec, MarketDataset, from_samples, product_grid, write_json
+from .measures import (
+    DistributionSpec,
+    MarketDataset,
+    from_samples,
+    product_grid,
+    row_blocks,
+    write_json,
+)
 from .ot import DualPair, TransportPlan, solve_exact
 from .surplus import _UNIT, AxisSplit, StructuralSpec
 
@@ -37,16 +44,9 @@ __all__ = [
     "write_equilibrium_report",
 ]
 
-# Cells per producer block of the max-plus product: 2^15 doubles (256 KB)
-# keep the difference buffer in cache.  Every other scan over agents, grid
-# points or dataset rows takes its rows in blocks of about this many cells.
-_MAXPLUS_BLOCK_CELLS = 32768
 # Consumers x producers per tile of the pruned max-plus product: each tile
 # gathers its candidate columns once, and its 16 consumer rows share them.
 _MAXPLUS_TILE = (16, 128)
-# Pairs per row chunk of the hull route: a few (n, m)-chunk temporaries of
-# 2^14 doubles (128 KB) each.
-_MAXPLUS_HULL_CELLS = 1 << 14
 # Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
 # it per side so that the pairs it joins meet support equality within it.
 _TOL = 1e-7
@@ -142,16 +142,16 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: lis
     values rise strictly along a chain of drops, so every chain ends at a
     point kept for that pair, and the max over the kept points is the dense
     max.  Zero entries are redone by _dense_entries.  The masks are
-    booleans built in row chunks of about _MAXPLUS_BLOCK_CELLS cells.
+    booleans built in row blocks (measures.row_blocks).
 
     Tiles: consumers and producers are ordered by the mean kept grid index
     of their masks and cut into tiles of _MAXPLUS_TILE rows; a tile is
     evaluated on the union of its consumers' masks intersected with the
     union of its producers' masks.  It gathers those gain columns once, and
-    those cost columns in blocks of at most _MAXPLUS_BLOCK_CELLS cells (one
-    producer row when a tile keeps more columns); every consumer row of the
-    tile then runs np.subtract and max(axis=1) on a block into a reused
-    buffer of the same size.
+    those cost columns in row blocks (measures.row_blocks: at most
+    BLOCK_CELLS cells, or one producer row when a tile keeps more columns);
+    every consumer row of the tile then runs np.subtract and max(axis=1) on
+    a block into a buffer the size of the tile's first, largest, block.
     """
     n, g = consumer_gain.shape
     m = producer_cost.shape[0]
@@ -165,7 +165,6 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: lis
     dorder = np.argsort(dkey, kind="stable")
     col_tiles = [dorder[j:j + tile_cols] for j in range(0, m, tile_cols)]
     col_unions = [dmask[cols].any(axis=0) for cols in col_tiles]
-    buf = np.empty(max(_MAXPLUS_BLOCK_CELLS, g))
     out = np.empty((tile_rows, tile_cols))
     cells = 0
     for i in range(0, n, tile_rows):
@@ -175,15 +174,15 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: lis
             kept = np.flatnonzero(row_union & col_union)
             k = kept.size
             gain = consumer_gain[np.ix_(rows, kept)]
-            block = max(1, _MAXPLUS_BLOCK_CELLS // k)
             res = out[: rows.size, : cols.size]
-            for j0 in range(0, cols.size, block):
-                part = cols[j0:j0 + block]
-                cost = producer_cost[np.ix_(part, kept)]
-                diff = buf[: part.size * k].reshape(part.size, k)
+            blocks = row_blocks(cols.size, k)
+            buf = np.empty((blocks[0].stop, k))
+            for b in blocks:
+                cost = producer_cost[np.ix_(cols[b], kept)]
+                diff = buf[: cost.shape[0]]
                 for r in range(rows.size):
                     np.subtract(gain[r], cost, out=diff)
-                    diff.max(axis=1, out=res[r, j0:j0 + part.size])
+                    diff.max(axis=1, out=res[r, b])
             s[np.ix_(rows, cols)] = res
             cells += rows.size * cols.size * k
     return s, cells + _dense_entries(s, consumer_gain, producer_cost, *np.nonzero(s == 0))
@@ -191,25 +190,16 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: lis
 
 def _dense_entries(s, consumer_gain, producer_cost, ii, jj) -> int:
     """Redo the entries (ii, jj) of s as the dense product computes them,
-    one max over all G differences in grid order, in chunks of about
-    _MAXPLUS_BLOCK_CELLS cells; returns the number of cells evaluated.
+    one max over all G differences in grid order, in row blocks of pairs;
+    returns the number of cells evaluated.
 
     _max_plus redoes every zero entry: numpy's max takes the sign of a
     zero reached as both +0.0 and -0.0 from the zeros' positions, which a
     partial scan changes."""
     g = consumer_gain.shape[1]
-    chunk = max(1, _MAXPLUS_BLOCK_CELLS // g)
-    for k in range(0, ii.size, chunk):
-        rows, cols = ii[k:k + chunk], jj[k:k + chunk]
-        s[rows, cols] = (consumer_gain[rows] - producer_cost[cols]).max(axis=1)
+    for b in row_blocks(ii.size, g):
+        s[ii[b], jj[b]] = (consumer_gain[ii[b]] - producer_cost[jj[b]]).max(axis=1)
     return ii.size * g
-
-
-def _row_blocks(n: int, width: int) -> list:
-    """Slices of consecutive rows, each about _MAXPLUS_BLOCK_CELLS cells
-    of `width` columns (one row at least)."""
-    step = max(1, _MAXPLUS_BLOCK_CELLS // max(1, width))
-    return [slice(r, min(n, r + step)) for r in range(0, n, step)]
 
 
 def _lattice_axes(grid: np.ndarray) -> Optional[list]:
@@ -335,8 +325,8 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     included, since every other point is strictly below it.  Pairs
     with an axis that fails (ties, near-ties, near-hull points inside the
     bound, or an a_hat that overflows) are redone over all G by
-    _dense_entries.  Pairs run in row chunks of about _MAXPLUS_HULL_CELLS,
-    so no temporary exceeds a few of them.
+    _dense_entries.  Pairs run in row blocks of about BLOCK_CELLS pairs, so
+    no temporary exceeds a few of them.
     """
     n, g = consumer_gain.shape
     m = producer_cost.shape[0]
@@ -345,16 +335,15 @@ def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
     s = np.empty((n, m))
     redo = np.empty((n, m), dtype=bool)
     cols = np.arange(m)
-    chunk = max(1, _MAXPLUS_HULL_CELLS // m)
     # searchsorted runs two to three times faster on keys that grow along
     # memory.  a_hat grows with the consumer slope for each producer on an
     # axis whose scale the producers carry, and with the producer slope for
     # each consumer on the others, so each axis takes its pairs sorted on
-    # that side (side 0 or 1 of the chunk) and puts its results back.
+    # that side (side 0 or 1 of the block) and puts its results back.
     by_consumer = [np.any(p_scale != 1.0) for _, p_scale in split.axis_scale]
     producer_order = [np.argsort(split.producer_slope[:, k], kind="stable") for k in range(len(axes))]
-    for i0 in range(0, n, chunk):
-        rows = np.arange(i0, min(n, i0 + chunk))
+    for b in row_blocks(n, m):
+        rows = np.arange(b.start, b.stop)
         index = np.zeros((rows.size, m), dtype=np.intp)
         ok = np.ones((rows.size, m), dtype=bool)
         for k, (hull, stride, (c_scale, p_scale)) in enumerate(
@@ -406,18 +395,15 @@ def _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost):
 def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: list):
     """(mask, key) of the consumer rows and of the producer rows: the grid
     points each row keeps (see _max_plus) and its mean kept grid index."""
-    chunk = max(1, _MAXPLUS_BLOCK_CELLS // consumer_gain.shape[1])
-    gain_range = _step_range(consumer_gain, strides, chunk)
-    cost_range = _step_range(producer_cost, strides, chunk)
+    gain_range = _step_range(consumer_gain, strides)
+    cost_range = _step_range(producer_cost, strides)
     # a consumer drops a point when its gain step to a partner is above
     # every producer's cost step, and a producer when its cost step is
     # below every consumer's gain step; producer steps are negated so that
     # both compare as "above up, or below down"
     return (
-        _row_mask(consumer_gain, strides, cost_range, 1.0, chunk),
-        _row_mask(
-            producer_cost, strides, [(-low, -high) for high, low in gain_range], -1.0, chunk
-        ),
+        _row_mask(consumer_gain, strides, cost_range, 1.0),
+        _row_mask(producer_cost, strides, [(-low, -high) for high, low in gain_range], -1.0),
     )
 
 
@@ -432,22 +418,23 @@ def _steps(block: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     return out[:, : block.shape[1] - s]
 
 
-def _step_range(values: np.ndarray, strides: list, chunk: int) -> list:
+def _step_range(values: np.ndarray, strides: list) -> list:
     """(max, min) over rows of each partner step, per stride."""
-    buf = np.empty((min(chunk, values.shape[0]), values.shape[1]))
+    blocks = row_blocks(*values.shape)
+    buf = np.empty((blocks[0].stop, values.shape[1]))
     ranges = []
     for s in strides:
         high = np.full(values.shape[1] - s, -np.inf)
         low = np.full(values.shape[1] - s, np.inf)
-        for r0 in range(0, values.shape[0], chunk):
-            step = _steps(values[r0:r0 + chunk], s, buf)
+        for b in blocks:
+            step = _steps(values[b], s, buf)
             np.maximum(high, step.max(axis=0), out=high)
             np.minimum(low, step.min(axis=0), out=low)
         ranges.append((high, low))
     return ranges
 
 
-def _row_mask(values, strides, limits, sign, chunk):
+def _row_mask(values, strides, limits, sign):
     """Grid points each row keeps, and each row's mean kept grid index.
 
     With step = sign * (partner step) and (up, down) the limits of a
@@ -458,11 +445,11 @@ def _row_mask(values, strides, limits, sign, chunk):
     keep = np.ones((n, g), dtype=bool)
     key = np.empty(n)
     index = np.arange(g, dtype=float)
-    buf = np.empty((min(chunk, n), g))
-    drop = np.empty((min(chunk, n), g), dtype=bool)
-    for r0 in range(0, n, chunk):
-        block = values[r0:r0 + chunk]
-        kept = keep[r0:r0 + chunk]
+    blocks = row_blocks(n, g)
+    buf = np.empty((blocks[0].stop, g))
+    drop = np.empty((blocks[0].stop, g), dtype=bool)
+    for b in blocks:
+        block, kept = values[b], keep[b]
         dropped = drop[: kept.shape[0]]
         for s, (up, down) in zip(strides, limits):
             step = _steps(block, s, buf)
@@ -472,7 +459,7 @@ def _row_mask(values, strides, limits, sign, chunk):
             dropped[:, -s:] = False
             dropped[:, s:] |= step < down
             kept &= ~dropped
-        key[r0:r0 + chunk] = kept.dot(index) / np.count_nonzero(kept, axis=1)
+        key[b] = kept.dot(index) / np.count_nonzero(kept, axis=1)
     return keep, key
 
 
@@ -538,9 +525,9 @@ def _outcome(x, eps, y, grid, consumer_gain, producer_cost, plan, duals, traded_
 
 def _pair_argmax(consumer_gain, producer_cost, ii, jj) -> np.ndarray:
     """Grid argmax of gain[i] - cost[j] for each pair (i, j) of (ii, jj),
-    taken over pair blocks of about _MAXPLUS_BLOCK_CELLS cells."""
+    taken over row blocks of pairs."""
     arg = np.empty(ii.size, dtype=np.intp)
-    for b in _row_blocks(ii.size, consumer_gain.shape[1]):
+    for b in row_blocks(ii.size, consumer_gain.shape[1]):
         arg[b] = np.argmax(consumer_gain[ii[b]] - producer_cost[jj[b]], axis=1)
     return arg
 
@@ -603,17 +590,16 @@ def _tight_arcs(consumer_gain, producer_cost, row_grid, p, consumer_x, row_x):
     each producer's best row value, and the tight consumer -> row arcs
     (ci, ck) and row -> producer arcs (pj, pk) in row-major order.  Row k
     trades grid point row_grid[k] at p[k], and consumer i may buy it when
-    consumer_x[i] == row_x[k].  Taken over row blocks of about
-    _MAXPLUS_BLOCK_CELLS cells, in row order."""
+    consumer_x[i] == row_x[k].  Taken over row blocks, in row order."""
     v, w = np.empty(consumer_gain.shape[0]), np.empty(producer_cost.shape[0])
     ci, ck, pj, pk = [], [], [], []
-    for b in _row_blocks(v.size, row_grid.size):
+    for b in row_blocks(v.size, row_grid.size):
         net = consumer_gain[b][:, row_grid] - p
         v[b] = net.max(axis=1)
         i, k = np.nonzero((consumer_x[b, None] == row_x) & (net >= v[b, None] - _TOL / 2))
         ci.append(i + b.start)
         ck.append(k)
-    for b in _row_blocks(w.size, row_grid.size):
+    for b in row_blocks(w.size, row_grid.size):
         profit = p - producer_cost[b][:, row_grid]
         w[b] = profit.max(axis=1)
         j, k = np.nonzero(profit >= w[b, None] - _TOL / 2)
@@ -666,7 +652,7 @@ def certify_dataset(
     exceeds `boundary_threshold`.
 
     Memory: no n x K or m x K array is built.  Consumers and producers are
-    taken in row blocks of about _MAXPLUS_BLOCK_CELLS cells: each block
+    taken in row blocks of about BLOCK_CELLS cells: each block
     gathers its U or C at the K rows' qualities, takes v or w and its
     tight arcs, and is dropped.  A consumer shares x with a row when both
     map to the same first consumer with that x.  Blocks run in row order,
@@ -773,10 +759,10 @@ def _envelope_margin(consumer_gain, producer_cost, v, w):
     returns one of its inputs, so blocking changes no value."""
     points = consumer_gain.shape[1]
     upper = np.full(points, -np.inf)
-    for b in _row_blocks(v.shape[0], points):
+    for b in row_blocks(v.shape[0], points):
         np.maximum(upper, (consumer_gain[b] - v[b, None]).max(axis=0), out=upper)
     lower = np.full(points, np.inf)
-    for b in _row_blocks(w.shape[0], points):
+    for b in row_blocks(w.shape[0], points):
         np.minimum(lower, (producer_cost[b] + w[b, None]).min(axis=0), out=lower)
     gap = lower - upper
     g = int(np.argmin(gap))
@@ -797,10 +783,10 @@ def _best_trades(consumer_gain, producer_cost, traded_index, prices):
     np.minimum.at(low, at, prices)
     np.maximum.at(high, at, prices)
     best_net = np.empty(consumer_gain.shape[0])
-    for b in _row_blocks(best_net.size, quality.size):
+    for b in row_blocks(best_net.size, quality.size):
         best_net[b] = (consumer_gain[b][:, quality] - low).max(axis=1)
     best_profit = np.empty(producer_cost.shape[0])
-    for b in _row_blocks(best_profit.size, quality.size):
+    for b in row_blocks(best_profit.size, quality.size):
         best_profit[b] = (high - producer_cost[b][:, quality]).max(axis=1)
     return best_net, best_profit
 
@@ -828,7 +814,7 @@ def verify_equilibrium(outcome: EquilibriumOutcome) -> EquilibriumReport:
     and every check but clearing allows _TOL.
 
     Memory: beside the grid tensors, every scan holds one block of about
-    _MAXPLUS_BLOCK_CELLS cells and O(n + m + G) vectors.  The envelope
+    BLOCK_CELLS cells and O(n + m + G) vectors.  The envelope
     takes its maxima and minima over row blocks.  The deviation scans run
     over the D distinct traded qualities, not the n_pairs trades: rounding
     is monotone, so fl(U_iz - p) does not increase as p grows, and the

@@ -45,6 +45,7 @@ from .measures import (
     partition_by_x,
     product_grid,
     reference_lattice,
+    row_blocks,
     sample_reference,
     write_float_table,
 )
@@ -133,24 +134,19 @@ def default_neighbor_count(d_z: int) -> int:
     return 2 * d_z + 2
 
 
-# Cells (point pairs) per row block of _neighbour_order.
-_NEIGHBOUR_BLOCK_CELLS = 1 << 15
-
-
 def _neighbour_order(z: np.ndarray, k: int) -> np.ndarray:
     """Row j lists point j's k + 1 nearest points (all m when m <= k + 1),
     nearest first, ties by index: the first k + 1 columns of a stable
     argsort of the distance matrix.
 
-    The rows are built in blocks of about _NEIGHBOUR_BLOCK_CELLS distances,
-    each the stable argsort of its own rows of that matrix, so no m x m
-    array is held; the distances are the same floats, row by row."""
+    The rows are built in row blocks (measures.row_blocks), each the stable
+    argsort of its own rows of that matrix, so no m x m array is held; the
+    distances are the same floats, row by row."""
     m = z.shape[0]
     order = np.empty((m, min(k + 1, m)), dtype=np.intp)
-    step = max(1, _NEIGHBOUR_BLOCK_CELLS // m)
-    for r in range(0, m, step):
-        dist = np.linalg.norm(z[r:r + step, None, :] - z[None, :, :], axis=2)
-        order[r:r + step] = np.argsort(dist, axis=1, kind="stable")[:, : order.shape[1]]
+    for b in row_blocks(m, m):
+        dist = np.linalg.norm(z[b, None, :] - z[None, :, :], axis=2)
+        order[b] = np.argsort(dist, axis=1, kind="stable")[:, : order.shape[1]]
     return order
 
 

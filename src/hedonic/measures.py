@@ -47,6 +47,18 @@ __all__ = [
 # Tolerance for two observed prices of the *same* quality to count as one
 # price schedule; a single market cannot quote two prices for one good.
 PRICE_MERGE_TOL = 1e-9
+# Working memory: every scan over agents, grid points, pairs or dataset rows
+# takes its rows from row_blocks, in blocks of about this many cells.  2^14
+# doubles (128 KB) stay in cache; 2^15 raised peak RSS by about 1 MB on every
+# benchmark workload, through the hull route's several temporaries per pair.
+BLOCK_CELLS = 1 << 14
+
+
+def row_blocks(n: int, width: int) -> list:
+    """Slices of consecutive rows of an n-row scan, each about BLOCK_CELLS
+    cells of `width` columns (one row at least)."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    return [slice(r, min(n, r + step)) for r in range(0, n, step)]
 
 
 class PriceConflictError(ValueError):
@@ -84,10 +96,11 @@ def write_json(payload, path) -> None:
 def read_config(cfg, where: str, **keys) -> dict:
     """The config mapping at dotted path `where` ("" at the top) as a new
     dict of its `keys`.  A key's entry is its default (an int, float or
-    str), a mapping of a sub-section's keys, or, for a key that is required
-    or null by default, its type (`int`, `list[float]`, `str | None`).  A
-    non-mapping, a missing required key, an unknown key and a value not of
-    the key's type (see `_read_value`) are errors naming the path."""
+    str), a (type, default) pair such as `(Annotated[int, 2], 8)`, a mapping
+    of a sub-section's keys, or, for a key that is required or null by
+    default, its type (`int`, `list[float]`, `str | None`).  A non-mapping,
+    a missing required key, an unknown key and a value not of the key's
+    type (see `_read_value`) are errors naming the path."""
     name, prefix = where or "the config", f"{where}." if where else ""
     if not isinstance(cfg, dict):
         raise ValueError(f"{name} must be a mapping, got {type(cfg).__name__}")
@@ -100,8 +113,9 @@ def read_config(cfg, where: str, **keys) -> dict:
         at = prefix + key
         if isinstance(kind, dict):
             resolved[key] = read_config(cfg.get(key, {}), at, **kind)
-        elif isinstance(kind, (int, float, str)):
-            resolved[key] = _read_value(cfg[key], type(kind), at) if key in cfg else kind
+        elif isinstance(kind, (int, float, str, tuple)):
+            kind, default = kind if isinstance(kind, tuple) else (type(kind), kind)
+            resolved[key] = _read_value(cfg[key], kind, at) if key in cfg else default
         elif key in cfg:
             resolved[key] = _read_value(cfg[key], kind, at)
         elif type(None) not in typing.get_args(kind):
@@ -510,34 +524,29 @@ class DistributionSpec:
         return DistributionSpec.point(read_config(cfg, where, kind=str, value=list[float])["value"])
 
 
-# (candidate, offset) pairs scored per vectorised pass: 256 KB int64 arrays,
-# small enough to stay in cache.
-_SEARCH_CELLS = 1 << 15
-
-
 def _korobov_generator(n: int, d: int) -> int:
     """Generator g of the rank-1 lattice {i (1, g, ..., g^(d-1)) mod n}.
 
     Among 1 <= g <= n/2 coprime to n, the g whose lattice has the largest
     minimum toroidal distance between points, ties to the smallest g.  A
     lattice is a group, so that distance is the shortest offset i = 1..n-1
-    from point 0; the candidates are scored in chunks of _SEARCH_CELLS
-    (candidate, offset) pairs, in exact integer arithmetic.
+    from point 0; the candidates are scored in row blocks of (candidate,
+    offset) pairs, in exact integer arithmetic.
     """
     g = np.arange(1, n // 2 + 1, dtype=np.int64)
     g = g[np.gcd(g, n) == 1]
     if d == 1 or g.size < 2:  # one axis, or at most one candidate: nothing to choose
         return 1
     i = np.arange(1, n)
-    shortest = []
-    for gs in np.array_split(g[:, None], -(-g.size * n // _SEARCH_CELLS)):
-        dist, power = np.minimum(i, n - i) ** 2, gs
+    shortest = np.empty(g.size, dtype=np.int64)
+    for b in row_blocks(g.size, i.size):
+        dist, power = np.minimum(i, n - i) ** 2, g[b, None]
         for _ in range(1, d):
             r = power * i % n
             dist = dist + np.minimum(r, n - r) ** 2
-            power = power * gs % n
-        shortest.append(dist.min(axis=1))
-    return int(g[np.argmax(np.concatenate(shortest))])
+            power = power * g[b, None] % n
+        shortest[b] = dist.min(axis=1)
+    return int(g[np.argmax(shortest)])
 
 
 def sample_reference(spec: DistributionSpec, n: int, seed: int) -> DiscreteMeasure:

@@ -63,7 +63,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
-from .measures import DiscreteMeasure, format_float
+from .measures import DiscreteMeasure, format_float, row_blocks
 from .surplus import SurplusFamily
 
 __all__ = [
@@ -87,10 +87,6 @@ __all__ = [
 SPARSITY_THRESHOLD = 1e-12
 # Largest distance of N * weight from an integer that still replicates.
 _REPLICATION_TOL = 1e-9
-# Cells per block of gathered support rows in the dual relaxation, and of
-# the row blocks of its c-transform and of the assignment's warm start:
-# 2^15 doubles (256 KB) keep the block in cache.
-_RELAX_BLOCK_CELLS = 32768
 # Square assignments with fewer rows are solved directly; larger ones are
 # warm-started from every _COARSE_STRIDE-th row and column.
 _ASSIGNMENT_FLOOR = 64
@@ -202,10 +198,11 @@ class DualPair:
         return float(mu @ self.w_source + nu @ self.v_target)
 
     def feasibility_margin(self, surplus: np.ndarray) -> float:
-        """min over pairs of (w_i + v_j - S_ij); >= 0 means feasible."""
-        return float(
-            (self.w_source[:, None] + self.v_target[None, :] - surplus).min()
-        )
+        """min over pairs of (w_i + v_j - S_ij), taken over row blocks; >= 0
+        means feasible."""
+        w, v = self.w_source, self.v_target
+        return float(np.min([(w[b, None] + v - surplus[b]).min()
+                             for b in row_blocks(*surplus.shape)]))
 
     def slackness_error(self, plan: TransportPlan, surplus: np.ndarray) -> float:
         ii, jj, _ = plan.support()
@@ -280,10 +277,9 @@ def _duals_from_support(
     stop on any change follows to the cap.  On the benchmark's 400 x 400
     markets the worklist takes 0 rounds in 1-D and 20-75 in 2-D, where a
     sweep takes 250-401 and 42-401.  The active surplus rows are gathered
-    a block of about _RELAX_BLOCK_CELLS cells at a time into one reused
-    buffer, so even a round with every pair active makes no n_support x m
-    temporary; w, the c-transform of v, is taken over row blocks of the
-    same size.
+    a row block (measures.row_blocks) at a time into one reused buffer, so
+    even a round with every pair active makes no n_support x m temporary;
+    w, the c-transform of v, is taken over row blocks too.
     """
     m = surplus.shape[1]
     v = np.full(m, -np.inf)
@@ -307,8 +303,7 @@ def _duals_from_support(
         else:
             np.max(surplus[pass_src[a:b]] + (vj - pass_s[a:b])[:, None], axis=0, out=row)
         np.maximum(v, row, out=v)
-    block = max(1, _RELAX_BLOCK_CELLS // m)
-    buf = np.empty((min(block, ii.size), m))
+    buf = np.empty((row_blocks(ii.size, m)[0].stop, m))
     rounds = 0
     while rounds <= m:
         stale = v > last + tol
@@ -319,18 +314,17 @@ def _duals_from_support(
         src = ii[act]
         lift = v[jj[act]] - on_support[act]
         new_v = v.copy()
-        for p0 in range(0, act.size, block):
-            rows = src[p0 : p0 + block]
+        for b in row_blocks(act.size, m):
             # mode="clip" skips the buffered copy that the default mode
             # makes for `out`; the indices are in range
-            cand = np.take(surplus, rows, axis=0, out=buf[: rows.size], mode="clip")
-            cand += lift[p0 : p0 + block, None]
+            cand = np.take(surplus, src[b], axis=0, out=buf[: b.stop - b.start], mode="clip")
+            cand += lift[b, None]
             np.maximum(new_v, cand.max(axis=0), out=new_v)
         v = new_v
         rounds += 1
     w = np.empty(surplus.shape[0])
-    for r in range(0, w.size, block):
-        w[r : r + block] = (surplus[r : r + block] - v).max(axis=1)
+    for b in row_blocks(w.size, m):
+        w[b] = (surplus[b] - v).max(axis=1)
     return w, v, rounds
 
 
@@ -360,9 +354,8 @@ def _assignment(cost, order, tol):
         _, v, _ = _duals_from_support(coarse, *_assignment(-coarse, sub, tol), sub[0], sub, tol)
         # cost-form column potentials are -v; c-transform them to every row,
         # a row block at a time
-        block = max(1, _RELAX_BLOCK_CELLS // c.size)
-        for r in range(0, cost.shape[0], block):
-            rows = cost[r : r + block]
+        for b in row_blocks(cost.shape[0], c.size):
+            rows = cost[b]
             rows -= (rows[:, c] + v).min(axis=1)[:, None]
         cost -= cost.min(axis=0)
     return linear_sum_assignment(cost)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import config_kind, read_config
+from .measures import config_kind, read_config, row_blocks
 
 __all__ = [
     "AxisSplit",
@@ -674,8 +674,6 @@ class TwistReport:
         return msg
 
 
-# Distances (grid z times taste pairs) per chunk of the twist witness scan.
-_TWIST_CHUNK_CELLS = 1 << 16
 # check_twist fails on a smallest cross-Hessian singular value at or below
 # _TWIST_THRESHOLD, or on two tastes over _TWIST_WITNESS_TOL apart whose
 # quality gradients are within it.
@@ -688,17 +686,16 @@ def _twist_witness(eps_pts, z_pts, grads) -> Optional[tuple]:
 
     grads[k, i] is grad_z zeta(x, eps_i, z_k); at each z the closest pair
     of gradients is the candidate, ties broken to the lowest pair index.
-    Distances are taken for a chunk of z at once over the pairs i < j in
-    row-major order, as the square root of the squared differences summed
+    Distances are taken for a row block of z (measures.row_blocks) at once
+    over the pairs i < j in row-major order, as the square root of the squared differences summed
     in axis order, which is how np.linalg.norm sums fewer than 8 axes.
     """
     n_e = eps_pts.shape[0]
     if n_e < 2:
         return None
     first, second = np.triu_indices(n_e, 1)
-    chunk = max(1, _TWIST_CHUNK_CELLS // first.size)
-    for k0 in range(0, z_pts.shape[0], chunk):
-        block = grads[k0:k0 + chunk]
+    for b in row_blocks(z_pts.shape[0], first.size):
+        block = grads[b]
         sq = np.zeros((block.shape[0], first.size))
         for axis in range(block.shape[2]):
             diff = block[:, first, axis] - block[:, second, axis]
@@ -708,7 +705,7 @@ def _twist_witness(eps_pts, z_pts, grads) -> Optional[tuple]:
         for k in np.flatnonzero(dist.min(axis=1) <= _TWIST_WITNESS_TOL):
             i, j = first[best[k]], second[best[k]]
             if not np.allclose(eps_pts[i], eps_pts[j], rtol=0.0, atol=_TWIST_WITNESS_TOL):
-                return eps_pts[i].copy(), eps_pts[j].copy(), z_pts[k0 + k].copy()
+                return eps_pts[i].copy(), eps_pts[j].copy(), z_pts[b.start + k].copy()
     return None
 
 

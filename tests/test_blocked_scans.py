@@ -15,16 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hedonic import equilibrium, identify
+from hedonic import equilibrium, identify, measures
 from hedonic.equilibrium import build_z_grid, certify_dataset, simulate_market, verify_equilibrium
-from hedonic.measures import DistributionSpec, MarketDataset
-from hedonic.surplus import _UNIT, ScalarFamily, StructuralSpec, SurplusFamily
+from hedonic.measures import DistributionSpec, MarketDataset, from_samples
+from hedonic.ot import DualPair, exact_solver_path, solve_exact, surplus_matrix
+from hedonic.surplus import _UNIT, ScalarFamily, StructuralSpec, SurplusFamily, check_twist
 
 POINT_X = DistributionSpec.point([1.0])
 UNIT_1D = DistributionSpec.uniform([0.0], [1.0])
 UNIT_BOX = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
-# Sixteen blocks of _MAXPLUS_BLOCK_CELLS doubles: 4 MiB.
-BUDGET = 16 * 8 * equilibrium._MAXPLUS_BLOCK_CELLS
+# A fixed 4 MiB, whatever the block budget: 32 blocks of the default
+# measures.BLOCK_CELLS = 2^14 doubles.
+BUDGET = 4 << 20
 # Ties everywhere, and zeros of both signs.
 TIED = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
 
@@ -146,7 +148,7 @@ def test_blocked_envelope_and_pair_argmax_equal_the_one_shot_forms(n, m, g, pair
     gain, cost = tied(rng, (n, g)), tied(rng, (m, g))
     v, w = tied(rng, n), tied(rng, m)
     ii, jj = rng.integers(0, n, pairs), rng.integers(0, m, pairs)
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", cells):
         margin, *where = equilibrium._envelope_margin(gain, cost, v, w)
         arg = equilibrium._pair_argmax(gain, cost, ii, jj)
     want, *want_where = oneshot_envelope(gain, cost, v, w)
@@ -162,7 +164,7 @@ def test_envelope_takes_the_sign_of_a_zero_tie_from_the_one_shot_form():
     for cost in (-gain, gain):
         want = oneshot_envelope(gain, cost, zero, zero)
         for cells in (1, 3, 6, 32768):
-            with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+            with mock.patch.object(measures, "BLOCK_CELLS", cells):
                 got = equilibrium._envelope_margin(gain, cost, zero, zero)
             assert same_bits(got[0], want[0]) and got[1:] == want[1:]
 
@@ -181,7 +183,7 @@ def test_best_trades_over_distinct_qualities_equal_the_one_shot_scan(n, m, g, k,
     gain, cost = tied(rng, (n, g), values), tied(rng, (m, g), values)
     traded = rng.integers(0, g, k)
     prices = tied(rng, k, [-1.0, 0.0, 0.5, 1.0, 3.0])
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", cells):
         got = equilibrium._best_trades(gain, cost, traded, prices)
     for a, b in zip(got, oneshot_best_trades(gain, cost, traded, prices)):
         assert same_bits(a, b)
@@ -213,7 +215,7 @@ def test_blocked_tight_arcs_equal_the_one_shot_arcs(n, m, g, k, cells, seed):
     row_grid, p = rng.integers(0, g, k), tied(rng, k)
     consumer_x = equilibrium._row_index(x, x)
     row_x = equilibrium._row_index(x, row_xs)
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", cells):
         got = equilibrium._tight_arcs(gain, cost, row_grid, p, consumer_x, row_x)
     want = oneshot_tight_arcs(gain, cost, row_grid, p, x, row_xs)
     for side, want_side in zip(got, want):
@@ -233,7 +235,7 @@ def test_certificate_is_the_same_in_any_block_size(n, m, res, cells):
     )
     ds = simulate_market(**kw).dataset
     whole, facts = certify_dataset(dataset=ds, **kw)
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", cells):
         blocked, blocked_facts = certify_dataset(dataset=ds, **kw)
         assert verify_equilibrium(blocked) == verify_equilibrium(whole)
     assert blocked_facts == facts
@@ -252,7 +254,7 @@ def test_certificate_of_a_single_row_and_a_single_grid_point():
               n_consumers=3, n_producers=2, z_grid=grid, seed=2, boundary_threshold=1.0)
     ds = MarketDataset(np.ones((1, 1)), grid, [0.75])
     for cells in (1, 32768):
-        with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", cells):
+        with mock.patch.object(measures, "BLOCK_CELLS", cells):
             cert, facts = certify_dataset(dataset=ds, **kw)
         assert facts["tight_arcs"] == 5 and facts["flow_value"] == facts["flow_lcm"] == 6
         assert cert.traded_index.tolist() == [0] * cert.n_pairs
@@ -268,7 +270,7 @@ def test_neighbour_rows_equal_the_stable_argsort_prefix(d, m, k, cells, seed):
     # half steps on a small lattice: many points at equal distances, so the
     # (k + 1)-th column often falls inside a run of ties; duplicates too
     z = np.random.default_rng(seed).integers(0, 3, size=(m, d)) / 2.0
-    with mock.patch.object(identify, "_NEIGHBOUR_BLOCK_CELLS", cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", cells):
         got = identify._neighbour_order(z, k)
     assert same_bits(got, oneshot_neighbour_order(z, k).astype(np.intp))
 
@@ -282,6 +284,52 @@ def test_neighbour_rows_cut_a_run_of_tied_distances_by_index(k):
     got = identify._neighbour_order(z, k)
     assert got[4].tolist() == [4, 1, 3, 5, 7, 0][: k + 1]
     assert same_bits(got, oneshot_neighbour_order(z, k).astype(np.intp))
+
+
+def at_budgets(f):
+    """f() under block budgets of 1, 2 and 5 cells and the default."""
+    runs = []
+    for cells in (1, 2, 5, measures.BLOCK_CELLS):
+        with mock.patch.object(measures, "BLOCK_CELLS", cells):
+            runs.append(f())
+    return runs
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(SEEDS)
+def test_solves_twist_witness_and_dual_margin_are_the_same_at_any_budget(seed):
+    rng = np.random.default_rng(seed)
+    # the dual relaxation, its c-transform and the assignment's warm start
+    # (from 64 rows up) on both exact-solver paths
+    zeta = SurplusFamily.bilinear(2)
+    for n, m, path in ((80, 40, "replicated"), (70, 30, "lp")):
+        mu, nu = from_samples(rng.uniform(size=(n, 2))), from_samples(rng.uniform(size=(m, 2)))
+        assert exact_solver_path(mu.weights, nu.weights) == path
+        s = surplus_matrix(mu, nu, zeta)
+        runs = at_budgets(lambda: solve_exact(mu, nu, s))
+        for plan, duals in runs[1:]:
+            want_plan, want_duals = runs[0]
+            assert same_bits(plan.rows, want_plan.rows) and same_bits(plan.cols, want_plan.cols)
+            assert same_bits(plan.mass, want_plan.mass)
+            assert same_bits(plan.objective, want_plan.objective)
+            assert same_bits(duals.w_source, want_duals.w_source)
+            assert same_bits(duals.v_target, want_duals.v_target)
+        # the solve's duals, and tied ones with zeros of both signs
+        for duals, surplus in ((runs[0][1], s),
+                               (DualPair(tied(rng, n), tied(rng, m), 0), tied(rng, (n, m)))):
+            margins = at_budgets(lambda: duals.feasibility_margin(surplus))
+            assert all(same_bits(a, margins[0]) for a in margins)
+    # grad_z zeta = eps z + eps^2: tastes 0.25 and -0.75 share the gradient
+    # 0.1875 only at z = 0.5, which the shuffle puts in any block
+    crossing = SurplusFamily.polynomial(
+        [{"coeff": 0.5, "eps": [1], "z": [2]}, {"coeff": 1.0, "eps": [2], "z": [1]}], 0, 1
+    )
+    z = rng.permutation(np.linspace(-1.0, 0.5, 31))[:, None]
+    reports = at_budgets(lambda: check_twist(crossing, np.zeros(0), [[0.25], [-0.75]], z))
+    assert reports[0].witness[2].tolist() == [0.5]
+    for rep in reports:
+        assert all(same_bits(a, b) for a, b in zip(rep.witness, reports[0].witness))
+        assert same_bits(rep.min_singular_value, reports[0].min_singular_value)
 
 
 def axes():

@@ -933,6 +933,7 @@ MISTYPED = [
     ("simulate", ("seed",), 1.5, "seed must be a whole number of at least 0"),
     ("simulate", ("seed",), True, "seed must be a whole number of at least 0"),
     ("simulate", ("seed",), -1, "seed must be a whole number of at least 0"),
+    ("simulate", ("--seed",), -1, "--seed must be a whole number of at least 0"),
     ("simulate", ("simulate", "n_consumers"), 20.7,
      "simulate.n_consumers must be a whole number of at least 1"),
     ("simulate", ("simulate", "n_consumers"), True,
@@ -977,13 +978,19 @@ MISTYPED = [
     ("transport", ("transport", "zeta", "terms", 0, "z"), [1.6],
      "transport.zeta.terms[0].z[0] must be a whole number of at least 0"),
     ("conjugate", ("conjugate", "eps_grid", "resolution"), 5.5,
-     "conjugate.eps_grid.resolution must be a whole number of at least 0"),
+     "conjugate.eps_grid.resolution must be a whole number of at least 2"),
+    ("conjugate", ("conjugate", "eps_grid", "resolution"), 1,
+     "conjugate.eps_grid.resolution must be a whole number of at least 2"),
     ("check", ("check", "equilibrium", "simulate", "n_producers"), 20.7,
      "check.equilibrium.simulate.n_producers must be a whole number of at least 1"),
     ("check", ("check", "twist", "n_grid"), 9.7,
-     "check.twist.n_grid must be a whole number of at least 0"),
+     "check.twist.n_grid must be a whole number of at least 1"),
+    ("check", ("check", "twist", "n_grid"), 0,
+     "check.twist.n_grid must be a whole number of at least 1"),
     ("check", ("check", "twist", "z_grid", "resolution"), 4.5,
-     "check.twist.z_grid.resolution must be a whole number of at least 0"),
+     "check.twist.z_grid.resolution must be a whole number of at least 2"),
+    ("check", ("check", "twist", "z_grid", "resolution"), 1,
+     "check.twist.z_grid.resolution must be a whole number of at least 2"),
 ]
 
 
@@ -992,14 +999,18 @@ MISTYPED = [
 def test_a_count_that_is_no_whole_number_exits_1_naming_it(
     tmp_path, capsys, command, path, value, message
 ):
-    # named for its first rows, the counts; every row is a mistyped value
-    config = every_section(tmp_path)
-    mapping = config
-    for step in path[:-1]:
-        mapping = mapping[step]
-    mapping[path[-1]] = value
+    # named for its first rows, the counts; every row is a mistyped value,
+    # of a config key or, for a path that is one "--" flag, of that flag
+    config, flags = every_section(tmp_path), []
+    if path[0].startswith("--"):
+        flags = [path[0], str(value)]
+    else:
+        mapping = config
+        for step in path[:-1]:
+            mapping = mapping[step]
+        mapping[path[-1]] = value
     cfg = write_config(tmp_path, config)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
     assert f"{command}: config error: {message}, got " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

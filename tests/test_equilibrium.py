@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hedonic import equilibrium
+from hedonic import equilibrium, measures
 from hedonic.equilibrium import (
     GridBoundaryError,
     _max_plus,
@@ -86,14 +86,15 @@ def test_blocked_max_plus_equals_the_dense_max_bitwise(n, m, g, block_cells, int
         cost = rng.integers(-3, 4, size=(m, g)).astype(float)
     else:
         gain, cost = rng.normal(size=(n, g)), rng.normal(size=(m, g))
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", block_cells):
         got = _max_plus(gain, cost, [1])[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
 
 @pytest.mark.parametrize("m, g", [(70, 1000), (3, 32768 + 5)])
 def test_blocked_max_plus_at_the_module_block_size(m, g):
-    # 32 producers per block with a remainder of 6; a grid above the block
+    # at the 2^14-cell default, 16 producers per block with a remainder of
+    # 6; a grid above the block
     rng = np.random.default_rng(g)
     gain, cost = rng.normal(size=(2, g)), rng.normal(size=(m, g))
     assert _max_plus(gain, cost, [1])[0].tobytes() == dense_max_plus(gain, cost).tobytes()
@@ -169,7 +170,7 @@ def pruned_max_plus_instances(draw, kinds=("lattice", "scattered", "duplicates",
 )
 def test_pruned_max_plus_equals_the_dense_max_bitwise(instance, block_cells):
     gain, cost, grid = instance
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", block_cells):
         got = _max_plus(gain, cost, partner_strides(grid))[0]
     assert got.tobytes() == dense_max_plus(gain, cost).tobytes()
 
@@ -301,7 +302,7 @@ def test_stride_masks_keep_every_point_the_lexsort_masks_keep(instance, block_ce
     # differ, and neither mask need contain the other
     gain, cost, grid = instance
     assume(grid is None or grid.shape[1] <= 2)
-    with mock.patch.object(equilibrium, "_MAXPLUS_BLOCK_CELLS", block_cells):
+    with mock.patch.object(measures, "BLOCK_CELLS", block_cells):
         got = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
     for (mask, _), (ref, _) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
         assert np.all(mask | ~ref)

@@ -341,7 +341,7 @@ def loop_korobov_generator(n, d):
 
 @pytest.mark.parametrize("cells", [200, 1000, 1 << 15])
 def test_generator_search_matches_the_loop_in_any_chunking(monkeypatch, cells):
-    monkeypatch.setattr("hedonic.measures._SEARCH_CELLS", cells)
+    monkeypatch.setattr("hedonic.measures.BLOCK_CELLS", cells)
     for d in (1, 2, 3):
         for n in range(1, 130):
             assert _korobov_generator(n, d) == loop_korobov_generator(n, d), (n, d)
