@@ -44,9 +44,6 @@ __all__ = [
     "write_equilibrium_report",
 ]
 
-# Consumers x producers per tile of the pruned max-plus product: each tile
-# gathers its candidate columns once, and its 16 consumer rows share them.
-_MAXPLUS_TILE = (16, 128)
 # Tolerance of verify_equilibrium; certify_dataset cuts tight arcs at half of
 # it per side so that the pairs it joins meet support equality within it.
 _TOL = 1e-7
@@ -122,69 +119,48 @@ def _max_plus(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: lis
     """Max-plus product S_ij = max_g (gain[i, g] - cost[j, g]), and the
     number of cells it evaluated.
 
-    Each pair is evaluated only on the grid points that a dominance
-    certificate cannot exclude; S is bit-identical to the dense product.
+    Each consumer row is evaluated only on the grid points that a
+    dominance certificate cannot exclude for any producer; S is
+    bit-identical to the dense product.
 
     Partners: every point g is paired with g + s for each of the strides s
     (_partner_strides: the axis neighbours on a lattice, the next index on
     any other grid).  The partner choice sets only how much is pruned,
     never the result.
 
-    Masks: point g leaves consumer row i's mask when, for some partner g',
+    Mask: point g leaves consumer row i's mask when, for some partner g',
     the rounded step gain[i, g'] - gain[i, g] is above every producer's
-    rounded step cost[j, g'] - cost[j, g]; it leaves producer row j's mask
-    when j's rounded cost step is below every consumer's gain step.  Each
-    step is one rounded subtraction of exact inputs, and rounding is
-    monotone, so a rounded step above another means a strictly larger real
-    step: no tolerance is needed.  A dropped point therefore has a strictly
-    larger real surplus at g' for every pair it was dropped for, and (again
-    by monotone rounding) a float surplus at g' at least as large.  Real
-    values rise strictly along a chain of drops, so every chain ends at a
-    point kept for that pair, and the max over the kept points is the dense
-    max.  Zero entries are redone by _dense_entries.  The masks are
-    booleans built in row blocks (measures.row_blocks).
+    rounded step cost[j, g'] - cost[j, g].  Each step is one rounded
+    subtraction of exact inputs, and rounding is monotone, so a rounded
+    step above another means a strictly larger real step: no tolerance is
+    needed.  A dropped point therefore has a strictly larger real surplus
+    at g' for every producer, and (again by monotone rounding) a float
+    surplus at g' at least as large.  Real values rise strictly along a
+    chain of drops, so every chain ends at a point kept for that row, and
+    the max over the kept points is the dense max.  Zero entries are redone
+    by _dense_entries.  The mask is a boolean built in row blocks
+    (measures.row_blocks).
 
-    Tiles: consumers and producers are ordered by the mean kept grid index
-    of their masks and cut into tiles of _MAXPLUS_TILE rows; a tile is
-    evaluated on the union of its consumers' masks intersected with the
-    union of its producers' masks.  It gathers those gain columns once, and
-    those cost columns in row blocks (measures.row_blocks: at most
-    BLOCK_CELLS cells, or one producer row when a tile keeps more columns);
-    every consumer row of the tile then runs np.subtract and max(axis=1) on
-    a block into a buffer the size of the tile's first, largest, block.
+    Scan: each consumer row gathers its kept gain values once, and the
+    same columns of the producer costs in row blocks (measures.row_blocks:
+    about BLOCK_CELLS cells, or one producer row when the row keeps more
+    columns); each block is subtracted and maxed in place.
     """
-    n, g = consumer_gain.shape
+    n = consumer_gain.shape[0]
     m = producer_cost.shape[0]
     s = np.empty((n, m))
     if n == 0 or m == 0:
         return s, 0
-    (cmask, ckey), (dmask, dkey) = _candidate_masks(consumer_gain, producer_cost, strides)
-
-    tile_rows, tile_cols = _MAXPLUS_TILE
-    corder = np.argsort(ckey, kind="stable")
-    dorder = np.argsort(dkey, kind="stable")
-    col_tiles = [dorder[j:j + tile_cols] for j in range(0, m, tile_cols)]
-    col_unions = [dmask[cols].any(axis=0) for cols in col_tiles]
-    out = np.empty((tile_rows, tile_cols))
+    mask = _consumer_mask(consumer_gain, producer_cost, strides)
     cells = 0
-    for i in range(0, n, tile_rows):
-        rows = corder[i:i + tile_rows]
-        row_union = cmask[rows].any(axis=0)
-        for cols, col_union in zip(col_tiles, col_unions):
-            kept = np.flatnonzero(row_union & col_union)
-            k = kept.size
-            gain = consumer_gain[np.ix_(rows, kept)]
-            res = out[: rows.size, : cols.size]
-            blocks = row_blocks(cols.size, k)
-            buf = np.empty((blocks[0].stop, k))
-            for b in blocks:
-                cost = producer_cost[np.ix_(cols[b], kept)]
-                diff = buf[: cost.shape[0]]
-                for r in range(rows.size):
-                    np.subtract(gain[r], cost, out=diff)
-                    diff.max(axis=1, out=res[r, b])
-            s[np.ix_(rows, cols)] = res
-            cells += rows.size * cols.size * k
+    for i in range(n):
+        kept = np.flatnonzero(mask[i])
+        gain = consumer_gain[i, kept]
+        for b in row_blocks(m, kept.size):
+            diff = producer_cost[b][:, kept]
+            np.subtract(gain, diff, out=diff)
+            diff.max(axis=1, out=s[i, b])
+        cells += m * kept.size
     return s, cells + _dense_entries(s, consumer_gain, producer_cost, *np.nonzero(s == 0))
 
 
@@ -252,10 +228,15 @@ def _axis_hull(t: np.ndarray, f: np.ndarray) -> _AxisHull:
     """Upper hull by a monotone chain over t (strictly increasing), with
     the slope bounds of every vertex.  A computed slope c = fl(fl(f_r -
     f_v) / fl(t_r - t_v)) is within 3 roundings of the exact slope, so
-    c + 8u|c| bounds it from above and c - 8u|c| from below.  The slopes
-    are taken for 64 vertices at a time, the right-side ones over the points
-    right of the block's first vertex and the left-side ones over the
-    points left of its last vertex."""
+    c + 8u|c| bounds it from above and c - 8u|c| from below.
+
+    Each vertex v first bounds the slopes to the points up to the next
+    vertex w (right) or from the previous one (left).  The slope from v to
+    a point r beyond w averages those from v to w and from w to r, weighted
+    by t_w - t_v and t_r - t_w, so it is at most the larger of the two: a
+    running max over the vertices, right to left, bounds every right
+    slope, and a running min, left to right, every left slope.  Every
+    point is taken once per side, so the bounds cost O(R)."""
     ts, fs = t.tolist(), f.tolist()
     hull = []
     for r in range(len(ts)):
@@ -267,23 +248,24 @@ def _axis_hull(t: np.ndarray, f: np.ndarray) -> _AxisHull:
         hull.append(r)
     v = np.array(hull)
     neg_slopes = -(f[v[1:]] - f[v[:-1]]) / (t[v[1:]] - t[v[:-1]])
-    bounds = np.empty((2, v.size))
-    index = np.arange(t.size)
-    for c0 in range(0, v.size, 64):
-        vv = v[c0:c0 + 64, None]
-        right, left = slice(vv[0, 0] + 1, None), slice(None, vv[-1, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = (f[right] - f[vv]) / (t[right] - t[vv])
-            down = (f[left] - f[vv]) / (t[left] - t[vv])
-        bounds[0, c0:c0 + 64] = np.where(
-            index[right] > vv, up + 8 * _UNIT * np.abs(up), -np.inf
-        ).max(axis=1, initial=-np.inf)
-        bounds[1, c0:c0 + 64] = np.where(
-            index[left] < vv, down - 8 * _UNIT * np.abs(down), np.inf
-        ).min(axis=1, initial=np.inf)
+    # the chain runs from point 0 to point R - 1: up holds the slopes of
+    # points 1 .. R - 1 from the vertex on their left, down those of points
+    # 0 .. R - 2 from the vertex on their right, and in both the run of
+    # segment q starts at index v[q]
+    right_of = np.repeat(v[:-1], np.diff(v))
+    left_of = np.repeat(v[1:], np.diff(v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = (f[1:] - f[right_of]) / (t[1:] - t[right_of])
+        down = (f[:-1] - f[left_of]) / (t[:-1] - t[left_of])
+    right = np.full(v.size, -np.inf)
+    left = np.full(v.size, np.inf)
+    if v.size > 1:
+        right[:-1] = np.maximum.reduceat(up + 8 * _UNIT * np.abs(up), v[:-1])
+        left[1:] = np.minimum.reduceat(down - 8 * _UNIT * np.abs(down), v[:-1])
     after = np.append(t, np.inf)[v + 1] - t[v]
     before = t[v] - np.insert(t, 0, -np.inf)[v]
-    return _AxisHull(v, neg_slopes, bounds[0], after, bounds[1], before)
+    return _AxisHull(v, neg_slopes, np.maximum.accumulate(right[::-1])[::-1], after,
+                     np.minimum.accumulate(left), before)
 
 
 def _axis_hull_max_plus(consumer_gain, producer_cost, axes, split: AxisSplit):
@@ -392,21 +374,6 @@ def _joint_surplus(spec, x, eps, y, grid, consumer_gain, producer_cost):
     }
 
 
-def _candidate_masks(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: list):
-    """(mask, key) of the consumer rows and of the producer rows: the grid
-    points each row keeps (see _max_plus) and its mean kept grid index."""
-    gain_range = _step_range(consumer_gain, strides)
-    cost_range = _step_range(producer_cost, strides)
-    # a consumer drops a point when its gain step to a partner is above
-    # every producer's cost step, and a producer when its cost step is
-    # below every consumer's gain step; producer steps are negated so that
-    # both compare as "above up, or below down"
-    return (
-        _row_mask(consumer_gain, strides, cost_range, 1.0),
-        _row_mask(producer_cost, strides, [(-low, -high) for high, low in gain_range], -1.0),
-    )
-
-
 def _steps(block: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     """Steps v[:, k + s] - v[:, k] of the rows v of block, written into
     out.  One subtraction over the flattened rows does every row at once;
@@ -434,33 +401,27 @@ def _step_range(values: np.ndarray, strides: list) -> list:
     return ranges
 
 
-def _row_mask(values, strides, limits, sign):
-    """Grid points each row keeps, and each row's mean kept grid index.
-
-    With step = sign * (partner step) and (up, down) the limits of a
-    stride s, a row drops point k when its step to k + s is above up[k],
-    and point k + s when that step is below down[k].
-    """
-    n, g = values.shape
+def _consumer_mask(consumer_gain: np.ndarray, producer_cost: np.ndarray, strides: list):
+    """Grid points each consumer row keeps (see _max_plus): with (up, down)
+    the (max, min) over producers of the cost step of a stride s, a row
+    drops point k when its gain step to k + s is above up[k], and point
+    k + s when that step is below down[k]."""
+    n, g = consumer_gain.shape
     keep = np.ones((n, g), dtype=bool)
-    key = np.empty(n)
-    index = np.arange(g, dtype=float)
+    limits = _step_range(producer_cost, strides)
     blocks = row_blocks(n, g)
     buf = np.empty((blocks[0].stop, g))
     drop = np.empty((blocks[0].stop, g), dtype=bool)
     for b in blocks:
-        block, kept = values[b], keep[b]
+        kept = keep[b]
         dropped = drop[: kept.shape[0]]
         for s, (up, down) in zip(strides, limits):
-            step = _steps(block, s, buf)
-            if sign < 0:
-                np.negative(step, out=step)
+            step = _steps(consumer_gain[b], s, buf)
             np.greater(step, up, out=dropped[:, :-s])
             dropped[:, -s:] = False
             dropped[:, s:] |= step < down
             kept &= ~dropped
-        key[b] = kept.dot(index) / np.count_nonzero(kept, axis=1)
-    return keep, key
+    return keep
 
 
 def sample_types(

@@ -8,6 +8,7 @@ budget above their inputs and outputs.
 """
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -101,7 +102,8 @@ def oneshot_neighbour_order(z, k):
 
 
 def oneshot_axis_hull(t, f):
-    """The hull with every vertex's slopes taken to all R points."""
+    """The hull with every vertex's slopes taken to all R points: the
+    O(R V) form of the slope bounds."""
     ts, fs = t.tolist(), f.tolist()
     hull = []
     for r in range(len(ts)):
@@ -355,6 +357,55 @@ def test_axis_hull_slopes_on_one_side_equal_the_all_points_form(name):
     got, want = equilibrium._axis_hull(t, f), oneshot_axis_hull(t, f)
     for field in ("point", "neg_slopes", "right_slope", "right_gap", "left_slope", "left_gap"):
         assert same_bits(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def small_axes(draw):
+    """(shape, t, f) of a small axis: strictly concave (integer slopes that
+    fall at every point), convex, flat, near-collinear at rounding level
+    (a line with some values moved by an ulp) or integer-valued."""
+    size = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=size - 1, max_size=size - 1))
+    t = draw(st.sampled_from([1.0, 0.1, 1e-3])) * np.cumsum([0] + gaps, dtype=float)
+    shape = draw(st.sampled_from(["concave", "convex", "flat", "near-collinear", "integer"]))
+    if shape == "concave":
+        # integer t and f, so the exact hull holds every point
+        t = np.cumsum([0] + gaps, dtype=float)
+        drops = draw(st.lists(st.integers(1, 5), min_size=size - 1, max_size=size - 1))
+        slopes = draw(st.integers(-10, 10)) - np.cumsum(drops)
+        f = np.cumsum(np.concatenate([[0], slopes * np.diff(t)]), dtype=float)
+    elif shape == "convex":
+        f = draw(st.sampled_from([1.0, 1e-8])) * t**2
+    elif shape == "flat":
+        f = np.full(size, draw(st.sampled_from([0.0, -0.0, 3.0])))
+    elif shape == "near-collinear":
+        f = 0.1 * t + 0.7
+        moved = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size,
+                                       max_size=size)))
+        f = np.where(moved > 0, np.nextafter(f, np.inf), f)
+        f = np.where(moved < 0, np.nextafter(f, -np.inf), f)
+    else:
+        f = np.array(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)),
+                     dtype=float)
+    return shape, t, f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_axes())
+def test_axis_hull_slope_bounds_hold_the_exact_slopes(axis):
+    shape, t, f = axis
+    hull = equilibrium._axis_hull(t, f)
+    exact_t, exact_f = [Fraction(x) for x in t], [Fraction(x) for x in f]
+    for q, v in enumerate(hull.point):
+        def slope(r):
+            return (exact_f[r] - exact_f[v]) / (exact_t[r] - exact_t[v])
+        assert all(slope(r) <= hull.right_slope[q] for r in range(v + 1, t.size))
+        assert all(slope(r) >= hull.left_slope[q] for r in range(v))
+    if shape == "concave":
+        want = oneshot_axis_hull(t, f)
+        assert same_bits(hull.point, np.arange(t.size))
+        for field in ("neg_slopes", "right_slope", "right_gap", "left_slope", "left_gap"):
+            assert same_bits(getattr(hull, field), getattr(want, field)), field
 
 
 # ---------------------------------------------------------------------------

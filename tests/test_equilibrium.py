@@ -224,21 +224,22 @@ def test_candidate_masks_keep_every_dense_argmax(case):
     else:
         grid = lattice(9, 8) if case == "normal-lattice" else rng.normal(size=(72, 3))
         gain, cost = rng.normal(size=(30, 72)), rng.normal(size=(40, 72))
-    (cmask, _), (dmask, _) = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
+    mask = equilibrium._consumer_mask(gain, cost, partner_strides(grid))
     arg = np.argmax(gain[:, None, :] - cost[None, :, :], axis=2)  # first index
-    rows, cols = np.indices(arg.shape)
-    assert np.all(cmask[rows, arg] & dmask[cols, arg])
+    rows = np.indices(arg.shape)[0]
+    assert np.all(mask[rows, arg])
     if case == "readme":
-        dense_cells = gain.shape[0] * cost.shape[0] * grid.shape[0]
-        kept_cells = cmask.sum(axis=0) @ dmask.sum(axis=0)
-        assert kept_cells < 0.5 * dense_cells
-        # tiles evaluate the unions of their rows' masks: at least the kept cells
-        cells = equilibrium._max_plus(gain, cost, partner_strides(grid))[1]
-        assert kept_cells <= cells < dense_cells
+        m, g = cost.shape
+        kept_cells = m * np.count_nonzero(mask)
+        assert kept_cells < 0.5 * gain.shape[0] * m * g
+        # every producer against each row's kept points, and the zero
+        # entries redone over the whole grid
+        s, cells = equilibrium._max_plus(gain, cost, partner_strides(grid))
+        assert cells == kept_cells + g * np.count_nonzero(s == 0)
 
 
 def lexsort_candidate_masks(gain, cost, grid):
-    """Reference: the masks and keys of the lexsort partners that stride
+    """Reference: the consumer mask of the lexsort partners that stride
     partners replaced.  For each grid axis every point is paired with the
     next point of a lexsort whose last key is that axis (the identity
     without a grid), so on a lattice the last point of each axis line is
@@ -253,26 +254,15 @@ def lexsort_candidate_masks(gain, cost, grid):
             np.lexsort([pts[:, a]] + [pts[:, b] for b in range(d) if b != a])
             for a in range(d)
         ]
-
-    def step_ranges(values):
-        steps = [np.diff(values[:, order], axis=1) for order in orders]
-        return [(step.max(axis=0), step.min(axis=0)) for step in steps]
-
-    def masks(values, limits, sign):
-        keep = np.ones(values.shape, dtype=bool)
-        for order, (up, down) in zip(orders, limits):
-            step = sign * np.diff(values[:, order], axis=1)
-            dropped = np.zeros(values.shape, dtype=bool)
-            dropped[:, :-1] = step > up
-            dropped[:, 1:] |= step < down
-            keep[:, order] &= ~dropped
-        return keep, keep.dot(np.arange(g, dtype=float)) / np.count_nonzero(keep, axis=1)
-
-    gain_range = step_ranges(gain)
-    return (
-        masks(gain, step_ranges(cost), 1.0),
-        masks(cost, [(-low, -high) for high, low in gain_range], -1.0),
-    )
+    keep = np.ones(gain.shape, dtype=bool)
+    for order in orders:
+        cost_step = np.diff(cost[:, order], axis=1)
+        step = np.diff(gain[:, order], axis=1)
+        dropped = np.zeros(gain.shape, dtype=bool)
+        dropped[:, :-1] = step > cost_step.max(axis=0)
+        dropped[:, 1:] |= step < cost_step.min(axis=0)
+        keep[:, order] &= ~dropped
+    return keep
 
 
 @pytest.mark.parametrize(
@@ -303,18 +293,15 @@ def test_stride_masks_keep_every_point_the_lexsort_masks_keep(instance, block_ce
     gain, cost, grid = instance
     assume(grid is None or grid.shape[1] <= 2)
     with mock.patch.object(measures, "BLOCK_CELLS", block_cells):
-        got = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
-    for (mask, _), (ref, _) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
-        assert np.all(mask | ~ref)
+        mask = equilibrium._consumer_mask(gain, cost, partner_strides(grid))
+    assert np.all(mask | ~lexsort_candidate_masks(gain, cost, grid))
 
 
 @pytest.mark.parametrize("n, res, seed", [(80, 30, 4), (100, 30, 7), (64, 45, 2)])
 def test_stride_masks_equal_the_lexsort_masks_on_readme_lattices(n, res, seed):
     gain, cost, grid = readme_spec_arrays(n, res, seed)
-    got = equilibrium._candidate_masks(gain, cost, partner_strides(grid))
-    for (mask, key), (ref, ref_key) in zip(got, lexsort_candidate_masks(gain, cost, grid)):
-        assert np.array_equal(mask, ref)
-        assert key.tobytes() == ref_key.tobytes()
+    mask = equilibrium._consumer_mask(gain, cost, partner_strides(grid))
+    assert np.array_equal(mask, lexsort_candidate_masks(gain, cost, grid))
 
 
 @pytest.mark.parametrize("n, cpus", [(40, 1), (16, 7), (64, 2)])
